@@ -9,8 +9,9 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.optimize import brentq
 
-from .dynamics import SimConfig, SimTrace, simulate, steady_state
+from .dynamics import SimConfig, SimTrace, _write_csv, simulate, steady_state
 from .errors import FitError, NoPulseError
 from .model import (
     ELEMENTARY_CHARGE,
@@ -52,10 +53,7 @@ class LightCurrentCurve:
             raise ValueError("powers must be nonnegative")
 
     def to_csv(self, path) -> None:
-        data = np.column_stack([self.currents, self.powers])
-        with open(path, "w", newline="") as fh:
-            np.savetxt(fh, data, fmt="%.12g", delimiter=",",
-                       header="i_a,p_w", comments="")
+        _write_csv(path, "i_a,p_w", [self.currents, self.powers])
 
 
 @dataclass(frozen=True)
@@ -161,17 +159,32 @@ def _complete_period_bounds(
 
 
 def _window_energy(seg: np.ndarray, h: float, threshold: float) -> float:
-    """Trapezoidal energy over every run of samples at or above threshold."""
+    """Trapezoidal energy over every run of samples at or above threshold.
+
+    Each run extends to the linearly interpolated threshold crossing on
+    either side that lies inside ``seg``, so the energy changes continuously
+    as a crossing moves past a sample instead of jumping by a whole
+    trapezoid.
+    """
     mask = seg >= threshold
     edges = np.flatnonzero(np.diff(mask.astype(np.int8)))
     starts = [0] if mask[0] else []
     starts += list(edges[~mask[edges]] + 1)
     ends = list(edges[mask[edges]])
     ends += [len(seg) - 1] if mask[-1] else []
+
+    def edge(above: float, below: float) -> float:
+        # trapezoid from the crossing to the in-window sample ``above``
+        return 0.5 * h * (above - threshold) / (above - below) * (above + threshold)
+
     total = 0.0
     for lo, hi in zip(starts, ends):
         if hi > lo:
             total += float(_trapezoid(seg[lo:hi + 1], dx=h))
+        if lo > 0:
+            total += edge(seg[lo], seg[lo - 1])
+        if hi < len(seg) - 1:
+            total += edge(seg[hi], seg[hi + 1])
     return total
 
 
@@ -265,9 +278,6 @@ def pump_sweep(base: SimConfig, powers, jobs: int = 1) -> list[SweepRow]:
     return rows
 
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
 def fit_eps_opt(
     base: SimConfig,
     target_p_pump: float,
@@ -280,11 +290,14 @@ def fit_eps_opt(
 ) -> FitResult:
     """Calibrate the pumping efficiency to a measured pulse-energy ratio.
 
-    Golden-section search over log10(eps_opt) minimizes the distance between
-    the simulated normalized pulse energy at ``target_p_pump`` and
-    ``target_ratio``.  The search space is log spaced because plausible
-    efficiencies span decades.  Raises ``FitError`` when the target cannot be
-    reached inside [eps_lo, eps_hi].
+    Brent's bracketed root find over log10(eps_opt) solves for the point
+    where the simulated normalized pulse energy at ``target_p_pump`` equals
+    ``target_ratio``.  It relies only on the sign change between ``eps_lo``
+    and ``eps_hi``, so a flat stretch of the ratio cannot mislead it.  The
+    search space is log spaced because plausible efficiencies span decades.
+    ``eps_opt`` is the end of the tightest evaluated bracket that lies closer
+    to the target.  Raises ``FitError`` when the target cannot be reached
+    inside [eps_lo, eps_hi].
     """
     if target_ratio <= 1.0:
         raise ValueError(f"target_ratio must exceed 1, got {target_ratio}")
@@ -294,79 +307,64 @@ def fit_eps_opt(
         raise ValueError(f"need 0 < eps_lo < eps_hi <= 1, got [{eps_lo}, {eps_hi}]")
 
     e_base, _ = _metrics_at_power((base, 0.0))
-    cache: dict[float, float] = {}
+    cache: dict[float, float] = {}  # log10(eps_opt) -> ratio
 
-    def ratio(eps: float) -> float:
-        if eps not in cache:
+    def excess(x: float) -> float:
+        if x not in cache:
             config = replace(
-                base, pump=PumpScenario(p_pump=target_p_pump, eps_opt=eps)
+                base, pump=PumpScenario(p_pump=target_p_pump, eps_opt=10.0 ** x)
             )
-            cache[eps] = pulse_metrics(simulate(config), base.drive).pulse_energy / e_base
-        return cache[eps]
-
-    r_hi = ratio(eps_hi)
-    if r_hi < target_ratio:
-        raise FitError(
-            f"target ratio {target_ratio} unreachable: maximum achieved "
-            f"{r_hi:.6f} at eps_opt={eps_hi}",
-            achieved=r_hi,
-        )
-    r_lo = ratio(eps_lo)
-    if r_lo > target_ratio:
-        raise FitError(
-            f"target ratio {target_ratio} below the ratio {r_lo:.6f} already "
-            f"reached at eps_opt={eps_lo}",
-            achieved=r_lo,
-        )
-
-    def objective(x: float) -> float:
-        return abs(ratio(10.0 ** x) - target_ratio)
+            cache[x] = pulse_metrics(simulate(config), base.drive).pulse_energy / e_base
+        return cache[x] - target_ratio
 
     a, b = math.log10(eps_lo), math.log10(eps_hi)
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = objective(c), objective(d)
-    while b - a > log_bracket_tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = objective(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = objective(d)
+    if excess(b) < 0.0:
+        raise FitError(
+            f"target ratio {target_ratio} unreachable: maximum achieved "
+            f"{cache[b]:.6f} at eps_opt={eps_hi}",
+            achieved=cache[b],
+        )
+    if excess(a) > 0.0:
+        raise FitError(
+            f"target ratio {target_ratio} below the ratio {cache[a]:.6f} already "
+            f"reached at eps_opt={eps_lo}",
+            achieved=cache[a],
+        )
 
-    eps_best = min(cache, key=lambda eps: abs(cache[eps] - target_ratio))
-    residual = abs(cache[eps_best] - target_ratio)
+    _, info = brentq(excess, a, b, xtol=log_bracket_tol, full_output=True,
+                     disp=False)
+    if not info.converged:
+        raise FitError(f"fit did not converge: {info.flag}")
+
+    x_lo = max(x for x, r in cache.items() if r <= target_ratio)
+    x_hi = min(x for x, r in cache.items() if r >= target_ratio)
+    x_best = min((x_lo, x_hi), key=lambda x: abs(cache[x] - target_ratio))
+    residual = abs(cache[x_best] - target_ratio)
     if residual >= ratio_tol:
         raise FitError(
             f"fit stalled: best residual {residual:.3e} at eps_opt="
-            f"{eps_best:.6g} exceeds tolerance {ratio_tol}",
-            achieved=cache[eps_best],
+            f"{10.0 ** x_best:.6g} exceeds tolerance {ratio_tol}",
+            achieved=cache[x_best],
         )
     return FitResult(
-        eps_opt=eps_best,
+        eps_opt=10.0 ** x_best,
         residual=residual,
-        bracket_lo=10.0 ** a,
-        bracket_hi=10.0 ** b,
+        bracket_lo=10.0 ** x_lo,
+        bracket_hi=10.0 ** x_hi,
         evaluations=len(cache),
     )
 
 
 def write_sweep_csv(rows: list[SweepRow], path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("p_pump_w,norm_pulse_energy,norm_avg_power\n")
-        for row in rows:
-            fh.write(
-                f"{row.p_pump_w:.12g},{row.norm_pulse_energy:.12g},"
-                f"{row.norm_avg_power:.12g}\n"
-            )
+    _write_csv(path, "p_pump_w,norm_pulse_energy,norm_avg_power", [
+        [row.p_pump_w for row in rows],
+        [row.norm_pulse_energy for row in rows],
+        [row.norm_avg_power for row in rows],
+    ])
 
 
 def write_fit_csv(result: FitResult, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("eps_opt,residual,bracket_lo,bracket_hi\n")
-        fh.write(
-            f"{result.eps_opt:.12g},{result.residual:.12g},"
-            f"{result.bracket_lo:.12g},{result.bracket_hi:.12g}\n"
-        )
+    _write_csv(path, "eps_opt,residual,bracket_lo,bracket_hi", [
+        [result.eps_opt], [result.residual],
+        [result.bracket_lo], [result.bracket_hi],
+    ])

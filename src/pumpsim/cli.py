@@ -23,7 +23,7 @@ from .analysis import (
     write_fit_csv,
     write_sweep_csv,
 )
-from .dynamics import simulate
+from .dynamics import _write_csv, simulate
 from .errors import NumericalError, ScenarioError
 from .isolation import AttackBudget, builtin_chain, load_chain_csv, verdict
 from .model import PumpScenario, pump_rate
@@ -43,14 +43,15 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_VALIDATION)
 
 
-def _parse_float_list(text: str, flag: str) -> list[float]:
+def _float_list(text: str) -> list[float]:
+    """argparse type: a comma-separated list of numbers."""
     try:
         values = [float(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
-        raise ValueError(f"{flag}: expected a comma-separated list of numbers, "
-                         f"got {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"expected a comma-separated list of numbers, got {text!r}") from None
     if not values:
-        raise ValueError(f"{flag}: empty list")
+        raise argparse.ArgumentTypeError("empty list")
     return values
 
 
@@ -151,16 +152,14 @@ def cmd_dqe(args) -> int:
     scenario = load_scenario(args.scenario)
     currents = _parse_current_range(args.currents)
     powers_mw = args.pump_mw if args.pump_mw else [0.0]
-    rows = []
+    etas = []
     for p_mw in powers_mw:
         _, eta = _dqe_for_power(scenario, currents, p_mw * 1e-3)
-        rows.append((p_mw * 1e-3, eta))
+        etas.append(eta)
         print(f"p_pump_mw={p_mw:.12g} eta_meas={eta:.12g}")
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write("p_pump_w,eta_meas\n")
-            for p_w, eta in rows:
-                fh.write(f"{p_w:.12g},{eta:.12g}\n")
+        _write_csv(args.out, "p_pump_w,eta_meas",
+                   [[p_mw * 1e-3 for p_mw in powers_mw], etas])
         _write_sidecar(args.out, "dqe", {
             "scenario": str(args.scenario),
             "currents_ma": args.currents,
@@ -257,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output CSV path (i_a,p_w)")
     p.add_argument("--currents", default="7:25:0.5",
                    help="current grid lo:hi:step in mA")
-    p.add_argument("--pump-mw", type=str, default=None,
+    p.add_argument("--pump-mw", type=_float_list, default=None,
                    help="cw pump power in mW (single value)")
     p.set_defaults(func=cmd_lcurve)
 
@@ -266,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="optional CSV (p_pump_w,eta_meas)")
     p.add_argument("--currents", default="7:25:0.5",
                    help="current grid lo:hi:step in mA; also the fit window")
-    p.add_argument("--pump-mw", type=str, default=None,
+    p.add_argument("--pump-mw", type=_float_list, default=None,
                    help="comma-separated cw pump powers in mW")
     p.set_defaults(func=cmd_dqe)
 
@@ -274,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
                                      "over a pump power grid")
     add_scenario(p)
     p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--pump-mw", type=str, required=True,
+    p.add_argument("--pump-mw", type=_float_list, required=True,
                    help="comma-separated pump powers in mW, ascending")
     p.add_argument("--jobs", type=int, default=None,
                    help="worker processes (default: all cores)")
@@ -284,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
                                    "target pulse-energy ratio")
     add_scenario(p)
     p.add_argument("--out", default=None, help="optional fit report CSV")
-    p.add_argument("--pump-mw", type=str, default=None,
+    p.add_argument("--pump-mw", type=_float_list, default=None,
                    help="pump power of the target point in mW (default 1.6)")
     p.add_argument("--target-ratio", type=float, default=1.10,
                    help="normalized pulse energy to reproduce (default 1.10)")
@@ -310,8 +309,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if hasattr(args, "pump_mw") and isinstance(args.pump_mw, str):
-            args.pump_mw = _parse_float_list(args.pump_mw, "--pump-mw")
         return args.func(args)
     except (ScenarioError, ValueError) as exc:
         print(f"pumpsim: {exc}", file=sys.stderr)

@@ -107,12 +107,15 @@ class SimTrace:
 
     def to_csv(self, path) -> None:
         """Write the trace as CSV with 12 significant digits per value."""
-        data = np.column_stack([self.t, self.n, self.q, self.p])
-        with open(path, "w", newline="") as fh:
-            np.savetxt(
-                fh, data, fmt="%.12g", delimiter=",",
-                header="t_s,n,q,p_w", comments="",
-            )
+        _write_csv(path, "t_s,n,q,p_w", [self.t, self.n, self.q, self.p])
+
+
+def _write_csv(path, header: str, columns) -> None:
+    """Write equal-length columns under a header line, 12 significant digits
+    per value; the one CSV format of every pumpsim data file."""
+    with open(path, "w", newline="") as fh:
+        np.savetxt(fh, np.column_stack(columns), fmt="%.12g", delimiter=",",
+                   header=header, comments="")
 
 
 def drive_current(t: float, drive: DriveWaveform) -> float:

@@ -9,6 +9,7 @@ Unknown keys are rejected and every violation names the offending field.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -23,7 +24,6 @@ __all__ = [
     "Scenario",
     "load_scenario",
     "scenario_dict",
-    "builtin_scenario_names",
     "BUILTIN_SCENARIOS",
 ]
 
@@ -119,6 +119,18 @@ def _check_keys(section: dict, section_name: str, known: dict) -> None:
             raise ScenarioError(f"{section_name}.{key}", "unknown key")
 
 
+@contextmanager
+def _field(name: str):
+    """Name ``name`` in any plain ValueError raised by the wrapped
+    construction; a ScenarioError already names its own field."""
+    try:
+        yield
+    except ScenarioError:
+        raise
+    except ValueError as exc:
+        raise ScenarioError(name, str(exc)) from exc
+
+
 def load_scenario(source) -> Scenario:
     """Load a scenario from a path or a builtin name ('default', 'experiment')."""
     path = Path(source)
@@ -160,7 +172,7 @@ def parse_scenario(doc) -> Scenario:
     get_l = lambda key, default=None: _take_number(
         laser, "laser", key, *_LASER_KEYS[key], default=default
     )
-    try:
+    with _field("laser"):
         params = LaserParams.from_wavelengths(
             tau_e=get_l("tau_e_ns"),
             tau_ph=get_l("tau_ph_ps"),
@@ -173,38 +185,26 @@ def parse_scenario(doc) -> Scenario:
             emission_wavelength=get_l("emission_wavelength_nm"),
             pump_wavelength=get_l("pump_wavelength_nm"),
         )
-    except ValueError as exc:
-        if isinstance(exc, ScenarioError):
-            raise
-        raise ScenarioError("laser", str(exc)) from exc
 
     drive_sec = _require_mapping(doc["drive"], "drive")
     _check_keys(drive_sec, "drive", _DRIVE_KEYS)
     get_d = lambda key: _take_number(drive_sec, "drive", key, *_DRIVE_KEYS[key])
-    try:
+    with _field("drive"):
         drive = DriveWaveform(
             i_bias=get_d("i_bias_ma"),
             i_pulse=get_d("i_pulse_ma"),
             pulse_width=get_d("pulse_width_ns"),
             rep_rate=get_d("rep_rate_ghz"),
         )
-    except ValueError as exc:
-        if isinstance(exc, ScenarioError):
-            raise
-        raise ScenarioError("drive", str(exc)) from exc
 
     pump_sec = _require_mapping(doc["pump"], "pump")
     _check_keys(pump_sec, "pump", _PUMP_KEYS)
-    try:
+    with _field("pump"):
         pump = PumpScenario(
             p_pump=_take_number(pump_sec, "pump", "p_pump_mw", True, 1e-3),
             eps_opt=_take_number(pump_sec, "pump", "eps_opt", False, 1.0,
                                  default=0.1),
         )
-    except ValueError as exc:
-        if isinstance(exc, ScenarioError):
-            raise
-        raise ScenarioError("pump", str(exc)) from exc
 
     numerics = _require_mapping(doc["numerics"], "numerics")
     _check_keys(numerics, "numerics", _NUMERICS_KEYS)
@@ -230,10 +230,8 @@ def parse_scenario(doc) -> Scenario:
         warmup=warmup,
         sample_stride=stride_raw,
     )
-    try:
+    with _field("numerics"):
         scenario.sim_config()
-    except ValueError as exc:
-        raise ScenarioError("numerics", str(exc)) from exc
     return scenario
 
 
@@ -275,7 +273,3 @@ def _wavelength_nm(e_photon: float) -> float:
     from .model import PLANCK_CONSTANT, SPEED_OF_LIGHT
 
     return PLANCK_CONSTANT * SPEED_OF_LIGHT / e_photon / 1e-9
-
-
-def builtin_scenario_names() -> tuple[str, ...]:
-    return BUILTIN_SCENARIOS

@@ -1,6 +1,7 @@
 """Light-current curves, efficiency extraction, pulse metrics, sweeps, fits."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -174,6 +175,21 @@ class TestPumpSweep:
         with pytest.raises(ValueError):
             ps.pump_sweep(base_config, [-1e-3])
 
+    def test_ratio_nondecreasing_in_eps(self, base_config, base_trace):
+        # A window snapped to whole samples jumps by ~1e-4 whenever a
+        # threshold crossing passes a sample: 1.0000807 at eps 2e-4, then
+        # 0.9999196 at 1.5e-3.  Interpolated window edges remove the jumps.
+        e_base = ps.pulse_metrics(base_trace, base_config.drive).pulse_energy
+        ratios = []
+        for eps in [1e-6, 1e-4, 2e-4, 5e-4, 1.5e-3, 5e-3, 2e-2]:
+            config = replace(base_config,
+                             pump=ps.PumpScenario(p_pump=1.43e-3, eps_opt=eps))
+            energy = ps.pulse_metrics(ps.simulate(config),
+                                      base_config.drive).pulse_energy
+            ratios.append(energy / e_base)
+        assert ratios[0] >= 1.0
+        assert ratios == sorted(ratios)
+
     def test_csv_output(self, base_config, tmp_path):
         rows = ps.pump_sweep(base_config, [0.0, 1.6e-3])
         out = tmp_path / "sweep.csv"
@@ -181,6 +197,19 @@ class TestPumpSweep:
         lines = out.read_text().splitlines()
         assert lines[0] == "p_pump_w,norm_pulse_energy,norm_avg_power"
         assert lines[1].startswith("0,1,1")
+
+    def test_csv_bytes(self, tmp_path):
+        rows = [ps.SweepRow(0.0, 1.0, 1.0),
+                ps.SweepRow(1.6e-3, 1.0041844804585123, 1.0190758144086545),
+                ps.SweepRow(2e-3, 1e-300, 12345678901234.0)]
+        out = tmp_path / "sweep.csv"
+        ps.analysis.write_sweep_csv(rows, out)
+        assert out.read_bytes() == (
+            b"p_pump_w,norm_pulse_energy,norm_avg_power\n"
+            b"0,1,1\n"
+            b"0.0016,1.00418448046,1.01907581441\n"
+            b"0.002,1e-300,1.23456789012e+13\n"
+        )
 
 
 @pytest.fixture(scope="module")
@@ -193,6 +222,13 @@ class TestFitEpsOpt:
     def test_tiny_target_gives_tiny_eps(self, small_config):
         result = ps.fit_eps_opt(small_config, 1.6e-3, 1.0001)
         assert result.eps_opt < 0.01
+        assert result.residual < 1e-3
+        assert result.bracket_lo <= result.eps_opt <= result.bracket_hi
+
+    def test_flat_low_side_does_not_stall(self, base_config):
+        # the benchmark's seed-0 target, where a minimising search stalled
+        result = ps.fit_eps_opt(base_config, 1.4287610196432837e-3,
+                                1.0543367457078245)
         assert result.residual < 1e-3
         assert result.bracket_lo <= result.eps_opt <= result.bracket_hi
 
@@ -216,3 +252,14 @@ class TestFitEpsOpt:
         lines = out.read_text().splitlines()
         assert lines[0] == "eps_opt,residual,bracket_lo,bracket_hi"
         assert lines[1].split(",")[0] == "0.5"
+
+    def test_fit_csv_bytes(self, tmp_path):
+        result = ps.FitResult(eps_opt=0.0123456789012345, residual=3.2e-9,
+                              bracket_lo=0.012345, bracket_hi=0.0123457,
+                              evaluations=11)
+        out = tmp_path / "fit.csv"
+        ps.analysis.write_fit_csv(result, out)
+        assert out.read_bytes() == (
+            b"eps_opt,residual,bracket_lo,bracket_hi\n"
+            b"0.0123456789012,3.2e-09,0.012345,0.0123457\n"
+        )
