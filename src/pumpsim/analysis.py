@@ -250,8 +250,8 @@ def pump_sweep(base: SimConfig, powers, jobs: int = 1) -> list[SweepRow]:
     distributes rows over a process pool; ordering follows the input.
     """
     powers = [float(p) for p in powers]
-    if any(p < 0.0 for p in powers):
-        raise ValueError("pump powers must be nonnegative")
+    if not all(math.isfinite(p) and p >= 0.0 for p in powers):
+        raise ValueError("pump powers must be finite and nonnegative")
     if any(b < a for a, b in zip(powers, powers[1:])):
         raise ValueError("pump powers must be sorted ascending")
 
@@ -299,10 +299,12 @@ def fit_eps_opt(
     to the target.  Raises ``FitError`` when the target cannot be reached
     inside [eps_lo, eps_hi].
     """
-    if target_ratio <= 1.0:
-        raise ValueError(f"target_ratio must exceed 1, got {target_ratio}")
-    if target_p_pump <= 0.0:
-        raise ValueError(f"target_p_pump must be positive, got {target_p_pump}")
+    if not (math.isfinite(target_ratio) and target_ratio > 1.0):
+        raise ValueError(
+            f"target_ratio must be finite and exceed 1, got {target_ratio}")
+    if not (math.isfinite(target_p_pump) and target_p_pump > 0.0):
+        raise ValueError(
+            f"target_p_pump must be finite and positive, got {target_p_pump}")
     if not 0.0 < eps_lo < eps_hi <= 1.0:
         raise ValueError(f"need 0 < eps_lo < eps_hi <= 1, got [{eps_lo}, {eps_hi}]")
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -55,6 +56,18 @@ def _float_list(text: str) -> list[float]:
     return values
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _parse_current_range(text: str) -> list[float]:
     """'lo:hi:step' in mA to an inclusive list of currents in amperes."""
     parts = text.split(":")
@@ -64,6 +77,8 @@ def _parse_current_range(text: str) -> list[float]:
         lo, hi, step = (float(p) for p in parts)
     except ValueError:
         raise ValueError(f"--currents: non-numeric field in {text!r}") from None
+    if not all(math.isfinite(x) for x in (lo, hi, step)):
+        raise ValueError(f"--currents: non-finite field in {text!r}")
     if step <= 0.0:
         raise ValueError(f"--currents: step must be positive, got {step}")
     count = int((hi - lo) / step + 1e-9) + 1
@@ -275,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--pump-mw", type=_float_list, required=True,
                    help="comma-separated pump powers in mW, ascending")
-    p.add_argument("--jobs", type=int, default=None,
+    p.add_argument("--jobs", type=_positive_int, default=None,
                    help="worker processes (default: all cores)")
     p.set_defaults(func=cmd_sweep)
 
@@ -323,3 +338,7 @@ def main(argv=None) -> int:
 
 def entrypoint() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -38,6 +38,9 @@ __all__ = [
 ]
 
 _BRENTQ_RTOL = 4.0 * np.finfo(float).eps
+_SCAN_MIN = 1024  # steps in the first block of a next-edge scan
+_SCAN_MAX = 65536
+_CSV_BLOCK_ROWS = 65536  # rows formatted per write
 
 
 @dataclass(frozen=True)
@@ -112,10 +115,19 @@ class SimTrace:
 
 def _write_csv(path, header: str, columns) -> None:
     """Write equal-length columns under a header line, 12 significant digits
-    per value; the one CSV format of every pumpsim data file."""
+    per value; the one CSV format of every pumpsim data file.
+
+    The bytes are those of ``np.savetxt(fmt="%.12g", delimiter=",")``, but
+    each block of rows is stacked and formatted with one ``%`` operation,
+    without a copy of the whole table.
+    """
+    line = ",".join(["%.12g"] * len(columns)) + "\n"
+    rows = len(columns[0])
     with open(path, "w", newline="") as fh:
-        np.savetxt(fh, np.column_stack(columns), fmt="%.12g", delimiter=",",
-                   header=header, comments="")
+        fh.write(header + "\n")
+        for a in range(0, rows, _CSV_BLOCK_ROWS):
+            block = np.column_stack([c[a:a + _CSV_BLOCK_ROWS] for c in columns])
+            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
 def drive_current(t: float, drive: DriveWaveform) -> float:
@@ -258,17 +270,18 @@ def simulate(config: SimConfig) -> SimTrace:
     warm_steps = min(int(math.ceil(config.warmup / dt - 1e-9)), n_steps)
     stride = config.sample_stride
     n_out = (n_steps - warm_steps) // stride + 1
-    out_t = np.empty(n_out)
+    out_t = (warm_steps + stride * np.arange(n_out)) * dt
     out_n = np.empty(n_out)
     out_q = np.empty(n_out)
 
-    # Hoist everything the inner loop touches; the stage arithmetic mirrors
-    # model.derivatives exactly so both paths round identically.
+    # Hoist everything the inner loop touches.  The stage arithmetic is
+    # model.derivatives with i/e + r_opt and 0.5*dt computed once: the same
+    # operations on the same operands, so both paths round identically.
     inv_rate = drive.period
     width = drive.pulse_width
-    i_bias = drive.i_bias
-    i_on = drive.i_bias + drive.i_pulse
-    e = ELEMENTARY_CHARGE
+    src_on = (drive.i_bias + drive.i_pulse) / ELEMENTARY_CHARGE + r_opt
+    src_off = drive.i_bias / ELEMENTARY_CHARGE + r_opt
+    half = 0.5 * dt
     tau_e = params.tau_e
     tau_ph = params.tau_ph
     gtp = params.gamma_conf * params.tau_ph
@@ -283,52 +296,74 @@ def simulate(config: SimConfig) -> SimTrace:
     n = init.n
     q = init.q
     clamps = 0
-    j = 0
-    for k in range(n_steps + 1):
-        if k >= warm_steps and (k - warm_steps) % stride == 0:
-            out_t[j] = k * dt
-            out_n[j] = n
-            out_q[j] = q
-            j += 1
-        if k == n_steps:
+    j = 0  # next output sample
+    rec = warm_steps  # step index of sample j
+    k = 0
+    while True:
+        for k in range(k, n_steps):
+            if k == rec:
+                out_n[j] = n
+                out_q[j] = q
+                j += 1
+                rec += stride
+            t = k * dt
+            s0 = src_on if fmod(t, inv_rate) < width else src_off
+            sm = src_on if fmod(t + half, inv_rate) < width else src_off
+            s1 = src_on if fmod(t + dt, inv_rate) < width else src_off
+
+            g = (n - n_0) / denom / sqrt(1.0 + two_gq * q)
+            k1n = s0 - n / tau_e - q * g / gtp
+            k1q = (g - 1.0) * q / tau_ph + c_sp * n / tau_e
+            na = n + half * k1n
+            qa = q + half * k1q
+            g = (na - n_0) / denom / sqrt(1.0 + two_gq * qa)
+            k2n = sm - na / tau_e - qa * g / gtp
+            k2q = (g - 1.0) * qa / tau_ph + c_sp * na / tau_e
+            nb = n + half * k2n
+            qb = q + half * k2q
+            g = (nb - n_0) / denom / sqrt(1.0 + two_gq * qb)
+            k3n = sm - nb / tau_e - qb * g / gtp
+            k3q = (g - 1.0) * qb / tau_ph + c_sp * nb / tau_e
+            nc = n + dt * k3n
+            qc = q + dt * k3q
+            g = (nc - n_0) / denom / sqrt(1.0 + two_gq * qc)
+            k4n = s1 - nc / tau_e - qc * g / gtp
+            k4q = (g - 1.0) * qc / tau_ph + c_sp * nc / tau_e
+
+            n1 = n + dt * (k1n + 2.0 * k2n + 2.0 * k3n + k4n) / 6.0
+            q1 = q + dt * (k1q + 2.0 * k2q + 2.0 * k3q + k4q) / 6.0
+            if n1 == n and q1 == q and s0 == sm == s1 and n != 0.0 and q != 0.0:
+                break
+            if not (isfinite(n1) and isfinite(q1)):
+                raise SimulationError(
+                    f"state became non-finite at t={(k + 1) * dt:.6e} s",
+                    t_failure=(k + 1) * dt,
+                )
+            if n1 < 0.0:
+                n1 = 0.0
+                clamps += 1
+            if q1 < 0.0:
+                q1 = 0.0
+                clamps += 1
+            n = n1
+            q = q1
+        else:
             break
-        t = k * dt
-        i0 = i_on if fmod(t, inv_rate) < width else i_bias
-        im = i_on if fmod(t + 0.5 * dt, inv_rate) < width else i_bias
-        i1 = i_on if fmod(t + dt, inv_rate) < width else i_bias
-
-        g = (n - n_0) / denom / sqrt(1.0 + two_gq * q)
-        k1n = i0 / e + r_opt - n / tau_e - q * g / gtp
-        k1q = (g - 1.0) * q / tau_ph + c_sp * n / tau_e
-        na = n + 0.5 * dt * k1n
-        qa = q + 0.5 * dt * k1q
-        g = (na - n_0) / denom / sqrt(1.0 + two_gq * qa)
-        k2n = im / e + r_opt - na / tau_e - qa * g / gtp
-        k2q = (g - 1.0) * qa / tau_ph + c_sp * na / tau_e
-        nb = n + 0.5 * dt * k2n
-        qb = q + 0.5 * dt * k2q
-        g = (nb - n_0) / denom / sqrt(1.0 + two_gq * qb)
-        k3n = im / e + r_opt - nb / tau_e - qb * g / gtp
-        k3q = (g - 1.0) * qb / tau_ph + c_sp * nb / tau_e
-        nc = n + dt * k3n
-        qc = q + dt * k3q
-        g = (nc - n_0) / denom / sqrt(1.0 + two_gq * qc)
-        k4n = i1 / e + r_opt - nc / tau_e - qc * g / gtp
-        k4q = (g - 1.0) * qc / tau_ph + c_sp * nc / tau_e
-
-        n += dt * (k1n + 2.0 * k2n + 2.0 * k3n + k4n) / 6.0
-        q += dt * (k1q + 2.0 * k2q + 2.0 * k3q + k4q) / 6.0
-        if not (isfinite(n) and isfinite(q)):
-            raise SimulationError(
-                f"state became non-finite at t={(k + 1) * dt:.6e} s",
-                t_failure=(k + 1) * dt,
-            )
-        if n < 0.0:
-            n = 0.0
-            clamps += 1
-        if q < 0.0:
-            q = 0.0
-            clamps += 1
+        # Step k maps the nonzero state (n, q) onto itself bit for bit.  The
+        # step map depends only on the state and the three stage sources, so
+        # every following step with the same sources does too: jump to the
+        # next drive edge and fill the samples in between by slice.
+        k_end = _quiet_until(k + 1, n_steps, s0, dt, inv_rate, width,
+                             src_on, src_off)
+        j_end = max(j, -((warm_steps - k_end) // stride))
+        out_n[j:j_end] = n
+        out_q[j:j_end] = q
+        j = j_end
+        rec = warm_steps + j * stride
+        k = k_end
+    if rec == n_steps:
+        out_n[j] = n
+        out_q[j] = q
 
     return SimTrace(
         t=out_t,
@@ -337,6 +372,30 @@ def simulate(config: SimConfig) -> SimTrace:
         p=photon_to_power(out_q, params),
         clamp_count=clamps,
     )
+
+
+def _quiet_until(k: int, n_steps: int, src: float, dt: float, period: float,
+                 width: float, src_on: float, src_off: float) -> int:
+    """First step index >= k whose three stage sources are not all ``src``,
+    or ``n_steps`` if there is none.
+
+    Applies simulate's own drive test to blocks of step indices, growing
+    from _SCAN_MIN to _SCAN_MAX so a short stall stays cheap.  The times are
+    the same doubles as the loop's (``arange * dt`` is ``k * dt``, and fmod
+    is exact), and sources are compared by value, so a flat drive scans to
+    the end of the run.
+    """
+    block = _SCAN_MIN
+    while k < n_steps:
+        t = np.arange(k, min(k + block, n_steps)) * dt
+        quiet = np.ones(len(t), dtype=bool)
+        for tt in (t, t + 0.5 * dt, t + dt):
+            quiet &= np.where(np.fmod(tt, period) < width, src_on, src_off) == src
+        if not quiet.all():
+            return k + int(np.argmin(quiet))
+        k += len(t)
+        block = min(2 * block, _SCAN_MAX)
+    return n_steps
 
 
 def default_warmup(params: LaserParams, drive: DriveWaveform) -> float:

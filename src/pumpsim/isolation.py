@@ -42,6 +42,11 @@ class Component:
     def __post_init__(self):
         if not self.name:
             raise ValueError("component name must be nonempty")
+        if not math.isfinite(self.loss_db):
+            raise ValueError(
+                f"component {self.name!r}: loss_db must be finite, "
+                f"got {self.loss_db}"
+            )
         if self.loss_db < 0.0:
             raise ValueError(
                 f"component {self.name!r}: loss_db must be nonnegative, "
@@ -69,6 +74,10 @@ class AttackBudget:
     safe_power_w: float  # most power with no measurable effect on the laser
 
     def __post_init__(self):
+        for name in ("attack_power_w", "safe_power_w"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.safe_power_w <= 0.0:
             raise ValueError(
                 f"safe_power_w must be positive, got {self.safe_power_w}"

@@ -180,6 +180,8 @@ class PumpScenario:
     eps_opt: float = 0.1
 
     def __post_init__(self):
+        if not math.isfinite(self.p_pump):
+            raise ValueError(f"p_pump must be finite, got {self.p_pump}")
         if self.p_pump < 0.0:
             raise ValueError(f"p_pump must be nonnegative, got {self.p_pump}")
         if not 0.0 <= self.eps_opt <= 1.0:

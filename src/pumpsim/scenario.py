@@ -9,6 +9,7 @@ Unknown keys are rejected and every violation names the offending field.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from importlib import resources
@@ -109,6 +110,10 @@ def _take_number(section: dict, section_name: str, key: str, required: bool,
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(
             f"{section_name}.{key}", f"must be a number, got {value!r}"
+        )
+    if not math.isfinite(value):
+        raise ScenarioError(
+            f"{section_name}.{key}", f"must be a finite number, got {value!r}"
         )
     return float(value) * scale
 

@@ -150,6 +150,28 @@ class TestPulseMetrics:
             ps.pulse_metrics(trace, drive)
 
 
+def _window_runs(trace, drive):
+    """Runs at or above 10% of the peak in each complete period, counted as
+    pulse_metrics' window does."""
+    counts = []
+    for _, a, b in ps.analysis._complete_period_bounds(trace.t, drive.period):
+        seg = trace.p[a:b + 1]
+        mask = (seg >= 0.1 * seg.max()).astype(np.int8)
+        counts.append(int(mask[0]) + int(np.count_nonzero(np.diff(mask) == 1)))
+    return counts
+
+
+@pytest.mark.parametrize("eps_opt, runs", [(0.62, 1), (0.68, 2)])
+def test_second_spike_onset(default_scenario, eps_opt, runs):
+    # At 1 mW the next relaxation spike reaches 10% of the peak between
+    # eps_opt 0.62 and 0.68 and from then on counts as pulse energy.
+    trace = ps.simulate(default_scenario.sim_config(
+        pump=ps.PumpScenario(p_pump=1e-3, eps_opt=eps_opt)))
+    counts = _window_runs(trace, default_scenario.drive)
+    assert len(counts) >= 5
+    assert counts == [runs] * len(counts)
+
+
 class TestPumpSweep:
     def test_zero_power_normalizes_to_unity(self, base_config):
         rows = ps.pump_sweep(base_config, [0.0])

@@ -1,11 +1,19 @@
 """End-to-end command-line behavior: artifacts, summaries, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
+import pumpsim
+from pumpsim import analysis, cli
 from pumpsim.cli import main
+from pumpsim.scenario import load_scenario, scenario_dict
 
 
 def run(capsys, *argv):
@@ -199,3 +207,79 @@ class TestParsing:
                            "--out", str(tmp_path / "x.csv"))
         assert code == 1
         assert "--pump-mw" in err
+
+
+def _scenario_with(tmp_path, section, key, value):
+    doc = scenario_dict(load_scenario("default"))
+    doc[section][key] = value
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    return str(path)
+
+
+class TestNonFinite:
+    """Non-finite numbers are input errors, named and refused before any
+    simulation runs."""
+
+    @pytest.fixture(autouse=True)
+    def no_simulation(self, monkeypatch):
+        def refuse(config):
+            raise AssertionError("simulation ran on a non-finite input")
+
+        monkeypatch.setattr(cli, "simulate", refuse)
+        monkeypatch.setattr(analysis, "simulate", refuse)
+
+    @pytest.mark.parametrize("argv, field", [
+        (["budget", "--attack-w", "nan"], "attack_power_w"),
+        (["budget", "--attack-w", "inf"], "attack_power_w"),
+        (["budget", "--safe-w", "nan"], "safe_power_w"),
+        (["simulate", "--pump-mw", "inf"], "p_pump"),
+        (["simulate", "--pump-mw", "nan"], "p_pump"),
+        (["fit", "--target-ratio", "nan"], "target_ratio"),
+        (["fit", "--pump-mw", "inf"], "target_p_pump"),
+        (["lcurve", "--currents", "7:nan:0.5"], "--currents"),
+        (["dqe", "--currents", "inf:25:0.5"], "--currents"),
+        (["sweep", "--pump-mw", "0,nan"], "pump powers"),
+        (["sweep", "--pump-mw", "0,1", "--jobs", "-2"], "--jobs"),
+        (["sweep", "--pump-mw", "0,1", "--jobs", "0"], "--jobs"),
+    ])
+    def test_flag(self, capsys, tmp_path, argv, field):
+        if argv[0] in ("simulate", "lcurve", "sweep"):
+            argv = argv + ["--out", str(tmp_path / "x.csv")]
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert field in err
+        assert "verdict=" not in out
+
+    @pytest.mark.parametrize("row", ["iso,inf", "iso,nan"])
+    def test_chain_row(self, capsys, tmp_path, row):
+        chain = tmp_path / "chain.csv"
+        chain.write_text(f"name,loss_db\n{row}\n")
+        code, out, err = run(capsys, "budget", "--chain", str(chain))
+        assert code == 1
+        assert "line 2" in err and "loss_db" in err
+        assert "verdict=" not in out
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("pump", "p_pump_mw", float("inf")),
+        ("laser", "tau_e_ns", float("nan")),
+        ("numerics", "dt_ps", float("nan")),
+    ])
+    def test_scenario_field(self, capsys, tmp_path, section, key, value):
+        path = _scenario_with(tmp_path, section, key, value)
+        code, _, err = run(capsys, "simulate", "--scenario", path,
+                           "--out", str(tmp_path / "x.csv"))
+        assert code == 1
+        assert f"{section}.{key}" in err
+
+
+@pytest.mark.parametrize("module", ["pumpsim", "pumpsim.cli"])
+def test_python_dash_m(module):
+    src = str(Path(pumpsim.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", module, "budget"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "verdict=resilient" in done.stdout

@@ -1,11 +1,13 @@
 """Drive waveform, steady states, and the fixed-step integrator."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import pumpsim as ps
+from pumpsim import dynamics
 from pumpsim.model import ELEMENTARY_CHARGE
 
 from test_model import make_params
@@ -256,3 +258,152 @@ class TestTraceValidation:
         with pytest.raises(ValueError):
             ps.SimTrace(t=np.arange(3.0), n=np.zeros(3), q=np.zeros(3),
                         p=np.array([0.0, -1.0, 0.0]))
+
+
+def reference_simulate(config):
+    """simulate's plain loop: every step integrated, every sample stored one
+    at a time.  The stall skip must reproduce it bit for bit."""
+    params = config.params
+    drive = config.drive
+    r_opt = ps.pump_rate(config.pump, params)
+    init = ps.steady_state(params, drive.i_bias, r_opt)
+    dt = config.dt
+    n_steps = int(round(config.t_total / dt))
+    warm_steps = min(int(math.ceil(config.warmup / dt - 1e-9)), n_steps)
+    stride = config.sample_stride
+    n_out = (n_steps - warm_steps) // stride + 1
+    out_t = np.empty(n_out)
+    out_n = np.empty(n_out)
+    out_q = np.empty(n_out)
+    period = drive.period
+    width = drive.pulse_width
+    i_bias = drive.i_bias
+    i_on = drive.i_bias + drive.i_pulse
+    e = ELEMENTARY_CHARGE
+    tau_e = params.tau_e
+    tau_ph = params.tau_ph
+    gtp = params.gamma_conf * params.tau_ph
+    n_0 = params.n_0
+    denom = params.n_th - params.n_0
+    c_sp = params.c_sp
+    two_gq = 2.0 * params.gamma_q
+    n = init.n
+    q = init.q
+    clamps = 0
+    j = 0
+    for k in range(n_steps + 1):
+        if k >= warm_steps and (k - warm_steps) % stride == 0:
+            out_t[j] = k * dt
+            out_n[j] = n
+            out_q[j] = q
+            j += 1
+        if k == n_steps:
+            break
+        t = k * dt
+        i0 = i_on if math.fmod(t, period) < width else i_bias
+        im = i_on if math.fmod(t + 0.5 * dt, period) < width else i_bias
+        i1 = i_on if math.fmod(t + dt, period) < width else i_bias
+        g = (n - n_0) / denom / math.sqrt(1.0 + two_gq * q)
+        k1n = i0 / e + r_opt - n / tau_e - q * g / gtp
+        k1q = (g - 1.0) * q / tau_ph + c_sp * n / tau_e
+        na = n + 0.5 * dt * k1n
+        qa = q + 0.5 * dt * k1q
+        g = (na - n_0) / denom / math.sqrt(1.0 + two_gq * qa)
+        k2n = im / e + r_opt - na / tau_e - qa * g / gtp
+        k2q = (g - 1.0) * qa / tau_ph + c_sp * na / tau_e
+        nb = n + 0.5 * dt * k2n
+        qb = q + 0.5 * dt * k2q
+        g = (nb - n_0) / denom / math.sqrt(1.0 + two_gq * qb)
+        k3n = im / e + r_opt - nb / tau_e - qb * g / gtp
+        k3q = (g - 1.0) * qb / tau_ph + c_sp * nb / tau_e
+        nc = n + dt * k3n
+        qc = q + dt * k3q
+        g = (nc - n_0) / denom / math.sqrt(1.0 + two_gq * qc)
+        k4n = i1 / e + r_opt - nc / tau_e - qc * g / gtp
+        k4q = (g - 1.0) * qc / tau_ph + c_sp * nc / tau_e
+        n += dt * (k1n + 2.0 * k2n + 2.0 * k3n + k4n) / 6.0
+        q += dt * (k1q + 2.0 * k2q + 2.0 * k3q + k4q) / 6.0
+        if n < 0.0:
+            n = 0.0
+            clamps += 1
+        if q < 0.0:
+            q = 0.0
+            clamps += 1
+    return ps.SimTrace(t=out_t, n=out_n, q=out_q,
+                       p=ps.photon_to_power(out_q, params), clamp_count=clamps)
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """(first step, next edge, step count) of every next-edge scan."""
+    calls = []
+    scan = dynamics._quiet_until
+
+    def counted(k, n_steps, *args):
+        end = scan(k, n_steps, *args)
+        calls.append((k, end, n_steps))
+        return end
+
+    monkeypatch.setattr(dynamics, "_quiet_until", counted)
+    return calls
+
+
+def _lowduty(**numerics):
+    # the experiment device at 25 MHz: after each 1.2 ns pulse the state
+    # reaches an exact fixed point about 30.7 ns in and stays there until
+    # the next pulse at 40 ns
+    scenario = ps.load_scenario("experiment")
+    drive = replace(scenario.drive, rep_rate=2.5e7)
+    return replace(scenario.sim_config(), drive=drive, dt=0.3e-12, **numerics)
+
+
+def assert_same_trace(config):
+    got = ps.simulate(config)
+    want = reference_simulate(config)
+    for name in ("t", "n", "q", "p"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert got.clamp_count == want.clamp_count
+
+
+class TestStallSkip:
+    def test_flat_drive(self, params, drive, scans):
+        flat = replace(drive, i_pulse=0.0)
+        config = ps.SimConfig(params=params, drive=flat,
+                              pump=ps.PumpScenario(0.0), t_total=2e-9,
+                              dt=1e-13, warmup=0.0)
+        assert_same_trace(config)
+        # sources are compared by value, so one scan covers the whole run
+        assert len(scans) == 1 and scans[0][1] == scans[0][2]
+
+    def test_stall_across_warmup_at_stride_7(self, scans):
+        config = _lowduty(warmup=35e-9, t_total=41e-9, sample_stride=7)
+        assert_same_trace(config)
+        warm_steps = math.ceil(config.warmup / config.dt - 1e-9)
+        assert any(k < warm_steps < end for k, end, _ in scans)
+
+    def test_run_ends_inside_stall(self, scans):
+        config = _lowduty(warmup=0.0, t_total=35e-9)
+        assert_same_trace(config)
+        assert scans and scans[-1][1] == scans[-1][2]
+
+    def test_pumped_default_never_stalls(self, pumped_config, scans):
+        assert_same_trace(pumped_config)
+        assert scans == []
+
+
+class TestWriteCsv:
+    @pytest.mark.parametrize("rows", [0, 1, 3, 4, 5])
+    def test_bytes_match_savetxt(self, tmp_path, monkeypatch, rows):
+        monkeypatch.setattr(dynamics, "_CSV_BLOCK_ROWS", 4)
+        values = np.array([0.0, 5e-324, 1e-300, 1e300, 3.0, 2.0 ** 52,
+                           123456789012.0, 0.123456789012, 6.02214076e23,
+                           1.0 / 3.0])
+        columns = [np.resize(np.roll(values, shift), rows)
+                   for shift in range(4)]
+        got = tmp_path / "got.csv"
+        dynamics._write_csv(got, "t_s,n,q,p_w", columns)
+        want = tmp_path / "want.csv"
+        with open(want, "w", newline="") as fh:
+            np.savetxt(fh, np.column_stack(columns), fmt="%.12g",
+                       delimiter=",", header="t_s,n,q,p_w", comments="")
+        assert got.read_bytes() == want.read_bytes()
