@@ -33,6 +33,7 @@ from .scenario import BUILTIN_SCENARIOS, load_scenario
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
+_MAX_CURRENT_POINTS = 1_000_000  # largest --currents grid
 
 
 class _Parser(argparse.ArgumentParser):
@@ -81,10 +82,14 @@ def _parse_current_range(text: str) -> list[float]:
         raise ValueError(f"--currents: non-finite field in {text!r}")
     if step <= 0.0:
         raise ValueError(f"--currents: step must be positive, got {step}")
-    count = int((hi - lo) / step + 1e-9) + 1
-    if count < 1 or hi < lo:
+    if hi < lo:
         raise ValueError(f"--currents: empty range {text!r}")
-    return [(lo + k * step) * 1e-3 for k in range(count)]
+    points = (hi - lo) / step + 1e-9  # inf when the span overflows
+    if not points < _MAX_CURRENT_POINTS:
+        raise ValueError(
+            f"--currents: {text!r} spans more than {_MAX_CURRENT_POINTS} points"
+        )
+    return [(lo + k * step) * 1e-3 for k in range(int(points) + 1)]
 
 
 def _write_sidecar(out_path: str, command: str, settings: dict) -> None:

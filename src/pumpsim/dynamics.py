@@ -38,8 +38,7 @@ __all__ = [
 ]
 
 _BRENTQ_RTOL = 4.0 * np.finfo(float).eps
-_SCAN_MIN = 1024  # steps in the first block of a next-edge scan
-_SCAN_MAX = 65536
+_RUN_BLOCK = 8192  # steps per block of the drive schedule
 _CSV_BLOCK_ROWS = 65536  # rows formatted per write
 
 
@@ -277,8 +276,6 @@ def simulate(config: SimConfig) -> SimTrace:
     # Hoist everything the inner loop touches.  The stage arithmetic is
     # model.derivatives with i/e + r_opt and 0.5*dt computed once: the same
     # operations on the same operands, so both paths round identically.
-    inv_rate = drive.period
-    width = drive.pulse_width
     src_on = (drive.i_bias + drive.i_pulse) / ELEMENTARY_CHARGE + r_opt
     src_off = drive.i_bias / ELEMENTARY_CHARGE + r_opt
     half = 0.5 * dt
@@ -289,7 +286,6 @@ def simulate(config: SimConfig) -> SimTrace:
     denom = params.n_th - params.n_0
     c_sp = params.c_sp
     two_gq = 2.0 * params.gamma_q
-    fmod = math.fmod
     sqrt = math.sqrt
     isfinite = math.isfinite
 
@@ -298,18 +294,14 @@ def simulate(config: SimConfig) -> SimTrace:
     clamps = 0
     j = 0  # next output sample
     rec = warm_steps  # step index of sample j
-    k = 0
-    while True:
-        for k in range(k, n_steps):
+    for k0, k_end, s0, sm, s1 in _drive_runs(n_steps, dt, drive, src_on,
+                                             src_off):
+        for k in range(k0, k_end):
             if k == rec:
                 out_n[j] = n
                 out_q[j] = q
                 j += 1
                 rec += stride
-            t = k * dt
-            s0 = src_on if fmod(t, inv_rate) < width else src_off
-            sm = src_on if fmod(t + half, inv_rate) < width else src_off
-            s1 = src_on if fmod(t + dt, inv_rate) < width else src_off
 
             g = (n - n_0) / denom / sqrt(1.0 + two_gq * q)
             k1n = s0 - n / tau_e - q * g / gtp
@@ -332,7 +324,16 @@ def simulate(config: SimConfig) -> SimTrace:
 
             n1 = n + dt * (k1n + 2.0 * k2n + 2.0 * k3n + k4n) / 6.0
             q1 = q + dt * (k1q + 2.0 * k2q + 2.0 * k3q + k4q) / 6.0
-            if n1 == n and q1 == q and s0 == sm == s1 and n != 0.0 and q != 0.0:
+            if n1 == n and q1 == q and n != 0.0 and q != 0.0:
+                # Step k maps the nonzero state (n, q) onto itself bit for
+                # bit.  The step map depends only on the state and the three
+                # stage sources, so every later step of this run does too:
+                # jump to the end of the run and fill the samples by slice.
+                j_end = max(j, -((warm_steps - k_end) // stride))
+                out_n[j:j_end] = n
+                out_q[j:j_end] = q
+                j = j_end
+                rec = warm_steps + j * stride
                 break
             if not (isfinite(n1) and isfinite(q1)):
                 raise SimulationError(
@@ -347,20 +348,6 @@ def simulate(config: SimConfig) -> SimTrace:
                 clamps += 1
             n = n1
             q = q1
-        else:
-            break
-        # Step k maps the nonzero state (n, q) onto itself bit for bit.  The
-        # step map depends only on the state and the three stage sources, so
-        # every following step with the same sources does too: jump to the
-        # next drive edge and fill the samples in between by slice.
-        k_end = _quiet_until(k + 1, n_steps, s0, dt, inv_rate, width,
-                             src_on, src_off)
-        j_end = max(j, -((warm_steps - k_end) // stride))
-        out_n[j:j_end] = n
-        out_q[j:j_end] = q
-        j = j_end
-        rec = warm_steps + j * stride
-        k = k_end
     if rec == n_steps:
         out_n[j] = n
         out_q[j] = q
@@ -374,28 +361,35 @@ def simulate(config: SimConfig) -> SimTrace:
     )
 
 
-def _quiet_until(k: int, n_steps: int, src: float, dt: float, period: float,
-                 width: float, src_on: float, src_off: float) -> int:
-    """First step index >= k whose three stage sources are not all ``src``,
-    or ``n_steps`` if there is none.
+def _drive_runs(n_steps: int, dt: float, drive: DriveWaveform,
+                src_on: float, src_off: float):
+    """Yield the maximal runs ``(k, k_end, s0, sm, s1)`` of steps
+    ``k <= step < k_end`` that share the stage sources at the start, middle
+    and end of the step, covering steps 0 to ``n_steps`` in order.
 
-    Applies simulate's own drive test to blocks of step indices, growing
-    from _SCAN_MIN to _SCAN_MAX so a short stall stays cheap.  The times are
-    the same doubles as the loop's (``arange * dt`` is ``k * dt``, and fmod
-    is exact), and sources are compared by value, so a flat drive scans to
-    the end of the run.
+    This is simulate's drive schedule: ``drive_current``'s test applied to
+    blocks of step indices.  The stage times are the doubles ``k*dt``,
+    ``k*dt + 0.5*dt`` and ``k*dt + dt`` (``arange * dt`` is ``k * dt``, and
+    fmod is exact), and sources are compared by value, so a flat drive is
+    one run.
     """
-    block = _SCAN_MIN
-    while k < n_steps:
-        t = np.arange(k, min(k + block, n_steps)) * dt
-        quiet = np.ones(len(t), dtype=bool)
-        for tt in (t, t + 0.5 * dt, t + dt):
-            quiet &= np.where(np.fmod(tt, period) < width, src_on, src_off) == src
-        if not quiet.all():
-            return k + int(np.argmin(quiet))
-        k += len(t)
-        block = min(2 * block, _SCAN_MAX)
-    return n_steps
+    start, run = 0, None
+    for a in range(0, n_steps, _RUN_BLOCK):
+        t = np.arange(a, min(a + _RUN_BLOCK, n_steps)) * dt
+        src = np.column_stack([
+            np.where(np.fmod(x, drive.period) < drive.pulse_width,
+                     src_on, src_off)
+            for x in (t, t + 0.5 * dt, t + dt)
+        ])
+        new = np.empty(len(t), dtype=bool)
+        new[0] = run is None or bool((src[0] != run).any())
+        new[1:] = (src[1:] != src[:-1]).any(axis=1)
+        for i in np.flatnonzero(new).tolist():
+            if run is not None:
+                yield (start, a + i, *run)
+            start, run = a + i, tuple(src[i].tolist())
+    if run is not None:
+        yield (start, n_steps, *run)
 
 
 def default_warmup(params: LaserParams, drive: DriveWaveform) -> float:

@@ -154,6 +154,18 @@ class TestCurves:
         assert code == 1
         assert "currents" in err
 
+    # the first span overflows to inf, the second is 1e12 points
+    @pytest.mark.parametrize("grid", ["0:1e308:1e-300", "0:1000:1e-9"])
+    def test_oversized_current_grid(self, capsys, tmp_path, monkeypatch, grid):
+        def refuse(*args):
+            raise AssertionError("steady_state ran on an oversized grid")
+
+        monkeypatch.setattr(analysis, "steady_state", refuse)
+        code, _, err = run(capsys, "lcurve", "--currents", grid,
+                           "--out", str(tmp_path / "x.csv"))
+        assert code == 1
+        assert "--currents" in err
+
 
 class TestSweepAndFit:
     def test_sweep_rows(self, capsys, tmp_path):

@@ -1,10 +1,12 @@
 """Drive waveform, steady states, and the fixed-step integrator."""
 
 import math
+import types
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import pumpsim as ps
 from pumpsim import dynamics
@@ -334,18 +336,39 @@ def reference_simulate(config):
 
 
 @pytest.fixture
-def scans(monkeypatch):
-    """(first step, next edge, step count) of every next-edge scan."""
-    calls = []
-    scan = dynamics._quiet_until
+def schedule(monkeypatch):
+    """The drive runs of every simulate call, and (stalled step, end of run,
+    step count) of every stall skip.
 
-    def counted(k, n_steps, *args):
-        end = scan(k, n_steps, *args)
-        calls.append((k, end, n_steps))
-        return end
+    An integrated step ends with two finite checks; a stalled step breaks out
+    of its run before them.  So the checks made between two runs count the
+    steps integrated in the first, and a run with fewer integrated steps than
+    its length was skipped from the stalled step to its end."""
+    seen = types.SimpleNamespace(runs=[], skips=[], checks=0)
 
-    monkeypatch.setattr(dynamics, "_quiet_until", counted)
-    return calls
+    def isfinite(x):
+        seen.checks += 1
+        return math.isfinite(x)
+
+    counted = types.SimpleNamespace(
+        **{name: getattr(math, name) for name in dir(math)
+           if not name.startswith("_")})
+    counted.isfinite = isfinite
+    monkeypatch.setattr(dynamics, "math", counted)
+    runs = dynamics._drive_runs
+
+    def recorded(n_steps, *args):
+        for run in runs(n_steps, *args):
+            k, k_end = run[:2]
+            seen.runs.append(run)
+            before = seen.checks
+            yield run
+            stalled = k + (seen.checks - before) // 2
+            if stalled < k_end:
+                seen.skips.append((stalled, k_end, n_steps))
+
+    monkeypatch.setattr(dynamics, "_drive_runs", recorded)
+    return seen
 
 
 def _lowduty(**numerics):
@@ -366,29 +389,64 @@ def assert_same_trace(config):
 
 
 class TestStallSkip:
-    def test_flat_drive(self, params, drive, scans):
+    def test_flat_drive(self, params, drive, schedule):
         flat = replace(drive, i_pulse=0.0)
         config = ps.SimConfig(params=params, drive=flat,
                               pump=ps.PumpScenario(0.0), t_total=2e-9,
                               dt=1e-13, warmup=0.0)
         assert_same_trace(config)
-        # sources are compared by value, so one scan covers the whole run
-        assert len(scans) == 1 and scans[0][1] == scans[0][2]
+        # sources are compared by value, so the whole run is one drive run
+        assert len(schedule.runs) == 1
+        assert len(schedule.skips) == 1
+        assert schedule.skips[0][1] == schedule.skips[0][2]
 
-    def test_stall_across_warmup_at_stride_7(self, scans):
+    def test_stall_across_warmup_at_stride_7(self, schedule):
         config = _lowduty(warmup=35e-9, t_total=41e-9, sample_stride=7)
         assert_same_trace(config)
         warm_steps = math.ceil(config.warmup / config.dt - 1e-9)
-        assert any(k < warm_steps < end for k, end, _ in scans)
+        assert any(k < warm_steps < end for k, end, _ in schedule.skips)
 
-    def test_run_ends_inside_stall(self, scans):
+    def test_run_ends_inside_stall(self, schedule):
         config = _lowduty(warmup=0.0, t_total=35e-9)
         assert_same_trace(config)
-        assert scans and scans[-1][1] == scans[-1][2]
+        assert schedule.skips
+        assert schedule.skips[-1][1] == schedule.skips[-1][2]
 
-    def test_pumped_default_never_stalls(self, pumped_config, scans):
+    def test_pumped_default_never_stalls(self, pumped_config, schedule):
         assert_same_trace(pumped_config)
-        assert scans == []
+        assert schedule.skips == []
+
+
+class TestDriveRuns:
+    @settings(deadline=None)
+    @given(
+        dt=st.floats(0.05e-12, 0.3e-12),
+        log_rate=st.floats(9.0, 12.3),
+        duty=st.floats(0.01, 0.99),
+        pulsed=st.booleans(),
+        steps=st.integers(1, 2000),
+        warm=st.floats(0.0, 0.9),
+        stride=st.integers(1, 9),
+        p_pump=st.floats(0.0, 2e-3),
+        block=st.integers(1, 700),
+    )
+    def test_bit_identical_to_reference(self, params, drive, dt, log_rate,
+                                        duty, pulsed, steps, warm, stride,
+                                        p_pump, block):
+        # periods down to 1.7 steps give runs of one or two steps at every
+        # edge; small blocks put run edges on block edges
+        rate = 10.0 ** log_rate
+        width = duty / rate
+        assume(math.fmod(width, dt) != 0.0)
+        wave = replace(drive, pulse_width=width, rep_rate=rate,
+                       i_pulse=drive.i_pulse if pulsed else 0.0)
+        config = ps.SimConfig(params=params, drive=wave,
+                              pump=ps.PumpScenario(p_pump, eps_opt=0.5),
+                              t_total=steps * dt, dt=dt,
+                              warmup=warm * steps * dt, sample_stride=stride)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dynamics, "_RUN_BLOCK", block)
+            assert_same_trace(config)
 
 
 class TestWriteCsv:
