@@ -2,8 +2,8 @@
 
 The integrator is a classical fixed-step 4th-order scheme: deterministic,
 reproducible to the bit, and fast enough in plain Python because the system
-has only two state variables.  Steady states are found algebraically (nested
-root bracketing) with long time integration as the fallback.
+has only two state variables.  Steady states are found algebraically (one
+root find over the photon number) with long time integration as the fallback.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .model import (
     LaserState,
     PumpScenario,
     derivatives,
-    gain,
     photon_to_power,
     pump_rate,
 )
@@ -136,39 +135,6 @@ def drive_current(t: float, drive: DriveWaveform) -> float:
     return drive.i_bias
 
 
-def _photon_equilibrium(n: float, params: LaserParams) -> float:
-    """Photon number where the field equation balances at fixed carrier number.
-
-    Solves q*(1 - G(n, q)) = c_sp*n*tau_ph/tau_e, whose left side is strictly
-    increasing wherever it is positive, so the root is unique.
-    """
-    src = params.c_sp * n / params.tau_e * params.tau_ph
-    x = (n - params.n_0) / (params.n_th - params.n_0)
-    if src == 0.0:
-        if x <= 1.0:
-            return 0.0
-        if params.gamma_q == 0.0:
-            # No spontaneous seed and no compression: no finite equilibrium
-            # above threshold.  Callers fall back to time integration.
-            raise ConvergenceError(
-                "no algebraic photon equilibrium for c_sp=0, gamma_q=0 above "
-                "threshold"
-            )
-        return (x * x - 1.0) / (2.0 * params.gamma_q)
-
-    def excess(q: float) -> float:
-        return q * (1.0 - gain(LaserState(n=n, q=q), params)) - src
-
-    q_hi = src + 1.0
-    for _ in range(400):
-        if excess(q_hi) > 0.0:
-            break
-        q_hi *= 10.0
-    else:
-        raise ConvergenceError("failed to bracket the photon equilibrium")
-    return brentq(excess, 0.0, q_hi, xtol=1e-30, rtol=_BRENTQ_RTOL, maxiter=200)
-
-
 def _derivatives_ok(state: LaserState, i_dc: float, r_opt: float,
                     params: LaserParams) -> tuple[bool, float]:
     dn, dq = derivatives(state, i_dc, r_opt, params)
@@ -186,18 +152,21 @@ def _settle(params: LaserParams, i_dc: float, r_opt: float,
     done = 0
     residual = math.inf
     while done < budget:
-        for _ in range(min(chunk, budget - done)):
+        steps = min(chunk, budget - done)
+        for _ in range(steps):
             state = LaserState(n=max(n, 0.0), q=max(q, 0.0))
             k1n, k1q = derivatives(state, i_dc, r_opt, params)
             n += dt * k1n
             q += dt * k1q
-        done += chunk
+        done += steps
         state = LaserState(n=max(n, 0.0), q=max(q, 0.0))
         ok, residual = _derivatives_ok(state, i_dc, r_opt, params)
         if ok:
             return state
+        if not math.isfinite(residual):
+            break  # a non-finite state never settles
     raise ConvergenceError(
-        f"steady state did not converge after {budget} fallback steps "
+        f"steady state did not converge after {done} fallback steps "
         f"(residual {residual:.3e} 1/s)",
         residual=residual,
     )
@@ -206,11 +175,17 @@ def _settle(params: LaserParams, i_dc: float, r_opt: float,
 def steady_state(params: LaserParams, i_dc: float, r_opt: float = 0.0) -> LaserState:
     """Equilibrium of the rate equations under dc current and cw pumping.
 
-    Solves the two coupled balance equations by bisection-style bracketing:
-    an inner solve gives the photon number at fixed carrier number, and the
-    carrier balance residual is then driven to zero.  Falls back to time
-    integration if the algebraic route fails, and raises ``ConvergenceError``
-    carrying the residual if neither converges.
+    One bracketed root find over the photon number ``q``.  At fixed ``q`` the
+    field balance ``q*(1 - g) = a*n`` is linear in ``n``, which gives the
+    closed form ``n(q) = q*(n_0 + d*s) / (q + a*d*s)`` with
+    ``s = sqrt(1 + 2*gamma_q*q)``, ``a = c_sp*tau_ph/tau_e`` and
+    ``d = n_th - n_0``; the carrier balance along that curve is then solved
+    for ``q`` on ``[0, 2*gamma_conf*tau_ph*inj]``.  Without spontaneous
+    emission (``c_sp = 0``) the field is dark up to threshold, and above it
+    ``n = n_0 + d*s``, so ``c_sp = 0, gamma_q = 0`` is algebraic too.  The
+    answer must zero ``model.derivatives``; if the root find fails or misses,
+    time integration takes over, and ``ConvergenceError`` carrying the
+    residual is raised if that does not converge either.
     """
     if i_dc < 0.0:
         raise ValueError(f"i_dc must be nonnegative, got {i_dc}")
@@ -220,26 +195,44 @@ def steady_state(params: LaserParams, i_dc: float, r_opt: float = 0.0) -> LaserS
     if inj == 0.0:
         return LaserState(n=0.0, q=0.0)
 
-    def carrier_residual(n: float) -> float:
-        q = _photon_equilibrium(n, params)
-        g = gain(LaserState(n=n, q=q), params)
-        return inj - n / params.tau_e - q * g / (params.gamma_conf * params.tau_ph)
+    tau_e = params.tau_e
+    gtp = params.gamma_conf * params.tau_ph
+    n_0 = params.n_0
+    d = params.n_th - n_0
+    ad = params.c_sp * params.tau_ph / tau_e * d  # a*d
+    two_gq = 2.0 * params.gamma_q
 
-    try:
-        n_hi = inj * params.tau_e + params.n_th
-        for _ in range(200):
-            if carrier_residual(n_hi) < 0.0:
-                break
-            n_hi *= 2.0
-        else:
-            raise ConvergenceError("failed to bracket the carrier equilibrium")
-        n_star = brentq(
-            carrier_residual, 0.0, n_hi,
-            xtol=1e-24, rtol=_BRENTQ_RTOL, maxiter=300,
-        )
-        state = LaserState(n=n_star, q=_photon_equilibrium(n_star, params))
-    except ConvergenceError:
-        state = None
+    def carriers(q: float) -> tuple[float, float]:
+        """Carrier number on the field-balance curve at q, and its gain."""
+        if q == 0.0:
+            # n(0) = 0.  For c_sp = 0 the formula is 0/0 here; the root find
+            # then runs only above threshold, where F(0) = -inj has the sign
+            # of the limit n_th/tau_e - inj.
+            return 0.0, 0.0
+        s = math.sqrt(1.0 + two_gq * q)
+        n = (n_0 + d * s) * (q / (q + ad * s))
+        return n, (n - n_0) / d / s
+
+    def excess(q: float) -> float:
+        n, g = carriers(q)
+        return n / tau_e + q * g / gtp - inj
+
+    state = None
+    if ad == 0.0 and inj * tau_e <= params.n_th:
+        state = LaserState(n=inj * tau_e, q=0.0)
+    else:
+        # On the curve q*g = q - a*n, so F(2*gtp*inj) >= inj when
+        # c_sp <= gamma_conf.
+        try:
+            q, result = brentq(
+                excess, 0.0, 2.0 * gtp * inj,
+                xtol=1e-30, rtol=_BRENTQ_RTOL, maxiter=300,
+                full_output=True, disp=False,
+            )
+        except ValueError:  # no sign change on the bracket, or a NaN residual
+            result = None
+        if result is not None and result.converged:
+            state = LaserState(n=carriers(q)[0], q=q)
 
     if state is not None:
         ok, _ = _derivatives_ok(state, i_dc, r_opt, params)
@@ -247,7 +240,7 @@ def steady_state(params: LaserParams, i_dc: float, r_opt: float = 0.0) -> LaserS
             return state
         n0, q0 = state.n, state.q
     else:
-        n0, q0 = min(inj * params.tau_e, params.n_th), 1.0
+        n0, q0 = min(inj * tau_e, params.n_th), 1.0
     return _settle(params, i_dc, r_opt, n0, q0)
 
 

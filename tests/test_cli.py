@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: artifacts, summaries, exit codes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import pytest
 import yaml
 
 import pumpsim
-from pumpsim import analysis, cli
+from pumpsim import analysis, cli, dynamics
 from pumpsim.cli import main
 from pumpsim.scenario import load_scenario, scenario_dict
 
@@ -165,6 +166,30 @@ class TestCurves:
                            "--out", str(tmp_path / "x.csv"))
         assert code == 1
         assert "--currents" in err
+
+
+class TestSteadyStateFailures:
+    def test_unconverged_root_find_settles(self, capsys, tmp_path,
+                                           monkeypatch):
+        real = dynamics.brentq
+        monkeypatch.setattr(
+            dynamics, "brentq",
+            lambda f, a, b, **kw: real(f, a, b, **{**kw, "maxiter": 1}),
+        )
+        code, out, _ = run(capsys, "lcurve", "--currents", "12:25:6",
+                           "--out", str(tmp_path / "lc.csv"))
+        assert code == 0
+        assert summary_value(out, "eta_meas") == pytest.approx(0.5, rel=0.02)
+
+    def test_unsettled_steady_state_is_numerical_failure(self, capsys,
+                                                         tmp_path,
+                                                         monkeypatch):
+        monkeypatch.setattr(dynamics, "derivatives",
+                            lambda *args: (math.nan, math.nan))
+        code, _, err = run(capsys, "lcurve", "--currents", "12:25:6",
+                           "--out", str(tmp_path / "lc.csv"))
+        assert code == 2
+        assert "steady state did not converge" in err
 
 
 class TestSweepAndFit:

@@ -7,9 +7,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from scipy.optimize import brentq
 
 import pumpsim as ps
 from pumpsim import dynamics
+from pumpsim.errors import ConvergenceError
 from pumpsim.model import ELEMENTARY_CHARGE
 
 from test_model import make_params
@@ -80,11 +82,119 @@ class TestSteadyState:
         )
         assert state.q == pytest.approx(q_expected, rel=0.01)
 
+    def test_degenerate_params_are_algebraic(self, monkeypatch):
+        params = make_params(c_sp=0.0, gamma_q=0.0)
+        monkeypatch.setattr(dynamics, "_settle", refuse_settle)
+        state = ps.steady_state(params, 20e-3)
+        assert state.n == pytest.approx(params.n_th, rel=1e-12)
+        q_expected = (
+            params.gamma_conf * params.tau_ph
+            * (20e-3 / ELEMENTARY_CHARGE - params.n_th / params.tau_e)
+        )
+        assert state.q == pytest.approx(q_expected, rel=1e-12)
+
+    @settings(deadline=None)
+    @given(
+        tau_e=st.floats(0.3e-9, 3e-9),
+        tau_ph=st.floats(1e-12, 1e-11),
+        gamma_conf=st.floats(0.05, 1.0),
+        n_0=st.floats(0.0, 1e8),
+        span=st.floats(1e6, 1e8),
+        c_sp=st.just(0.0) | st.floats(1e-9, 1e-3),
+        gamma_q=st.just(0.0) | st.floats(1e-9, 1e-4),
+        # below 1 pA or 1e3 pumped carriers/s the bracket can underflow to
+        # subnormals, and the settling fallback answers
+        i_dc=st.just(0.0) | st.floats(1e-12, 50e-3),
+        step=st.floats(1e-6, 20e-3),
+        r_opt=st.just(0.0) | st.floats(1e3, 1e17),
+    )
+    def test_root_find_properties(self, tau_e, tau_ph, gamma_conf, n_0,
+                                  span, c_sp, gamma_q, i_dc, step, r_opt):
+        params = make_params(tau_e=tau_e, tau_ph=tau_ph,
+                             gamma_conf=gamma_conf, n_0=n_0,
+                             n_th=n_0 + span, c_sp=c_sp, gamma_q=gamma_q)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dynamics, "_settle", refuse_settle)
+            low = ps.steady_state(params, i_dc)
+            high = ps.steady_state(params, i_dc + step)
+            pumped = ps.steady_state(params, i_dc, r_opt)
+            shifted = ps.steady_state(params, i_dc + ELEMENTARY_CHARGE * r_opt)
+        for state, i in ((low, i_dc), (high, i_dc + step)):
+            assert dynamics._derivatives_ok(state, i, 0.0, params)[0]
+        assert dynamics._derivatives_ok(pumped, i_dc, r_opt, params)[0]
+        assert high.n >= low.n and high.q >= low.q
+        assert pumped.n == pytest.approx(shifted.n, rel=1e-9)
+        assert pumped.q == pytest.approx(shifted.q, rel=1e-9)
+
     def test_invalid_inputs(self, params):
         with pytest.raises(ValueError):
             ps.steady_state(params, -1e-3)
         with pytest.raises(ValueError):
             ps.steady_state(params, 1e-3, -1.0)
+
+
+def refuse_settle(*args):
+    raise AssertionError("steady_state fell back to _settle")
+
+
+def failing_brentq(mode):
+    """scipy's brentq, made to fail the way ``mode`` names."""
+    def fake(f, a, b, **kw):
+        if mode == "bracket":
+            return brentq(lambda q: 1.0, a, b, **kw)
+        if mode == "nan":
+            return brentq(lambda q: math.nan, a, b, **kw)
+        if mode == "maxiter":
+            return brentq(f, a, b, **{**kw, "maxiter": 1})
+        q, result = brentq(f, a, b, **kw)  # "miss": converged, wrong root
+        return 0.5 * q, result
+    return fake
+
+
+class TestSettlingFallback:
+    @pytest.mark.parametrize("mode", ["bracket", "nan", "maxiter", "miss"])
+    @pytest.mark.parametrize("i_dc", [2e-3, 20e-3])
+    def test_root_find_failure_settles(self, params, monkeypatch, mode, i_dc):
+        want = ps.steady_state(params, i_dc)
+        settled = []
+        real_settle = dynamics._settle
+
+        def spy(*args):
+            settled.append(real_settle(*args))
+            return settled[-1]
+
+        monkeypatch.setattr(dynamics, "brentq", failing_brentq(mode))
+        monkeypatch.setattr(dynamics, "_settle", spy)
+        state = ps.steady_state(params, i_dc)
+        assert settled == [state]
+        assert dynamics._derivatives_ok(state, i_dc, 0.0, params)[0]
+        assert state.n == pytest.approx(want.n, rel=1e-6)
+        assert state.q == pytest.approx(want.q, rel=1e-6)
+
+    def test_convergence_error_carries_residual(self, monkeypatch):
+        params = make_params(tau_ph=3e-10)  # a settling budget of 66,666 steps
+        residuals = []
+        real_check = dynamics._derivatives_ok
+
+        def never_ok(*args):
+            residuals.append(real_check(*args)[1])
+            return False, residuals[-1]
+
+        monkeypatch.setattr(dynamics, "brentq", failing_brentq("bracket"))
+        monkeypatch.setattr(dynamics, "_derivatives_ok", never_ok)
+        with pytest.raises(ConvergenceError) as info:
+            ps.steady_state(params, 20e-3)
+        assert info.value.residual == residuals[-1]
+        assert 0.0 < info.value.residual < math.inf
+        assert "66666 fallback steps" in str(info.value)
+
+    def test_non_finite_state_stops_settling(self, params, monkeypatch):
+        monkeypatch.setattr(dynamics, "derivatives",
+                            lambda *args: (math.nan, math.nan))
+        with pytest.raises(ConvergenceError) as info:
+            ps.steady_state(params, 20e-3)
+        assert math.isnan(info.value.residual)
+        assert "after 10000 fallback steps" in str(info.value)
 
 
 class TestSimConfigValidation:
