@@ -7,18 +7,29 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .dynamics import SimConfig, SimTrace, _write_csv, simulate, steady_state
-from .errors import FitError, NoPulseError
+from .dynamics import (
+    SimConfig,
+    SimTrace,
+    _advance,
+    _drive_runs,
+    _sources,
+    _split,
+    _write_csv,
+    steady_state,
+)
+from .errors import ConvergenceError, FitError, NoPulseError
 from .model import (
     ELEMENTARY_CHARGE,
     DriveWaveform,
     LaserParams,
     PumpScenario,
     photon_to_power,
+    pump_rate,
 )
 
 __all__ = [
@@ -188,6 +199,15 @@ def _window_energy(seg: np.ndarray, h: float, threshold: float) -> float:
     return total
 
 
+def _period_pulse(seg: np.ndarray, h: float) -> tuple[float, float, int]:
+    """Window energy, peak power and peak sample of one period's power
+    samples; the window is every sample at or above 10% of the peak."""
+    peak = float(seg.max())
+    if peak <= 0.0:
+        raise NoPulseError("no pulse detected: period contains no power")
+    return _window_energy(seg, h, 0.1 * peak), peak, int(seg.argmax())
+
+
 def pulse_metrics(trace: SimTrace, drive: DriveWaveform) -> PulseMetrics:
     """Measure the pulse train: energy, average power, peak height and timing.
 
@@ -210,12 +230,8 @@ def pulse_metrics(trace: SimTrace, drive: DriveWaveform) -> PulseMetrics:
     peaks = []
     peak_times = []
     for j, a, b in bounds:
-        seg = trace.p[a:b + 1]
-        peak = float(seg.max())
-        if peak <= 0.0:
-            raise NoPulseError("no pulse detected: period contains no power")
-        m = int(seg.argmax())
-        energies.append(_window_energy(seg, h, 0.1 * peak))
+        energy, peak, m = _period_pulse(trace.p[a:b + 1], h)
+        energies.append(energy)
         peaks.append(peak)
         peak_times.append(trace.t[a + m] - j * period)
 
@@ -234,20 +250,115 @@ def pulse_metrics(trace: SimTrace, drive: DriveWaveform) -> PulseMetrics:
     return metrics
 
 
+_PERIODIC_RTOL = 1e-12  # bound on the period-to-period residual of (n, q)
+_ANDERSON_PERIODS = 40  # periods of accelerated iteration
+_PLAIN_PERIODS = 200  # further plain periods before giving up
+
+
+class _Periodic(NamedTuple):
+    pulse_energy: float  # J in the 10%-of-peak window of the recorded period
+    avg_power: float  # W over the recorded period
+    residual: float  # max |F(x) - x| / scale at the recorded period's start
+    periods: int  # periods integrated before the recorded one
+
+
+def _periodic_metrics(base: SimConfig, p_pump: float) -> _Periodic:
+    """Pulse energy and average power of the periodic state at ``p_pump``,
+    with the pumping efficiency of ``base.pump``.
+
+    Shooting on the period map ``F``: the state at one period start to the
+    state at the next, integrated by ``dynamics._advance``.  From the bias
+    steady state, two plain periods ``x <- F(x)`` are followed by Anderson
+    acceleration with memory 2 (Anderson 1965; Walker & Ni 2011) on
+    ``(n, q)``, scaled by the state after the first period, until the
+    relative residual ``max|F(x) - x| / scale`` is at most
+    ``_PERIODIC_RTOL``.  After ``_ANDERSON_PERIODS`` periods plain iteration
+    takes over; ``_PLAIN_PERIODS`` periods later ``ConvergenceError``
+    carries the residual.  The period from the converged start is then
+    recorded and measured like one period of ``pulse_metrics``.  The step is
+    ``base.dt`` when it divides the period, else ``period/ceil(period/dt)``;
+    ``base``'s warmup, ``t_total`` and ``sample_stride`` play no part.
+    """
+    params = base.params
+    drive = base.drive
+    r_opt = pump_rate(PumpScenario(p_pump=p_pump, eps_opt=base.pump.eps_opt),
+                      params)
+    m, frac = _split(drive.period / base.dt)
+    h = base.dt
+    if frac:  # shrink the step to a whole number of steps per period
+        m += 1
+        h = drive.period / m
+    runs = list(_drive_runs(m, h, drive, *_sources(drive, r_opt)))
+
+    init = steady_state(params, drive.i_bias, r_opt)
+    first = np.array(_advance(init.n, init.q, runs, params, h)[:2])
+    scale = np.where(first > 0.0, first, 1.0)
+
+    def start(y) -> tuple[float, float]:
+        # Python floats: the kernel runs several times slower on numpy scalars
+        n, q = (y * scale).tolist()
+        return n, q
+
+    def period_map(y):
+        n, q, _, _ = _advance(*start(y), runs, params, h)
+        return np.array([n, q]) / scale
+
+    y = np.array([init.n, init.q]) / scale
+    g = first / scale
+    periods = 1
+    ys, gs = [], []  # the last three iterates and their images
+    while True:
+        f = g - y
+        residual = float(np.abs(f).max())
+        if residual <= _PERIODIC_RTOL:
+            break
+        if periods >= _ANDERSON_PERIODS + _PLAIN_PERIODS:
+            raise ConvergenceError(
+                f"periodic state did not converge in {periods} periods "
+                f"(residual {residual:.3e}, bound {_PERIODIC_RTOL:g})",
+                residual=residual,
+            )
+        ys, gs = (ys + [y])[-3:], (gs + [g])[-3:]
+        y = g
+        if len(ys) == 3 and periods < _ANDERSON_PERIODS:
+            # Two residual differences in two dimensions: the least-squares
+            # coefficients solve a 2x2 system, by Cramer's rule (a LAPACK
+            # call would cost about 1 MB of resident memory).
+            (a, c), (b, d) = np.diff(np.array(gs) - np.array(ys), axis=0).tolist()
+            dg = np.diff(np.array(gs), axis=0)
+            det = a * d - b * c
+            if abs(det) > 1e-12 * (abs(a * d) + abs(b * c)):
+                mixed = (g - (d * f[0] - b * f[1]) / det * dg[0]
+                         - (a * f[1] - c * f[0]) / det * dg[1])
+                if np.isfinite(mixed).all() and (mixed >= 0.0).all():
+                    y = mixed
+        g = period_map(y)
+        periods += 1
+
+    out_n = np.empty(m + 1)
+    out_q = np.empty(m + 1)
+    _advance(*start(y), runs, params, h, (out_n, out_q, 0, 1))
+    p = photon_to_power(out_q, params)
+    energy, _, _ = _period_pulse(p, h)
+    return _Periodic(float(energy), float(p[:-1].mean()), residual, periods)
+
+
 def _metrics_at_power(args: tuple[SimConfig, float]) -> tuple[float, float]:
     """Worker: per-period pulse energy and average power at one pump power."""
     base, p_pump = args
-    config = replace(base, pump=PumpScenario(p_pump=p_pump, eps_opt=base.pump.eps_opt))
-    metrics = pulse_metrics(simulate(config), base.drive)
-    return metrics.pulse_energy, metrics.avg_power
+    result = _periodic_metrics(base, p_pump)
+    return result.pulse_energy, result.avg_power
 
 
 def pump_sweep(base: SimConfig, powers, jobs: int = 1) -> list[SweepRow]:
-    """Simulate each pump power and normalize against the unpumped run.
+    """Measure the periodic state at each pump power and normalize against
+    the unpumped one.
 
-    Rows are independent simulations sharing every numeric control with the
-    baseline, so discretization bias cancels in the ratios.  ``jobs`` > 1
-    distributes rows over a process pool; ordering follows the input.
+    Rows are independent shooting solves (``_periodic_metrics``) on the
+    baseline's step, so discretization bias cancels in the ratios; the
+    config's warmup, ``t_total`` and ``sample_stride`` play no part.
+    ``jobs`` > 1 distributes rows over a process pool; ordering follows the
+    input.
     """
     powers = [float(p) for p in powers]
     if not all(math.isfinite(p) and p >= 0.0 for p in powers):
@@ -291,10 +402,11 @@ def fit_eps_opt(
     """Calibrate the pumping efficiency to a measured pulse-energy ratio.
 
     Brent's bracketed root find over log10(eps_opt) solves for the point
-    where the simulated normalized pulse energy at ``target_p_pump`` equals
-    ``target_ratio``.  It relies only on the sign change between ``eps_lo``
-    and ``eps_hi``, so a flat stretch of the ratio cannot mislead it.  The
-    search space is log spaced because plausible efficiencies span decades.
+    where the normalized pulse energy of the periodic state at
+    ``target_p_pump`` (``_periodic_metrics``) equals ``target_ratio``.  It
+    relies only on the sign change between ``eps_lo`` and ``eps_hi``, so a
+    flat stretch of the ratio cannot mislead it.  The search space is log
+    spaced because plausible efficiencies span decades.
     ``eps_opt`` is the end of the tightest evaluated bracket that lies closer
     to the target.  Raises ``FitError`` when the target cannot be reached
     inside [eps_lo, eps_hi].
@@ -313,10 +425,9 @@ def fit_eps_opt(
 
     def excess(x: float) -> float:
         if x not in cache:
-            config = replace(
-                base, pump=PumpScenario(p_pump=target_p_pump, eps_opt=10.0 ** x)
-            )
-            cache[x] = pulse_metrics(simulate(config), base.drive).pulse_energy / e_base
+            config = replace(base, pump=replace(base.pump, eps_opt=10.0 ** x))
+            energy = _periodic_metrics(config, target_p_pump).pulse_energy
+            cache[x] = energy / e_base
         return cache[x] - target_ratio
 
     a, b = math.log10(eps_lo), math.log10(eps_hi)

@@ -8,6 +8,7 @@ root find over the photon number) with long time integration as the fallback.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -37,7 +38,6 @@ __all__ = [
 ]
 
 _BRENTQ_RTOL = 4.0 * np.finfo(float).eps
-_RUN_BLOCK = 8192  # steps per block of the drive schedule
 _CSV_BLOCK_ROWS = 65536  # rows formatted per write
 
 
@@ -180,9 +180,11 @@ def steady_state(params: LaserParams, i_dc: float, r_opt: float = 0.0) -> LaserS
     closed form ``n(q) = q*(n_0 + d*s) / (q + a*d*s)`` with
     ``s = sqrt(1 + 2*gamma_q*q)``, ``a = c_sp*tau_ph/tau_e`` and
     ``d = n_th - n_0``; the carrier balance along that curve is then solved
-    for ``q`` on ``[0, 2*gamma_conf*tau_ph*inj]``.  Without spontaneous
-    emission (``c_sp = 0``) the field is dark up to threshold, and above it
-    ``n = n_0 + d*s``, so ``c_sp = 0, gamma_q = 0`` is algebraic too.  The
+    for ``q`` on ``[0, 2*gamma_conf*tau_ph*inj]``, whose upper end is doubled
+    while the balance there is negative (only when ``c_sp > gamma_conf``).
+    Without spontaneous emission (``c_sp = 0``) the field is dark up to
+    threshold, and above it ``n = n_0 + d*s``, so ``c_sp = 0, gamma_q = 0``
+    is algebraic too.  The
     answer must zero ``model.derivatives``; if the root find fails or misses,
     time integration takes over, and ``ConvergenceError`` carrying the
     residual is raised if that does not converge either.
@@ -222,10 +224,15 @@ def steady_state(params: LaserParams, i_dc: float, r_opt: float = 0.0) -> LaserS
         state = LaserState(n=inj * tau_e, q=0.0)
     else:
         # On the curve q*g = q - a*n, so F(2*gtp*inj) >= inj when
-        # c_sp <= gamma_conf.
+        # c_sp <= gamma_conf; above that, F grows without bound in q, and
+        # doubling the end finds a nonnegative residual.
+        hi = 2.0 * gtp * inj
+        if params.c_sp > params.gamma_conf:
+            while excess(hi) < 0.0:
+                hi *= 2.0
         try:
             q, result = brentq(
-                excess, 0.0, 2.0 * gtp * inj,
+                excess, 0.0, hi,
                 xtol=1e-30, rtol=_BRENTQ_RTOL, maxiter=300,
                 full_output=True, disp=False,
             )
@@ -262,16 +269,42 @@ def simulate(config: SimConfig) -> SimTrace:
     warm_steps = min(int(math.ceil(config.warmup / dt - 1e-9)), n_steps)
     stride = config.sample_stride
     n_out = (n_steps - warm_steps) // stride + 1
-    out_t = (warm_steps + stride * np.arange(n_out)) * dt
     out_n = np.empty(n_out)
     out_q = np.empty(n_out)
+    runs = _drive_runs(n_steps, dt, drive, *_sources(drive, r_opt))
+    _, _, clamps, _ = _advance(init.n, init.q, runs, params, dt,
+                               (out_n, out_q, warm_steps, stride))
+    return SimTrace(
+        t=(warm_steps + stride * np.arange(n_out)) * dt,
+        n=out_n,
+        q=out_q,
+        p=photon_to_power(out_q, params),
+        clamp_count=clamps,
+    )
 
+
+def _sources(drive: DriveWaveform, r_opt: float) -> tuple[float, float]:
+    """Carrier sources ``i/e + r_opt`` with the pulse on and off, 1/s."""
+    return ((drive.i_bias + drive.i_pulse) / ELEMENTARY_CHARGE + r_opt,
+            drive.i_bias / ELEMENTARY_CHARGE + r_opt)
+
+
+def _advance(n: float, q: float, runs, params: LaserParams, dt: float,
+             out=None) -> tuple[float, float, int, int]:
+    """Integrate the state ``(n, q)`` over a drive schedule by classical RK4;
+    returns ``(n, q, clamps, steps integrated)``.
+
+    ``runs`` yields ``(k, k_end, h, src)``: steps ``k <= step < k_end`` of
+    length ``h`` with the carrier source ``src`` (``i/e + r_opt``) held over
+    each.  ``k`` counts grid steps of length ``dt``; a grid step split at a
+    drive edge is two one-step runs with the same ``k``.  With
+    ``out = (out_n, out_q, first, stride)`` the state at the start of grid
+    step ``first + j*stride``, and after the last run, is stored at index
+    ``j``.  Negative excursions are clamped to zero and counted.
+    """
     # Hoist everything the inner loop touches.  The stage arithmetic is
-    # model.derivatives with i/e + r_opt and 0.5*dt computed once: the same
+    # model.derivatives with i/e + r_opt and 0.5*h computed once: the same
     # operations on the same operands, so both paths round identically.
-    src_on = (drive.i_bias + drive.i_pulse) / ELEMENTARY_CHARGE + r_opt
-    src_off = drive.i_bias / ELEMENTARY_CHARGE + r_opt
-    half = 0.5 * dt
     tau_e = params.tau_e
     tau_ph = params.tau_ph
     gtp = params.gamma_conf * params.tau_ph
@@ -282,13 +315,19 @@ def simulate(config: SimConfig) -> SimTrace:
     sqrt = math.sqrt
     isfinite = math.isfinite
 
-    n = init.n
-    q = init.q
+    if out is None:
+        out_n = out_q = None
+        first, stride = -1, 1
+    else:
+        out_n, out_q, first, stride = out
+    rec = first  # grid step of sample j; -1 never matches
+    j = 0
     clamps = 0
-    j = 0  # next output sample
-    rec = warm_steps  # step index of sample j
-    for k0, k_end, s0, sm, s1 in _drive_runs(n_steps, dt, drive, src_on,
-                                             src_off):
+    steps = 0
+    k_end = 0
+    for k0, k_end, h, src in runs:
+        half = 0.5 * h
+        steps += k_end - k0
         for k in range(k0, k_end):
             if k == rec:
                 out_n[j] = n
@@ -297,36 +336,38 @@ def simulate(config: SimConfig) -> SimTrace:
                 rec += stride
 
             g = (n - n_0) / denom / sqrt(1.0 + two_gq * q)
-            k1n = s0 - n / tau_e - q * g / gtp
+            k1n = src - n / tau_e - q * g / gtp
             k1q = (g - 1.0) * q / tau_ph + c_sp * n / tau_e
             na = n + half * k1n
             qa = q + half * k1q
             g = (na - n_0) / denom / sqrt(1.0 + two_gq * qa)
-            k2n = sm - na / tau_e - qa * g / gtp
+            k2n = src - na / tau_e - qa * g / gtp
             k2q = (g - 1.0) * qa / tau_ph + c_sp * na / tau_e
             nb = n + half * k2n
             qb = q + half * k2q
             g = (nb - n_0) / denom / sqrt(1.0 + two_gq * qb)
-            k3n = sm - nb / tau_e - qb * g / gtp
+            k3n = src - nb / tau_e - qb * g / gtp
             k3q = (g - 1.0) * qb / tau_ph + c_sp * nb / tau_e
-            nc = n + dt * k3n
-            qc = q + dt * k3q
+            nc = n + h * k3n
+            qc = q + h * k3q
             g = (nc - n_0) / denom / sqrt(1.0 + two_gq * qc)
-            k4n = s1 - nc / tau_e - qc * g / gtp
+            k4n = src - nc / tau_e - qc * g / gtp
             k4q = (g - 1.0) * qc / tau_ph + c_sp * nc / tau_e
 
-            n1 = n + dt * (k1n + 2.0 * k2n + 2.0 * k3n + k4n) / 6.0
-            q1 = q + dt * (k1q + 2.0 * k2q + 2.0 * k3q + k4q) / 6.0
+            n1 = n + h * (k1n + 2.0 * k2n + 2.0 * k3n + k4n) / 6.0
+            q1 = q + h * (k1q + 2.0 * k2q + 2.0 * k3q + k4q) / 6.0
             if n1 == n and q1 == q and n != 0.0 and q != 0.0:
                 # Step k maps the nonzero state (n, q) onto itself bit for
-                # bit.  The step map depends only on the state and the three
-                # stage sources, so every later step of this run does too:
-                # jump to the end of the run and fill the samples by slice.
-                j_end = max(j, -((warm_steps - k_end) // stride))
-                out_n[j:j_end] = n
-                out_q[j:j_end] = q
-                j = j_end
-                rec = warm_steps + j * stride
+                # bit.  The step map depends only on the state, h and src,
+                # so every later step of this run does too: jump to the end
+                # of the run and fill the samples by slice.
+                steps -= k_end - k - 1
+                if out_n is not None:
+                    j_end = max(j, -((first - k_end) // stride))
+                    out_n[j:j_end] = n
+                    out_q[j:j_end] = q
+                    j = j_end
+                    rec = first + j * stride
                 break
             if not (isfinite(n1) and isfinite(q1)):
                 raise SimulationError(
@@ -341,48 +382,75 @@ def simulate(config: SimConfig) -> SimTrace:
                 clamps += 1
             n = n1
             q = q1
-    if rec == n_steps:
+    if rec == k_end:
         out_n[j] = n
         out_q[j] = q
+    return n, q, clamps, steps
 
-    return SimTrace(
-        t=out_t,
-        n=out_n,
-        q=out_q,
-        p=photon_to_power(out_q, params),
-        clamp_count=clamps,
-    )
+
+_EDGE_TOL = 1e-6  # steps; an edge this close to a grid point lies on it
+
+
+def _split(x: float) -> tuple[int, float]:
+    """Position ``x`` in steps as (grid step, fraction of it), the fraction
+    snapped to 0 within ``_EDGE_TOL`` of either end of the step."""
+    k = math.floor(x)
+    f = x - k
+    if f <= _EDGE_TOL:
+        return k, 0.0
+    if f >= 1.0 - _EDGE_TOL:
+        return k + 1, 0.0
+    return k, f
 
 
 def _drive_runs(n_steps: int, dt: float, drive: DriveWaveform,
                 src_on: float, src_off: float):
-    """Yield the maximal runs ``(k, k_end, s0, sm, s1)`` of steps
-    ``k <= step < k_end`` that share the stage sources at the start, middle
-    and end of the step, covering steps 0 to ``n_steps`` in order.
+    """Yield the runs ``(k, k_end, h, src)`` of ``_advance`` for steps 0 to
+    ``n_steps`` of length ``dt``, in order.
 
-    This is simulate's drive schedule: ``drive_current``'s test applied to
-    blocks of step indices.  The stage times are the doubles ``k*dt``,
-    ``k*dt + 0.5*dt`` and ``k*dt + dt`` (``arange * dt`` is ``k * dt``, and
-    fmod is exact), and sources are compared by value, so a flat drive is
-    one run.
+    The pulse is on over ``[j*period, j*period + pulse_width)``.  Edges are
+    placed per period by arithmetic on (grid step, fraction) pairs: period
+    ``j`` starts at step ``j*P`` when ``P = period/dt`` is whole, so the
+    schedule repeats exactly every ``P`` steps; otherwise at ``j*period/dt``.
+    A grid step that an edge falls inside is split into sub-steps that end on
+    the edge, so every step sees one source.  Samples stay at ``k*dt``.  A
+    drive whose two sources are equal is one run.
     """
-    start, run = 0, None
-    for a in range(0, n_steps, _RUN_BLOCK):
-        t = np.arange(a, min(a + _RUN_BLOCK, n_steps)) * dt
-        src = np.column_stack([
-            np.where(np.fmod(x, drive.period) < drive.pulse_width,
-                     src_on, src_off)
-            for x in (t, t + 0.5 * dt, t + dt)
-        ])
-        new = np.empty(len(t), dtype=bool)
-        new[0] = run is None or bool((src[0] != run).any())
-        new[1:] = (src[1:] != src[:-1]).any(axis=1)
-        for i in np.flatnonzero(new).tolist():
-            if run is not None:
-                yield (start, a + i, *run)
-            start, run = a + i, tuple(src[i].tolist())
-    if run is not None:
-        yield (start, n_steps, *run)
+    if src_on == src_off or drive.pulse_width == 0.0:
+        yield (0, n_steps, dt, src_off)
+        return
+    p_k, p_f = _split(drive.period / dt)
+    w_k, w_f = _split(drive.pulse_width / dt)
+    pos, src = (0, 0.0), src_on
+    for j in itertools.count():
+        on = (j * p_k, 0.0) if p_f == 0.0 else _split(j * (drive.period / dt))
+        carry, f = _split(on[1] + w_f)
+        off = (on[0] + w_k + carry, f)
+        for edge, after in ((on, src_on), (off, src_off)):
+            edge = max(edge, pos)  # snapping must not reorder edges
+            if edge >= (n_steps, 0.0):
+                yield from _pieces(pos, (n_steps, 0.0), dt, src)
+                return
+            yield from _pieces(pos, edge, dt, src)
+            pos, src = edge, after
+
+
+def _pieces(a: tuple[int, float], b: tuple[int, float], dt: float,
+            src: float):
+    """Runs that carry source ``src`` from position ``a`` to ``b``."""
+    (ka, fa), (kb, fb) = a, b
+    if b <= a:
+        return
+    if ka == kb:
+        yield (ka, ka + 1, (fb - fa) * dt, src)
+        return
+    if fa:
+        yield (ka, ka + 1, (1.0 - fa) * dt, src)
+        ka += 1
+    if kb > ka:
+        yield (ka, kb, dt, src)
+    if fb:
+        yield (kb, kb + 1, fb * dt, src)
 
 
 def default_warmup(params: LaserParams, drive: DriveWaveform) -> float:

@@ -5,8 +5,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pumpsim as ps
+from pumpsim import analysis
 from pumpsim.model import ELEMENTARY_CHARGE
 
 from test_model import make_params
@@ -170,6 +172,68 @@ def test_second_spike_onset(default_scenario, eps_opt, runs):
     counts = _window_runs(trace, default_scenario.drive)
     assert len(counts) >= 5
     assert counts == [runs] * len(counts)
+
+
+class TestPeriodicMetrics:
+    @pytest.mark.parametrize("name, p_pump, eps_opt, dt", [
+        ("default", 0.0, 0.1, None),
+        ("default", 1.6e-3, 0.1, None),
+        ("default", 1e-3, 0.68, None),  # two runs in the 10% window
+        # 0.25 ps divides the 100 ns period, at 40% of the steps of 0.1 ps
+        ("experiment", 0.0, 0.1, 0.25e-12),
+    ])
+    def test_matches_long_simulation(self, name, p_pump, eps_opt, dt):
+        scenario = ps.load_scenario(name)
+        base = scenario.sim_config(pump=ps.PumpScenario(0.0, eps_opt))
+        if dt is not None:
+            base = replace(base, dt=dt)
+        period = scenario.drive.period
+        warm = (60 if name == "default" else 2) * period
+        config = replace(base, pump=ps.PumpScenario(p_pump, eps_opt),
+                         warmup=warm, t_total=warm + 5.5 * period)
+        want = ps.pulse_metrics(ps.simulate(config), scenario.drive)
+        got = analysis._periodic_metrics(base, p_pump)
+        assert got.residual <= analysis._PERIODIC_RTOL
+        assert got.pulse_energy == pytest.approx(want.pulse_energy, rel=1e-9)
+        assert got.avg_power == pytest.approx(want.avg_power, rel=1e-9)
+
+    @settings(deadline=None, max_examples=10)
+    @given(eps_opt=st.floats(1e-6, 1.0), p_pump=st.floats(0.0, 3e-3))
+    def test_reported_residual_within_bound(self, base_config, drive,
+                                            eps_opt, p_pump):
+        base = replace(base_config, pump=ps.PumpScenario(0.0, eps_opt))
+        got = analysis._periodic_metrics(base, p_pump)
+        assert 0.0 <= got.residual <= analysis._PERIODIC_RTOL
+        assert 1 <= got.periods <= (analysis._ANDERSON_PERIODS
+                                    + analysis._PLAIN_PERIODS)
+        assert 0.0 < got.pulse_energy <= got.avg_power * drive.period
+
+    def test_plain_iteration_past_the_acceleration_cap(self, base_config,
+                                                       monkeypatch):
+        accelerated = analysis._periodic_metrics(base_config, 1.6e-3)
+        monkeypatch.setattr(analysis, "_ANDERSON_PERIODS", 1)
+        plain = analysis._periodic_metrics(base_config, 1.6e-3)
+        assert plain.periods > accelerated.periods
+        assert plain.residual <= analysis._PERIODIC_RTOL
+        assert plain.pulse_energy == pytest.approx(accelerated.pulse_energy,
+                                                   rel=1e-9)
+
+    def test_period_cap_raises_with_residual(self, base_config, monkeypatch):
+        monkeypatch.setattr(analysis, "_ANDERSON_PERIODS", 3)
+        monkeypatch.setattr(analysis, "_PLAIN_PERIODS", 2)
+        with pytest.raises(ps.ConvergenceError) as info:
+            analysis._periodic_metrics(base_config, 1.6e-3)
+        assert info.value.residual > analysis._PERIODIC_RTOL
+        assert f"{info.value.residual:.3e}" in str(info.value)
+        assert "in 5 periods" in str(info.value)
+
+    def test_step_shrinks_to_divide_the_period(self, base_config):
+        # 0.3 ps does not divide 400 ps: 1334 steps of 0.29985 ps instead
+        coarse = analysis._periodic_metrics(replace(base_config, dt=0.3e-12),
+                                            0.0)
+        aligned = analysis._periodic_metrics(
+            replace(base_config, dt=0.4e-9 / 1334), 0.0)
+        assert coarse == aligned
 
 
 class TestPumpSweep:

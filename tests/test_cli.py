@@ -223,6 +223,20 @@ class TestSweepAndFit:
         assert "unreachable" in err
 
 
+    @pytest.mark.parametrize("argv", [
+        ["fit"],
+        ["sweep", "--pump-mw", "0,1.6", "--jobs", "1"],
+    ])
+    def test_unconverged_periodic_state_is_numerical_failure(
+            self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.setattr(analysis, "_ANDERSON_PERIODS", 2)
+        monkeypatch.setattr(analysis, "_PLAIN_PERIODS", 1)
+        code, _, err = run(capsys, *argv, "--out", str(tmp_path / "x.csv"))
+        assert code == 2
+        assert "periodic state did not converge" in err
+        assert "residual" in err
+
+
 class TestParsing:
     def test_version(self, capsys):
         code, out, _ = run(capsys, "--version")
@@ -260,11 +274,11 @@ class TestNonFinite:
 
     @pytest.fixture(autouse=True)
     def no_simulation(self, monkeypatch):
-        def refuse(config):
+        def refuse(*args):
             raise AssertionError("simulation ran on a non-finite input")
 
         monkeypatch.setattr(cli, "simulate", refuse)
-        monkeypatch.setattr(analysis, "simulate", refuse)
+        monkeypatch.setattr(analysis, "_periodic_metrics", refuse)
 
     @pytest.mark.parametrize("argv, field", [
         (["budget", "--attack-w", "nan"], "attack_power_w"),

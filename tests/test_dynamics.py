@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.optimize import brentq
 
 import pumpsim as ps
@@ -100,7 +100,7 @@ class TestSteadyState:
         gamma_conf=st.floats(0.05, 1.0),
         n_0=st.floats(0.0, 1e8),
         span=st.floats(1e6, 1e8),
-        c_sp=st.just(0.0) | st.floats(1e-9, 1e-3),
+        c_sp=st.just(0.0) | st.floats(1e-9, 1.0),
         gamma_q=st.just(0.0) | st.floats(1e-9, 1e-4),
         # below 1 pA or 1e3 pumped carriers/s the bracket can underflow to
         # subnormals, and the settling fallback answers
@@ -108,6 +108,12 @@ class TestSteadyState:
         step=st.floats(1e-6, 20e-3),
         r_opt=st.just(0.0) | st.floats(1e3, 1e17),
     )
+    # c_sp above gamma_conf, where [0, 2*gamma_conf*tau_ph*inj] has no sign
+    # change at 2 and 20 mA
+    @example(tau_e=1e-9, tau_ph=3e-12, gamma_conf=0.12, n_0=5.5e7, span=1e7,
+             c_sp=0.5, gamma_q=1e-6, i_dc=2e-3, step=18e-3, r_opt=1e15)
+    @example(tau_e=1e-9, tau_ph=3e-12, gamma_conf=0.12, n_0=5.5e7, span=1e7,
+             c_sp=1.0, gamma_q=1e-6, i_dc=2e-3, step=18e-3, r_opt=0.0)
     def test_root_find_properties(self, tau_e, tau_ph, gamma_conf, n_0,
                                   span, c_sp, gamma_q, i_dc, step, r_opt):
         params = make_params(tau_e=tau_e, tau_ph=tau_ph,
@@ -372,9 +378,48 @@ class TestTraceValidation:
                         p=np.array([0.0, -1.0, 0.0]))
 
 
+EDGE_TOL = 1e-6  # steps
+
+
+def grid_position(x):
+    """A position in steps as (step, fraction), snapped to the grid within
+    EDGE_TOL."""
+    k = math.floor(x)
+    f = x - k
+    if f <= EDGE_TOL:
+        return k, 0.0
+    if f >= 1.0 - EDGE_TOL:
+        return k + 1, 0.0
+    return k, f
+
+
+def reference_edges(drive, dt, n_steps):
+    """{step: [(fraction, pulse on after it), ...]} for every drive edge
+    before step n_steps.  The pulse is on over [j*period, j*period + width):
+    period j starts at step j*P when P = period/dt is whole, else at
+    j*period/dt, and the width in steps is added to that position."""
+    p_k, p_f = grid_position(drive.period / dt)
+    w_k, w_f = grid_position(drive.pulse_width / dt)
+    edges = {}
+    j = 0
+    while True:
+        on = (j * p_k, 0.0) if p_f == 0.0 else grid_position(
+            j * (drive.period / dt))
+        carry, f = grid_position(on[1] + w_f)
+        off = (on[0] + w_k + carry, f)
+        if on[0] >= n_steps:
+            return edges
+        edges.setdefault(on[0], []).append((on[1], True))
+        if off[0] < n_steps:
+            edges.setdefault(off[0], []).append((off[1], False))
+        j += 1
+
+
 def reference_simulate(config):
-    """simulate's plain loop: every step integrated, every sample stored one
-    at a time.  The stall skip must reproduce it bit for bit."""
+    """simulate as a plain loop: every grid step integrated on its own, in
+    sub-steps that end on the drive edges inside it, and every sample stored
+    one at a time.  The drive runs and the stall skip must reproduce it bit
+    for bit."""
     params = config.params
     drive = config.drive
     r_opt = ps.pump_rate(config.pump, params)
@@ -387,8 +432,8 @@ def reference_simulate(config):
     out_t = np.empty(n_out)
     out_n = np.empty(n_out)
     out_q = np.empty(n_out)
-    period = drive.period
-    width = drive.pulse_width
+    flat = drive.i_pulse == 0.0 or drive.pulse_width == 0.0
+    edges = {} if flat else reference_edges(drive, dt, n_steps)
     i_bias = drive.i_bias
     i_on = drive.i_bias + drive.i_pulse
     e = ELEMENTARY_CHARGE
@@ -402,6 +447,7 @@ def reference_simulate(config):
     n = init.n
     q = init.q
     clamps = 0
+    pulse_on = not flat
     j = 0
     for k in range(n_steps + 1):
         if k >= warm_steps and (k - warm_steps) % stride == 0:
@@ -411,36 +457,43 @@ def reference_simulate(config):
             j += 1
         if k == n_steps:
             break
-        t = k * dt
-        i0 = i_on if math.fmod(t, period) < width else i_bias
-        im = i_on if math.fmod(t + 0.5 * dt, period) < width else i_bias
-        i1 = i_on if math.fmod(t + dt, period) < width else i_bias
-        g = (n - n_0) / denom / math.sqrt(1.0 + two_gq * q)
-        k1n = i0 / e + r_opt - n / tau_e - q * g / gtp
-        k1q = (g - 1.0) * q / tau_ph + c_sp * n / tau_e
-        na = n + 0.5 * dt * k1n
-        qa = q + 0.5 * dt * k1q
-        g = (na - n_0) / denom / math.sqrt(1.0 + two_gq * qa)
-        k2n = im / e + r_opt - na / tau_e - qa * g / gtp
-        k2q = (g - 1.0) * qa / tau_ph + c_sp * na / tau_e
-        nb = n + 0.5 * dt * k2n
-        qb = q + 0.5 * dt * k2q
-        g = (nb - n_0) / denom / math.sqrt(1.0 + two_gq * qb)
-        k3n = im / e + r_opt - nb / tau_e - qb * g / gtp
-        k3q = (g - 1.0) * qb / tau_ph + c_sp * nb / tau_e
-        nc = n + dt * k3n
-        qc = q + dt * k3q
-        g = (nc - n_0) / denom / math.sqrt(1.0 + two_gq * qc)
-        k4n = i1 / e + r_opt - nc / tau_e - qc * g / gtp
-        k4q = (g - 1.0) * qc / tau_ph + c_sp * nc / tau_e
-        n += dt * (k1n + 2.0 * k2n + 2.0 * k3n + k4n) / 6.0
-        q += dt * (k1q + 2.0 * k2q + 2.0 * k3q + k4q) / 6.0
-        if n < 0.0:
-            n = 0.0
-            clamps += 1
-        if q < 0.0:
-            q = 0.0
-            clamps += 1
+        pieces = []  # (start fraction, end fraction, pulse on)
+        start = 0.0
+        for f, after in sorted(edges.get(k, [])):
+            if f > start:
+                pieces.append((start, f, pulse_on))
+            start = max(start, f)
+            pulse_on = after
+        pieces.append((start, 1.0, pulse_on))
+        for a, b, on in pieces:
+            h = (b - a) * dt
+            i = i_on if on else i_bias
+            g = (n - n_0) / denom / math.sqrt(1.0 + two_gq * q)
+            k1n = i / e + r_opt - n / tau_e - q * g / gtp
+            k1q = (g - 1.0) * q / tau_ph + c_sp * n / tau_e
+            na = n + 0.5 * h * k1n
+            qa = q + 0.5 * h * k1q
+            g = (na - n_0) / denom / math.sqrt(1.0 + two_gq * qa)
+            k2n = i / e + r_opt - na / tau_e - qa * g / gtp
+            k2q = (g - 1.0) * qa / tau_ph + c_sp * na / tau_e
+            nb = n + 0.5 * h * k2n
+            qb = q + 0.5 * h * k2q
+            g = (nb - n_0) / denom / math.sqrt(1.0 + two_gq * qb)
+            k3n = i / e + r_opt - nb / tau_e - qb * g / gtp
+            k3q = (g - 1.0) * qb / tau_ph + c_sp * nb / tau_e
+            nc = n + h * k3n
+            qc = q + h * k3q
+            g = (nc - n_0) / denom / math.sqrt(1.0 + two_gq * qc)
+            k4n = i / e + r_opt - nc / tau_e - qc * g / gtp
+            k4q = (g - 1.0) * qc / tau_ph + c_sp * nc / tau_e
+            n += h * (k1n + 2.0 * k2n + 2.0 * k3n + k4n) / 6.0
+            q += h * (k1q + 2.0 * k2q + 2.0 * k3q + k4q) / 6.0
+            if n < 0.0:
+                n = 0.0
+                clamps += 1
+            if q < 0.0:
+                q = 0.0
+                clamps += 1
     return ps.SimTrace(t=out_t, n=out_n, q=out_q,
                        p=ps.photon_to_power(out_q, params), clamp_count=clamps)
 
@@ -538,25 +591,88 @@ class TestDriveRuns:
         warm=st.floats(0.0, 0.9),
         stride=st.integers(1, 9),
         p_pump=st.floats(0.0, 2e-3),
-        block=st.integers(1, 700),
+        whole=st.booleans(),
     )
     def test_bit_identical_to_reference(self, params, drive, dt, log_rate,
                                         duty, pulsed, steps, warm, stride,
-                                        p_pump, block):
-        # periods down to 1.7 steps give runs of one or two steps at every
-        # edge; small blocks put run edges on block edges
+                                        p_pump, whole):
+        # periods down to 1.7 steps put several edges inside one step; a
+        # whole number of steps per period repeats the schedule exactly
         rate = 10.0 ** log_rate
-        width = duty / rate
-        assume(math.fmod(width, dt) != 0.0)
-        wave = replace(drive, pulse_width=width, rep_rate=rate,
+        if whole:
+            rate = 1.0 / (max(2, round(1.0 / (rate * dt))) * dt)
+        wave = replace(drive, pulse_width=duty / rate, rep_rate=rate,
                        i_pulse=drive.i_pulse if pulsed else 0.0)
         config = ps.SimConfig(params=params, drive=wave,
                               pump=ps.PumpScenario(p_pump, eps_opt=0.5),
                               t_total=steps * dt, dt=dt,
                               warmup=warm * steps * dt, sample_stride=stride)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(dynamics, "_RUN_BLOCK", block)
-            assert_same_trace(config)
+        assert_same_trace(config)
+
+    @settings(deadline=None)
+    @given(
+        dt=st.sampled_from([0.1e-12, 0.25e-12, 0.3e-12, 1e-13 / 3.0]),
+        steps_per_period=st.integers(2, 5000),
+        duty=st.floats(1e-9, 0.999),
+        periods=st.integers(2, 6),
+    )
+    def test_whole_period_schedule_repeats(self, drive, dt, steps_per_period,
+                                           duty, periods):
+        rate = 1.0 / (steps_per_period * dt)
+        wave = replace(drive, pulse_width=duty / rate, rep_rate=rate)
+        p = round(wave.period / dt)
+        assert p == steps_per_period
+        runs = list(dynamics._drive_runs(periods * p, dt, wave,
+                                         *dynamics._sources(wave, 0.0)))
+        by_period = [[run for run in runs if j * p <= run[0] < (j + 1) * p]
+                     for j in range(periods)]
+        assert sum(map(len, by_period)) == len(runs)
+        for j, period_runs in enumerate(by_period):
+            assert period_runs == [(k + j * p, k_end + j * p, h, src)
+                                   for k, k_end, h, src in by_period[0]]
+        # the runs tile the steps in order, whole steps being dt long
+        tiles = [(k, k_end) for k, k_end, h, _ in runs if h == dt]
+        subs = [(k, h) for k, k_end, h, _ in runs if h != dt]
+        assert all(k_end == k + 1 for k, k_end, h, _ in runs if h != dt)
+        covered = sorted({k for a, b in tiles for k in range(a, b)}
+                         | {k for k, _ in subs})
+        assert covered == list(range(periods * p))
+        for k in {k for k, _ in subs}:
+            assert math.fsum(h for kk, h in subs if kk == k) == pytest.approx(
+                dt, rel=1e-12)
+
+    @settings(deadline=None)
+    @given(
+        n=st.floats(0.0, 2e8),
+        q=st.floats(0.0, 1e6),
+        i_now=st.floats(0.0, 50e-3),
+        r_opt=st.floats(0.0, 1e17),
+        h=st.floats(1e-16, 1e-13),
+    )
+    def test_kernel_step_matches_model_derivatives(self, params, n, q, i_now,
+                                                   r_opt, h):
+        """One kernel step against classical RK4 built from
+        model.derivatives, whose first stage is derivatives at the state."""
+        src = i_now / ELEMENTARY_CHARGE + r_opt
+
+        def f(nn, qq):
+            return ps.derivatives(ps.LaserState(n=max(nn, 0.0),
+                                                q=max(qq, 0.0)),
+                                  i_now, r_opt, params)
+
+        k1n, k1q = f(n, q)
+        assume(n + 0.5 * h * k1n >= 0.0 and q + 0.5 * h * k1q >= 0.0)
+        k2n, k2q = f(n + 0.5 * h * k1n, q + 0.5 * h * k1q)
+        assume(n + 0.5 * h * k2n >= 0.0 and q + 0.5 * h * k2q >= 0.0)
+        k3n, k3q = f(n + 0.5 * h * k2n, q + 0.5 * h * k2q)
+        assume(n + h * k3n >= 0.0 and q + h * k3q >= 0.0)
+        k4n, k4q = f(n + h * k3n, q + h * k3q)
+        want_n = max(n + h * (k1n + 2.0 * k2n + 2.0 * k3n + k4n) / 6.0, 0.0)
+        want_q = max(q + h * (k1q + 2.0 * k2q + 2.0 * k3q + k4q) / 6.0, 0.0)
+        got_n, got_q, _, _ = dynamics._advance(n, q, [(0, 1, h, src)],
+                                               params, h)
+        assert abs(got_n - want_n) <= math.ulp(want_n)
+        assert abs(got_q - want_q) <= math.ulp(want_q)
 
 
 class TestWriteCsv:
