@@ -5,6 +5,7 @@ calibration of the unknown pumping efficiency against a measured target.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -343,13 +344,6 @@ def _periodic_metrics(base: SimConfig, p_pump: float) -> _Periodic:
     return _Periodic(float(energy), float(p[:-1].mean()), residual, periods)
 
 
-def _metrics_at_power(args: tuple[SimConfig, float]) -> tuple[float, float]:
-    """Worker: per-period pulse energy and average power at one pump power."""
-    base, p_pump = args
-    result = _periodic_metrics(base, p_pump)
-    return result.pulse_energy, result.avg_power
-
-
 def pump_sweep(base: SimConfig, powers, jobs: int = 1) -> list[SweepRow]:
     """Measure the periodic state at each pump power and normalize against
     the unpumped one.
@@ -366,15 +360,16 @@ def pump_sweep(base: SimConfig, powers, jobs: int = 1) -> list[SweepRow]:
     if any(b < a for a, b in zip(powers, powers[1:])):
         raise ValueError("pump powers must be sorted ascending")
 
-    e_base, p_base = _metrics_at_power((base, 0.0))
-    todo = [(base, p) for p in powers if p != 0.0]
+    unpumped = _periodic_metrics(base, 0.0)
+    todo = [p for p in powers if p != 0.0]
     if jobs > 1 and len(todo) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_metrics_at_power, todo))
+            results = list(pool.map(_periodic_metrics,
+                                    itertools.repeat(base), todo))
     else:
-        results = [_metrics_at_power(item) for item in todo]
+        results = [_periodic_metrics(base, p) for p in todo]
 
     rows = []
     it = iter(results)
@@ -383,9 +378,11 @@ def pump_sweep(base: SimConfig, powers, jobs: int = 1) -> list[SweepRow]:
             rows.append(SweepRow(p_pump_w=0.0, norm_pulse_energy=1.0,
                                  norm_avg_power=1.0))
         else:
-            e, pw = next(it)
-            rows.append(SweepRow(p_pump_w=p, norm_pulse_energy=e / e_base,
-                                 norm_avg_power=pw / p_base))
+            result = next(it)
+            rows.append(SweepRow(
+                p_pump_w=p,
+                norm_pulse_energy=result.pulse_energy / unpumped.pulse_energy,
+                norm_avg_power=result.avg_power / unpumped.avg_power))
     return rows
 
 
@@ -420,7 +417,7 @@ def fit_eps_opt(
     if not 0.0 < eps_lo < eps_hi <= 1.0:
         raise ValueError(f"need 0 < eps_lo < eps_hi <= 1, got [{eps_lo}, {eps_hi}]")
 
-    e_base, _ = _metrics_at_power((base, 0.0))
+    e_base = _periodic_metrics(base, 0.0).pulse_energy
     cache: dict[float, float] = {}  # log10(eps_opt) -> ratio
 
     def excess(x: float) -> float:

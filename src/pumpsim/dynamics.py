@@ -2,14 +2,15 @@
 
 The integrator is a classical fixed-step 4th-order scheme: deterministic,
 reproducible to the bit, and fast enough in plain Python because the system
-has only two state variables.  Steady states are found algebraically (one
-root find over the photon number) with long time integration as the fallback.
+has only two state variables.  Steady states are found algebraically, by
+one root find over the photon number.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -143,35 +144,6 @@ def _derivatives_ok(state: LaserState, i_dc: float, r_opt: float,
     return residual <= bound, residual
 
 
-def _settle(params: LaserParams, i_dc: float, r_opt: float,
-            n: float, q: float) -> LaserState:
-    """Fallback: integrate the system until the derivatives vanish."""
-    dt = params.tau_ph / 10.0
-    budget = int(2000.0 * params.tau_e / dt)
-    chunk = 10000
-    done = 0
-    residual = math.inf
-    while done < budget:
-        steps = min(chunk, budget - done)
-        for _ in range(steps):
-            state = LaserState(n=max(n, 0.0), q=max(q, 0.0))
-            k1n, k1q = derivatives(state, i_dc, r_opt, params)
-            n += dt * k1n
-            q += dt * k1q
-        done += steps
-        state = LaserState(n=max(n, 0.0), q=max(q, 0.0))
-        ok, residual = _derivatives_ok(state, i_dc, r_opt, params)
-        if ok:
-            return state
-        if not math.isfinite(residual):
-            break  # a non-finite state never settles
-    raise ConvergenceError(
-        f"steady state did not converge after {done} fallback steps "
-        f"(residual {residual:.3e} 1/s)",
-        residual=residual,
-    )
-
-
 def steady_state(params: LaserParams, i_dc: float, r_opt: float = 0.0) -> LaserState:
     """Equilibrium of the rate equations under dc current and cw pumping.
 
@@ -184,18 +156,19 @@ def steady_state(params: LaserParams, i_dc: float, r_opt: float = 0.0) -> LaserS
     while the balance there is negative (only when ``c_sp > gamma_conf``).
     Without spontaneous emission (``c_sp = 0``) the field is dark up to
     threshold, and above it ``n = n_0 + d*s``, so ``c_sp = 0, gamma_q = 0``
-    is algebraic too.  The
-    answer must zero ``model.derivatives``; if the root find fails or misses,
-    time integration takes over, and ``ConvergenceError`` carrying the
-    residual is raised if that does not converge either.
+    is algebraic too.  So is a bracket end below the smallest normal double,
+    zero injection included: ``n(q)`` then underflows on the bracket, and the
+    field is dark to the precision of a double.  Every answer must zero
+    ``model.derivatives`` (``_derivatives_ok``).  A failed root find, or an
+    answer that misses that check, raises ``ConvergenceError``; its message
+    names the cause, and it carries the derivative residual of the last
+    candidate (the bracket's upper end when ``brentq`` raised).
     """
     if i_dc < 0.0:
         raise ValueError(f"i_dc must be nonnegative, got {i_dc}")
     if r_opt < 0.0:
         raise ValueError(f"r_opt must be nonnegative, got {r_opt}")
     inj = i_dc / ELEMENTARY_CHARGE + r_opt
-    if inj == 0.0:
-        return LaserState(n=0.0, q=0.0)
 
     tau_e = params.tau_e
     gtp = params.gamma_conf * params.tau_ph
@@ -219,36 +192,44 @@ def steady_state(params: LaserParams, i_dc: float, r_opt: float = 0.0) -> LaserS
         n, g = carriers(q)
         return n / tau_e + q * g / gtp - inj
 
-    state = None
-    if ad == 0.0 and inj * tau_e <= params.n_th:
+    failure = None
+    hi = 2.0 * gtp * inj
+    if hi < sys.float_info.min or ad == 0.0 and inj * tau_e <= params.n_th:
         state = LaserState(n=inj * tau_e, q=0.0)
     else:
         # On the curve q*g = q - a*n, so F(2*gtp*inj) >= inj when
         # c_sp <= gamma_conf; above that, F grows without bound in q, and
         # doubling the end finds a nonnegative residual.
-        hi = 2.0 * gtp * inj
         if params.c_sp > params.gamma_conf:
             while excess(hi) < 0.0:
                 hi *= 2.0
+        # Near q = 0, n(q) ~ n_th*q/ad, so the derivative check needs q to
+        # within about 1e-6*ad/n_th.  The floor, a few subnormal spacings,
+        # lets brentq stop on a root below the smallest normal double.
+        xtol = max(min(1e-30, 1e-7 * ad / params.n_th), 1e-322)
         try:
             q, result = brentq(
                 excess, 0.0, hi,
-                xtol=1e-30, rtol=_BRENTQ_RTOL, maxiter=300,
+                xtol=xtol, rtol=_BRENTQ_RTOL, maxiter=3000,
                 full_output=True, disp=False,
             )
-        except ValueError:  # no sign change on the bracket, or a NaN residual
-            result = None
-        if result is not None and result.converged:
-            state = LaserState(n=carriers(q)[0], q=q)
+        except ValueError as exc:  # no sign change, or a NaN residual
+            q, failure = hi, f"root find failed ({exc})"
+        else:
+            if not result.converged:
+                failure = (f"root find did not converge after "
+                           f"{result.iterations} iterations")
+        state = LaserState(n=carriers(q)[0], q=q)
 
-    if state is not None:
-        ok, _ = _derivatives_ok(state, i_dc, r_opt, params)
-        if ok:
-            return state
-        n0, q0 = state.n, state.q
-    else:
-        n0, q0 = min(inj * tau_e, params.n_th), 1.0
-    return _settle(params, i_dc, r_opt, n0, q0)
+    ok, residual = _derivatives_ok(state, i_dc, r_opt, params)
+    if ok and failure is None:
+        return state
+    raise ConvergenceError(
+        f"steady state {failure or 'missed the derivative check'} at "
+        f"i_dc={i_dc:g} A, r_opt={r_opt:g} 1/s "
+        f"(residual {residual:.3e} 1/s at n={state.n:.6g}, q={state.q:.6g})",
+        residual=residual,
+    )
 
 
 def simulate(config: SimConfig) -> SimTrace:

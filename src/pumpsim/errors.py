@@ -12,7 +12,8 @@ class NumericalError(RuntimeError):
 
 
 class ConvergenceError(NumericalError):
-    """An iterative solve exhausted its budget; carries the last residual."""
+    """An iterative solve failed, exhausted its budget, or returned an answer
+    that misses its residual check; carries the last residual."""
 
     def __init__(self, message: str, residual: float | None = None):
         super().__init__(message)

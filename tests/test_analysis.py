@@ -261,18 +261,21 @@ class TestPumpSweep:
         with pytest.raises(ValueError):
             ps.pump_sweep(base_config, [-1e-3])
 
-    def test_ratio_nondecreasing_in_eps(self, base_config, base_trace):
+    @pytest.mark.parametrize("path", ["simulate", "periodic"])
+    def test_ratio_nondecreasing_in_eps(self, base_config, path):
         # A window snapped to whole samples jumps by ~1e-4 whenever a
         # threshold crossing passes a sample: 1.0000807 at eps 2e-4, then
         # 0.9999196 at 1.5e-3.  Interpolated window edges remove the jumps.
-        e_base = ps.pulse_metrics(base_trace, base_config.drive).pulse_energy
-        ratios = []
-        for eps in [1e-6, 1e-4, 2e-4, 5e-4, 1.5e-3, 5e-3, 2e-2]:
-            config = replace(base_config,
-                             pump=ps.PumpScenario(p_pump=1.43e-3, eps_opt=eps))
-            energy = ps.pulse_metrics(ps.simulate(config),
-                                      base_config.drive).pulse_energy
-            ratios.append(energy / e_base)
+        def energy(eps, p_pump):
+            config = replace(base_config, pump=ps.PumpScenario(p_pump, eps))
+            if path == "periodic":  # what fit_eps_opt evaluates
+                return analysis._periodic_metrics(config, p_pump).pulse_energy
+            return ps.pulse_metrics(ps.simulate(config),
+                                    config.drive).pulse_energy
+
+        e_base = energy(base_config.pump.eps_opt, 0.0)
+        ratios = [energy(eps, 1.43e-3) / e_base
+                  for eps in [1e-6, 1e-4, 2e-4, 5e-4, 1.5e-3, 5e-3, 2e-2]]
         assert ratios[0] >= 1.0
         assert ratios == sorted(ratios)
 

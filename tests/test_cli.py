@@ -169,17 +169,18 @@ class TestCurves:
 
 
 class TestSteadyStateFailures:
-    def test_unconverged_root_find_settles(self, capsys, tmp_path,
+    def test_unconverged_root_find_exits_2(self, capsys, tmp_path,
                                            monkeypatch):
         real = dynamics.brentq
         monkeypatch.setattr(
             dynamics, "brentq",
             lambda f, a, b, **kw: real(f, a, b, **{**kw, "maxiter": 1}),
         )
-        code, out, _ = run(capsys, "lcurve", "--currents", "12:25:6",
+        code, _, err = run(capsys, "lcurve", "--currents", "12:25:6",
                            "--out", str(tmp_path / "lc.csv"))
-        assert code == 0
-        assert summary_value(out, "eta_meas") == pytest.approx(0.5, rel=0.02)
+        assert code == 2
+        assert "steady state root find did not converge" in err
+        assert "residual" in err
 
     def test_unsettled_steady_state_is_numerical_failure(self, capsys,
                                                          tmp_path,
@@ -189,7 +190,8 @@ class TestSteadyStateFailures:
         code, _, err = run(capsys, "lcurve", "--currents", "12:25:6",
                            "--out", str(tmp_path / "lc.csv"))
         assert code == 2
-        assert "steady state did not converge" in err
+        assert "steady state missed the derivative check" in err
+        assert "residual nan 1/s" in err
 
 
 class TestSweepAndFit:

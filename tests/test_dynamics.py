@@ -72,19 +72,8 @@ class TestSteadyState:
         assert pumped.n == pytest.approx(shifted.n, rel=1e-9)
         assert pumped.q == pytest.approx(shifted.q, rel=1e-9)
 
-    def test_degenerate_params_use_settling_fallback(self):
+    def test_degenerate_params_are_algebraic(self):
         params = make_params(c_sp=0.0, gamma_q=0.0)
-        state = ps.steady_state(params, 20e-3)
-        assert state.n == pytest.approx(params.n_th, rel=1e-3)
-        q_expected = (
-            params.gamma_conf * params.tau_ph
-            * (20e-3 / ELEMENTARY_CHARGE - params.n_th / params.tau_e)
-        )
-        assert state.q == pytest.approx(q_expected, rel=0.01)
-
-    def test_degenerate_params_are_algebraic(self, monkeypatch):
-        params = make_params(c_sp=0.0, gamma_q=0.0)
-        monkeypatch.setattr(dynamics, "_settle", refuse_settle)
         state = ps.steady_state(params, 20e-3)
         assert state.n == pytest.approx(params.n_th, rel=1e-12)
         q_expected = (
@@ -97,16 +86,14 @@ class TestSteadyState:
     @given(
         tau_e=st.floats(0.3e-9, 3e-9),
         tau_ph=st.floats(1e-12, 1e-11),
-        gamma_conf=st.floats(0.05, 1.0),
+        gamma_conf=st.floats(0.01, 1.0),
         n_0=st.floats(0.0, 1e8),
         span=st.floats(1e6, 1e8),
-        c_sp=st.just(0.0) | st.floats(1e-9, 1.0),
-        gamma_q=st.just(0.0) | st.floats(1e-9, 1e-4),
-        # below 1 pA or 1e3 pumped carriers/s the bracket can underflow to
-        # subnormals, and the settling fallback answers
-        i_dc=st.just(0.0) | st.floats(1e-12, 50e-3),
+        c_sp=st.just(0.0) | st.floats(5e-324, 1.0),
+        gamma_q=st.just(0.0) | st.floats(1e-9, 10.0),
+        i_dc=st.just(0.0) | st.floats(5e-324, 50e-3),
         step=st.floats(1e-6, 20e-3),
-        r_opt=st.just(0.0) | st.floats(1e3, 1e17),
+        r_opt=st.just(0.0) | st.floats(5e-324, 1e17),
     )
     # c_sp above gamma_conf, where [0, 2*gamma_conf*tau_ph*inj] has no sign
     # change at 2 and 20 mA
@@ -114,17 +101,35 @@ class TestSteadyState:
              c_sp=0.5, gamma_q=1e-6, i_dc=2e-3, step=18e-3, r_opt=1e15)
     @example(tau_e=1e-9, tau_ph=3e-12, gamma_conf=0.12, n_0=5.5e7, span=1e7,
              c_sp=1.0, gamma_q=1e-6, i_dc=2e-3, step=18e-3, r_opt=0.0)
+    # subthreshold roots below a fixed xtol of 1e-30
+    @example(tau_e=1e-9, tau_ph=3e-12, gamma_conf=0.12, n_0=5.5e7, span=1e7,
+             c_sp=1e-30, gamma_q=1e-6, i_dc=1e-3, step=18e-3, r_opt=0.0)
+    @example(tau_e=1e-9, tau_ph=3e-12, gamma_conf=0.12, n_0=5.5e7, span=1e7,
+             c_sp=1e-26, gamma_q=1e-6, i_dc=1e-12, step=18e-3, r_opt=0.0)
+    # the bracket end 2*gamma_conf*tau_ph*inj underflows to 0, or is
+    # subnormal and n(q) underflows to 0 on the bracket
+    @example(tau_e=1e-9, tau_ph=3e-12, gamma_conf=0.12, n_0=5.5e7, span=1e7,
+             c_sp=1e-12, gamma_q=1e-6, i_dc=0.0, step=18e-3, r_opt=5e-324)
+    @example(tau_e=0.3e-9, tau_ph=1e-12, gamma_conf=0.5, n_0=0.0,
+             span=2099913.0, c_sp=0.5, gamma_q=0.0, i_dc=0.0, step=18e-3,
+             r_opt=2.225073858507203e-309)
+    @example(tau_e=1e-9, tau_ph=3e-12, gamma_conf=1e-3, n_0=5.5e7, span=1e7,
+             c_sp=1e-300, gamma_q=1e6, i_dc=1e-3, step=18e-3, r_opt=0.0)
+    # a root below the smallest normal double; n_0 + span == n_th exactly
+    @example(tau_e=5.15275623921525e-9, tau_ph=5.045761122707895e-12,
+             gamma_conf=0.01615145058829573, n_0=18307702.19245789,
+             span=18405777.386812218 - 18307702.19245789,
+             c_sp=8.29900964324e-313, gamma_q=2028.7560245406046, i_dc=0.0,
+             step=18e-3, r_opt=2.975062220086746e-34)
     def test_root_find_properties(self, tau_e, tau_ph, gamma_conf, n_0,
                                   span, c_sp, gamma_q, i_dc, step, r_opt):
         params = make_params(tau_e=tau_e, tau_ph=tau_ph,
                              gamma_conf=gamma_conf, n_0=n_0,
                              n_th=n_0 + span, c_sp=c_sp, gamma_q=gamma_q)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(dynamics, "_settle", refuse_settle)
-            low = ps.steady_state(params, i_dc)
-            high = ps.steady_state(params, i_dc + step)
-            pumped = ps.steady_state(params, i_dc, r_opt)
-            shifted = ps.steady_state(params, i_dc + ELEMENTARY_CHARGE * r_opt)
+        low = ps.steady_state(params, i_dc)
+        high = ps.steady_state(params, i_dc + step)
+        pumped = ps.steady_state(params, i_dc, r_opt)
+        shifted = ps.steady_state(params, i_dc + ELEMENTARY_CHARGE * r_opt)
         for state, i in ((low, i_dc), (high, i_dc + step)):
             assert dynamics._derivatives_ok(state, i, 0.0, params)[0]
         assert dynamics._derivatives_ok(pumped, i_dc, r_opt, params)[0]
@@ -137,10 +142,6 @@ class TestSteadyState:
             ps.steady_state(params, -1e-3)
         with pytest.raises(ValueError):
             ps.steady_state(params, 1e-3, -1.0)
-
-
-def refuse_settle(*args):
-    raise AssertionError("steady_state fell back to _settle")
 
 
 def failing_brentq(mode):
@@ -157,28 +158,32 @@ def failing_brentq(mode):
     return fake
 
 
-class TestSettlingFallback:
+class TestRootFindFailures:
     @pytest.mark.parametrize("mode", ["bracket", "nan", "maxiter", "miss"])
     @pytest.mark.parametrize("i_dc", [2e-3, 20e-3])
-    def test_root_find_failure_settles(self, params, monkeypatch, mode, i_dc):
-        want = ps.steady_state(params, i_dc)
-        settled = []
-        real_settle = dynamics._settle
+    def test_root_find_failure_raises(self, params, monkeypatch, mode, i_dc):
+        cause = {"bracket": "different signs", "nan": "NaN",
+                 "maxiter": "did not converge",
+                 "miss": "missed the derivative check"}[mode]
+        residuals = []
+        real_check = dynamics._derivatives_ok
 
         def spy(*args):
-            settled.append(real_settle(*args))
-            return settled[-1]
+            ok, residual = real_check(*args)
+            residuals.append(residual)
+            return ok, residual
 
         monkeypatch.setattr(dynamics, "brentq", failing_brentq(mode))
-        monkeypatch.setattr(dynamics, "_settle", spy)
-        state = ps.steady_state(params, i_dc)
-        assert settled == [state]
-        assert dynamics._derivatives_ok(state, i_dc, 0.0, params)[0]
-        assert state.n == pytest.approx(want.n, rel=1e-6)
-        assert state.q == pytest.approx(want.q, rel=1e-6)
+        monkeypatch.setattr(dynamics, "_derivatives_ok", spy)
+        with pytest.raises(ConvergenceError) as info:
+            ps.steady_state(params, i_dc)
+        message = str(info.value)
+        assert "steady state" in message and cause in message
+        assert info.value.residual == residuals[-1]
+        assert 0.0 < info.value.residual < math.inf
+        assert f"residual {info.value.residual:.3e} 1/s" in message
 
-    def test_convergence_error_carries_residual(self, monkeypatch):
-        params = make_params(tau_ph=3e-10)  # a settling budget of 66,666 steps
+    def test_convergence_error_carries_residual(self, params, monkeypatch):
         residuals = []
         real_check = dynamics._derivatives_ok
 
@@ -192,15 +197,15 @@ class TestSettlingFallback:
             ps.steady_state(params, 20e-3)
         assert info.value.residual == residuals[-1]
         assert 0.0 < info.value.residual < math.inf
-        assert "66666 fallback steps" in str(info.value)
 
-    def test_non_finite_state_stops_settling(self, params, monkeypatch):
+    def test_non_finite_derivatives_raise(self, params, monkeypatch):
         monkeypatch.setattr(dynamics, "derivatives",
                             lambda *args: (math.nan, math.nan))
         with pytest.raises(ConvergenceError) as info:
             ps.steady_state(params, 20e-3)
         assert math.isnan(info.value.residual)
-        assert "after 10000 fallback steps" in str(info.value)
+        assert "missed the derivative check" in str(info.value)
+        assert "residual nan 1/s" in str(info.value)
 
 
 class TestSimConfigValidation:
