@@ -39,7 +39,7 @@ __all__ = [
 ]
 
 _BRENTQ_RTOL = 4.0 * np.finfo(float).eps
-_CSV_BLOCK_ROWS = 65536  # rows formatted per write
+_CSV_BLOCK_ROWS = 8192  # rows formatted per write
 
 
 @dataclass(frozen=True)
@@ -116,17 +116,36 @@ def _write_csv(path, header: str, columns) -> None:
     """Write equal-length columns under a header line, 12 significant digits
     per value; the one CSV format of every pumpsim data file.
 
-    The bytes are those of ``np.savetxt(fmt="%.12g", delimiter=",")``, but
-    each block of rows is stacked and formatted with one ``%`` operation,
-    without a copy of the whole table.
+    The bytes are those of ``np.savetxt(fmt="%.12g", delimiter=",")``.  Rows
+    are written a block at a time.  Within a block the first column is
+    formatted for every row, and the rest of a row is formatted once per run
+    of consecutive rows whose remaining values are bit-identical (a trace's
+    stall-skipped steps repeat ``n``, ``q`` and ``p``), then joined between
+    the first-column strings of the run.
     """
-    line = ",".join(["%.12g"] * len(columns)) + "\n"
-    rows = len(columns[0])
+    first, *rest = [np.asarray(c, dtype=float) for c in columns]
+    suffix = ",%.12g" * len(rest) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
-        for a in range(0, rows, _CSV_BLOCK_ROWS):
-            block = np.column_stack([c[a:a + _CSV_BLOCK_ROWS] for c in columns])
-            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+        for a in range(0, len(first), _CSV_BLOCK_ROWS):
+            lead = first[a:a + _CSV_BLOCK_ROWS]
+            block = [c[a:a + _CSV_BLOCK_ROWS] for c in rest]
+            # a row starts a run unless its values have the bits of the row
+            # above; -0.0 == 0.0, but the two format differently
+            new = np.zeros(len(lead), dtype=bool)
+            new[0] = True
+            for c in block:
+                bits = c.view(np.int64)
+                new[1:] |= bits[1:] != bits[:-1]
+            values = np.array([c[new] for c in block]).ravel(order="F")
+            tails = ((suffix * int(new.sum())) % tuple(values.tolist())
+                     ).splitlines(True)
+            heads = (("%.12g\n" * len(lead)) % tuple(lead.tolist())
+                     ).splitlines()
+            starts = np.flatnonzero(new).tolist()
+            ends = starts[1:] + [len(lead)]
+            fh.write("".join([tail.join(heads[s:e]) + tail
+                              for s, e, tail in zip(starts, ends, tails)]))
 
 
 def drive_current(t: float, drive: DriveWaveform) -> float:

@@ -89,6 +89,11 @@ class LaserParams:
             raise ValueError(f"tau_ph must be positive, got {self.tau_ph}")
         if not 0.0 < self.gamma_conf <= 1.0:
             raise ValueError(f"gamma_conf must be in (0, 1], got {self.gamma_conf}")
+        if self.gamma_conf * self.tau_ph == 0.0:
+            raise ValueError(
+                f"gamma_conf*tau_ph underflows to 0, got "
+                f"gamma_conf={self.gamma_conf}, tau_ph={self.tau_ph}"
+            )
         if self.n_0 < 0.0:
             raise ValueError(f"n_0 must be nonnegative, got {self.n_0}")
         if self.n_th <= self.n_0:

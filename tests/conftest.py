@@ -1,6 +1,17 @@
+import os
+
 import pytest
+from hypothesis import settings
 
 import pumpsim as ps
+
+# HYPOTHESIS_PROFILE=ci draws the same examples on every run, so a failure
+# seen in CI reproduces locally under the same profile.
+settings.register_profile(
+    "ci", derandomize=True,
+    max_examples=settings.get_profile("default").max_examples,
+)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")

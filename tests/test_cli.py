@@ -106,6 +106,32 @@ class TestSimulate:
         assert ((tmp_path / "a.csv.meta.json").read_text()
                 == (tmp_path / "b.csv.meta.json").read_text())
 
+    def test_stalled_trace_bytes_match_savetxt(self, capsys, tmp_path,
+                                               monkeypatch):
+        """At 2% duty most steps stall, so the trace's (n, q, p) rows come in
+        runs, and at 7-row blocks the runs cross block edges; the file is
+        still savetxt's bytes for the same simulation."""
+        doc = scenario_dict(load_scenario("default"))
+        doc["laser"]["tau_ph_ps"] = 10.0
+        doc["drive"].update(i_bias_ma=25.0, i_pulse_ma=5.0, rep_rate_ghz=0.1)
+        doc["numerics"].update(dt_ps=1.0, warmup_ns=0.0, t_total_ns=50.5)
+        path = tmp_path / "lowduty.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        monkeypatch.setattr(dynamics, "_CSV_BLOCK_ROWS", 7)
+        got = tmp_path / "trace.csv"
+        assert run(capsys, "simulate", "--scenario", str(path),
+                   "--out", str(got))[0] == 0
+
+        trace = pumpsim.simulate(load_scenario(str(path)).sim_config())
+        table = np.column_stack([trace.t, trace.n, trace.q, trace.p])
+        bits = table[:, 1:].view(np.int64)
+        assert np.all(bits[1:] == bits[:-1], axis=1).mean() > 0.5
+        want = tmp_path / "want.csv"
+        with open(want, "w", newline="") as fh:
+            np.savetxt(fh, table, fmt="%.12g", delimiter=",",
+                       header="t_s,n,q,p_w", comments="")
+        assert got.read_bytes() == want.read_bytes()
+
     def test_missing_field_names_it(self, capsys, tmp_path):
         bad = tmp_path / "bad.yaml"
         bad.write_text(
@@ -324,6 +350,16 @@ class TestNonFinite:
                            "--out", str(tmp_path / "x.csv"))
         assert code == 1
         assert f"{section}.{key}" in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "lcurve"])
+def test_underflowing_gamma_conf_is_input_error(capsys, tmp_path, command):
+    path = _scenario_with(tmp_path, "laser", "gamma_conf", 5e-324)
+    code, out, err = run(capsys, command, "--scenario", path,
+                         "--out", str(tmp_path / "x.csv"))
+    assert code == 1
+    assert "gamma_conf" in err and "tau_ph" in err
+    assert not (tmp_path / "x.csv").exists()
 
 
 @pytest.mark.parametrize("module", ["pumpsim", "pumpsim.cli"])

@@ -2,6 +2,7 @@
 
 import math
 import types
+from unittest import mock
 from dataclasses import replace
 
 import numpy as np
@@ -680,6 +681,41 @@ class TestDriveRuns:
         assert abs(got_q - want_q) <= math.ulp(want_q)
 
 
+def savetxt_bytes(path, header, columns):
+    """The bytes numpy.savetxt writes for the columns: the writer's oracle."""
+    with open(path, "w", newline="") as fh:
+        np.savetxt(fh, np.column_stack(columns), fmt="%.12g", delimiter=",",
+                   header=header, comments="")
+    return path.read_bytes()
+
+
+# -0.0 and 0.0 compare equal but print differently; the rest are the edges
+# of %.12g: non-finite, subnormal, huge
+EDGE_VALUES = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324,
+               -2.5e-310, 1e300, -1e300, 1.0 / 3.0]
+
+
+@st.composite
+def run_columns(draw):
+    """1-4 equal-length columns whose rows come in runs of repeats, each
+    column a list or an array."""
+    width = draw(st.integers(1, 4))
+    value = st.one_of(st.sampled_from(EDGE_VALUES), st.floats())
+    runs = draw(st.lists(st.tuples(st.lists(value, min_size=width,
+                                            max_size=width),
+                                   st.integers(1, 12)), max_size=10))
+    rows = [row for row, repeats in runs for _ in range(repeats)]
+    columns = [[row[k] for row in rows] for k in range(width)]
+    as_list = draw(st.lists(st.booleans(), min_size=width, max_size=width))
+    return [c if lst else np.array(c, dtype=float)
+            for c, lst in zip(columns, as_list)]
+
+
+@pytest.fixture(scope="module")
+def csv_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv")
+
+
 class TestWriteCsv:
     @pytest.mark.parametrize("rows", [0, 1, 3, 4, 5])
     def test_bytes_match_savetxt(self, tmp_path, monkeypatch, rows):
@@ -691,8 +727,29 @@ class TestWriteCsv:
                    for shift in range(4)]
         got = tmp_path / "got.csv"
         dynamics._write_csv(got, "t_s,n,q,p_w", columns)
-        want = tmp_path / "want.csv"
-        with open(want, "w", newline="") as fh:
-            np.savetxt(fh, np.column_stack(columns), fmt="%.12g",
-                       delimiter=",", header="t_s,n,q,p_w", comments="")
-        assert got.read_bytes() == want.read_bytes()
+        want = savetxt_bytes(tmp_path / "want.csv", "t_s,n,q,p_w", columns)
+        assert got.read_bytes() == want
+
+    def test_run_across_three_blocks(self, tmp_path, monkeypatch):
+        """Rows 2-11 repeat one (n, q, p) through blocks 0, 1 and 2; every
+        one of them is written, each with its own time."""
+        monkeypatch.setattr(dynamics, "_CSV_BLOCK_ROWS", 4)
+        t = np.arange(14) * 0.1
+        n = np.array([1.0, 2.0] + [3.0] * 10 + [-0.0, 0.0])
+        columns = [t, n, 2.0 * n, 5e-324 * n]
+        got = tmp_path / "got.csv"
+        dynamics._write_csv(got, "t_s,n,q,p_w", columns)
+        want = savetxt_bytes(tmp_path / "want.csv", "t_s,n,q,p_w", columns)
+        assert got.read_bytes() == want
+        assert got.read_text().count(",3,6,1.48219693752e-323\n") == 10
+
+    @given(columns=run_columns(), block=st.integers(1, 9))
+    @example(columns=[[1.0, 2.0, 3.0], [0.0, -0.0, 0.0]], block=9)
+    @example(columns=[np.array([0.0, -0.0, -0.0, 0.0])], block=3)
+    def test_runs_match_savetxt(self, csv_dir, columns, block):
+        header = ",".join(f"c{k}" for k in range(len(columns)))
+        got = csv_dir / "got.csv"
+        with mock.patch.object(dynamics, "_CSV_BLOCK_ROWS", block):
+            dynamics._write_csv(got, header, columns)
+        assert got.read_bytes() == savetxt_bytes(csv_dir / "want.csv", header,
+                                                 columns)

@@ -188,6 +188,17 @@ class TestValidation:
         with pytest.raises(ValueError):
             make_params(**overrides)
 
+    @pytest.mark.parametrize("overrides", [
+        {"gamma_conf": 5e-324},
+        {"tau_ph": 5e-324},
+        {"gamma_conf": 1e-170, "tau_ph": 1e-170},
+    ])
+    def test_underflowing_photon_lifetime_product_rejected(self, overrides):
+        """gamma_conf*tau_ph divides the stimulated term of the carrier
+        equation; a product that rounds to 0 would divide by zero there."""
+        with pytest.raises(ValueError, match="gamma_conf.*tau_ph"):
+            make_params(**overrides)
+
     def test_bad_drive_rejected(self):
         with pytest.raises(ValueError):
             ps.DriveWaveform(i_bias=-1e-3, i_pulse=0.0, pulse_width=1e-10,
