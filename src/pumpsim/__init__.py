@@ -21,7 +21,6 @@ from .dynamics import (
     default_warmup,
     drive_current,
     simulate,
-    standard_config,
     steady_state,
 )
 from .errors import (

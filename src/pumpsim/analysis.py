@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -18,7 +18,6 @@ from .dynamics import (
     SimTrace,
     _advance,
     _drive_runs,
-    _sources,
     _split,
     _write_csv,
     steady_state,
@@ -263,9 +262,9 @@ class _Periodic(NamedTuple):
     periods: int  # periods integrated before the recorded one
 
 
-def _periodic_metrics(base: SimConfig, p_pump: float) -> _Periodic:
-    """Pulse energy and average power of the periodic state at ``p_pump``,
-    with the pumping efficiency of ``base.pump``.
+def _periodic_metrics(base: SimConfig, r_opt: float) -> _Periodic:
+    """Pulse energy and average power of the periodic state under the pump
+    rate ``r_opt`` (1/s).
 
     Shooting on the period map ``F``: the state at one period start to the
     state at the next, integrated by ``dynamics._advance``.  From the bias
@@ -278,18 +277,16 @@ def _periodic_metrics(base: SimConfig, p_pump: float) -> _Periodic:
     carries the residual.  The period from the converged start is then
     recorded and measured like one period of ``pulse_metrics``.  The step is
     ``base.dt`` when it divides the period, else ``period/ceil(period/dt)``;
-    ``base``'s warmup, ``t_total`` and ``sample_stride`` play no part.
+    ``base``'s pump, warmup, ``t_total`` and ``sample_stride`` play no part.
     """
     params = base.params
     drive = base.drive
-    r_opt = pump_rate(PumpScenario(p_pump=p_pump, eps_opt=base.pump.eps_opt),
-                      params)
     m, frac = _split(drive.period / base.dt)
     h = base.dt
     if frac:  # shrink the step to a whole number of steps per period
         m += 1
         h = drive.period / m
-    runs = list(_drive_runs(m, h, drive, *_sources(drive, r_opt)))
+    runs = list(_drive_runs(m, h, drive, r_opt))
 
     init = steady_state(params, drive.i_bias, r_opt)
     first = np.array(_advance(init.n, init.q, runs, params, h)[:2])
@@ -361,15 +358,16 @@ def pump_sweep(base: SimConfig, powers, jobs: int = 1) -> list[SweepRow]:
         raise ValueError("pump powers must be sorted ascending")
 
     unpumped = _periodic_metrics(base, 0.0)
-    todo = [p for p in powers if p != 0.0]
-    if jobs > 1 and len(todo) > 1:
+    rates = [pump_rate(PumpScenario(p, base.pump.eps_opt), base.params)
+             for p in powers if p != 0.0]
+    if jobs > 1 and len(rates) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_periodic_metrics,
-                                    itertools.repeat(base), todo))
+                                    itertools.repeat(base), rates))
     else:
-        results = [_periodic_metrics(base, p) for p in todo]
+        results = [_periodic_metrics(base, r) for r in rates]
 
     rows = []
     it = iter(results)
@@ -386,27 +384,26 @@ def pump_sweep(base: SimConfig, powers, jobs: int = 1) -> list[SweepRow]:
     return rows
 
 
-def fit_eps_opt(
-    base: SimConfig,
-    target_p_pump: float,
-    target_ratio: float,
-    *,
-    eps_lo: float = 1e-6,
-    eps_hi: float = 1.0,
-    ratio_tol: float = 1e-3,
-    log_bracket_tol: float = 1e-4,
-) -> FitResult:
+_EPS_LO = 1e-6  # fit bracket on eps_opt
+_EPS_HI = 1.0
+_RATIO_TOL = 1e-3  # largest accepted |achieved ratio - target ratio|
+_LOG_BRACKET_TOL = 1e-4  # brentq's xtol, a width in log10(eps_opt)
+
+
+def fit_eps_opt(base: SimConfig, target_p_pump: float,
+                target_ratio: float) -> FitResult:
     """Calibrate the pumping efficiency to a measured pulse-energy ratio.
 
     Brent's bracketed root find over log10(eps_opt) solves for the point
     where the normalized pulse energy of the periodic state at
     ``target_p_pump`` (``_periodic_metrics``) equals ``target_ratio``.  It
-    relies only on the sign change between ``eps_lo`` and ``eps_hi``, so a
-    flat stretch of the ratio cannot mislead it.  The search space is log
-    spaced because plausible efficiencies span decades.
+    relies only on the sign change between eps_opt 1e-6 and 1 (``_EPS_LO``,
+    ``_EPS_HI``), so a flat stretch of the ratio cannot mislead it.  The
+    search space is log spaced because plausible efficiencies span decades.
     ``eps_opt`` is the end of the tightest evaluated bracket that lies closer
     to the target.  Raises ``FitError`` when the target cannot be reached
-    inside [eps_lo, eps_hi].
+    inside that bracket, or when the closer end misses it by ``_RATIO_TOL``
+    or more.
     """
     if not (math.isfinite(target_ratio) and target_ratio > 1.0):
         raise ValueError(
@@ -414,34 +411,32 @@ def fit_eps_opt(
     if not (math.isfinite(target_p_pump) and target_p_pump > 0.0):
         raise ValueError(
             f"target_p_pump must be finite and positive, got {target_p_pump}")
-    if not 0.0 < eps_lo < eps_hi <= 1.0:
-        raise ValueError(f"need 0 < eps_lo < eps_hi <= 1, got [{eps_lo}, {eps_hi}]")
 
     e_base = _periodic_metrics(base, 0.0).pulse_energy
     cache: dict[float, float] = {}  # log10(eps_opt) -> ratio
 
     def excess(x: float) -> float:
         if x not in cache:
-            config = replace(base, pump=replace(base.pump, eps_opt=10.0 ** x))
-            energy = _periodic_metrics(config, target_p_pump).pulse_energy
-            cache[x] = energy / e_base
+            r_opt = pump_rate(PumpScenario(target_p_pump, 10.0 ** x),
+                              base.params)
+            cache[x] = _periodic_metrics(base, r_opt).pulse_energy / e_base
         return cache[x] - target_ratio
 
-    a, b = math.log10(eps_lo), math.log10(eps_hi)
+    a, b = math.log10(_EPS_LO), math.log10(_EPS_HI)
     if excess(b) < 0.0:
         raise FitError(
             f"target ratio {target_ratio} unreachable: maximum achieved "
-            f"{cache[b]:.6f} at eps_opt={eps_hi}",
+            f"{cache[b]:.6f} at eps_opt={_EPS_HI}",
             achieved=cache[b],
         )
     if excess(a) > 0.0:
         raise FitError(
             f"target ratio {target_ratio} below the ratio {cache[a]:.6f} already "
-            f"reached at eps_opt={eps_lo}",
+            f"reached at eps_opt={_EPS_LO}",
             achieved=cache[a],
         )
 
-    _, info = brentq(excess, a, b, xtol=log_bracket_tol, full_output=True,
+    _, info = brentq(excess, a, b, xtol=_LOG_BRACKET_TOL, full_output=True,
                      disp=False)
     if not info.converged:
         raise FitError(f"fit did not converge: {info.flag}")
@@ -450,10 +445,10 @@ def fit_eps_opt(
     x_hi = min(x for x, r in cache.items() if r >= target_ratio)
     x_best = min((x_lo, x_hi), key=lambda x: abs(cache[x] - target_ratio))
     residual = abs(cache[x_best] - target_ratio)
-    if residual >= ratio_tol:
+    if residual >= _RATIO_TOL:
         raise FitError(
             f"fit stalled: best residual {residual:.3e} at eps_opt="
-            f"{10.0 ** x_best:.6g} exceeds tolerance {ratio_tol}",
+            f"{10.0 ** x_best:.6g} exceeds tolerance {_RATIO_TOL}",
             achieved=cache[x_best],
         )
     return FitResult(

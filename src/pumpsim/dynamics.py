@@ -35,7 +35,6 @@ __all__ = [
     "steady_state",
     "simulate",
     "default_warmup",
-    "standard_config",
 ]
 
 _BRENTQ_RTOL = 4.0 * np.finfo(float).eps
@@ -271,7 +270,7 @@ def simulate(config: SimConfig) -> SimTrace:
     n_out = (n_steps - warm_steps) // stride + 1
     out_n = np.empty(n_out)
     out_q = np.empty(n_out)
-    runs = _drive_runs(n_steps, dt, drive, *_sources(drive, r_opt))
+    runs = _drive_runs(n_steps, dt, drive, r_opt)
     _, _, clamps, _ = _advance(init.n, init.q, runs, params, dt,
                                (out_n, out_q, warm_steps, stride))
     return SimTrace(
@@ -281,12 +280,6 @@ def simulate(config: SimConfig) -> SimTrace:
         p=photon_to_power(out_q, params),
         clamp_count=clamps,
     )
-
-
-def _sources(drive: DriveWaveform, r_opt: float) -> tuple[float, float]:
-    """Carrier sources ``i/e + r_opt`` with the pulse on and off, 1/s."""
-    return ((drive.i_bias + drive.i_pulse) / ELEMENTARY_CHARGE + r_opt,
-            drive.i_bias / ELEMENTARY_CHARGE + r_opt)
 
 
 def _advance(n: float, q: float, runs, params: LaserParams, dt: float,
@@ -403,10 +396,10 @@ def _split(x: float) -> tuple[int, float]:
     return k, f
 
 
-def _drive_runs(n_steps: int, dt: float, drive: DriveWaveform,
-                src_on: float, src_off: float):
+def _drive_runs(n_steps: int, dt: float, drive: DriveWaveform, r_opt: float):
     """Yield the runs ``(k, k_end, h, src)`` of ``_advance`` for steps 0 to
-    ``n_steps`` of length ``dt``, in order.
+    ``n_steps`` of length ``dt``, in order.  A run's source is
+    ``i/e + r_opt`` for the drive current ``i`` and pump rate ``r_opt``.
 
     The pulse is on over ``[j*period, j*period + pulse_width)``.  Edges are
     placed per period by arithmetic on (grid step, fraction) pairs: period
@@ -416,6 +409,8 @@ def _drive_runs(n_steps: int, dt: float, drive: DriveWaveform,
     the edge, so every step sees one source.  Samples stay at ``k*dt``.  A
     drive whose two sources are equal is one run.
     """
+    src_on = (drive.i_bias + drive.i_pulse) / ELEMENTARY_CHARGE + r_opt
+    src_off = drive.i_bias / ELEMENTARY_CHARGE + r_opt
     if src_on == src_off or drive.pulse_width == 0.0:
         yield (0, n_steps, dt, src_off)
         return
@@ -457,30 +452,3 @@ def default_warmup(params: LaserParams, drive: DriveWaveform) -> float:
     """Warmup long enough to forget the initial condition: 20 drive periods
     or 10 carrier lifetimes, whichever is larger."""
     return max(20.0 * drive.period, 10.0 * params.tau_e)
-
-
-def standard_config(
-    params: LaserParams,
-    drive: DriveWaveform,
-    pump: PumpScenario,
-    *,
-    measure_periods: int = 10,
-    dt: float = 1e-13,
-    sample_stride: int = 1,
-    warmup: float | None = None,
-) -> SimConfig:
-    """A SimConfig that warms up by the default rule and then measures
-    an integer number of drive periods."""
-    if measure_periods < 1:
-        raise ValueError(f"measure_periods must be >= 1, got {measure_periods}")
-    if warmup is None:
-        warmup = default_warmup(params, drive)
-    return SimConfig(
-        params=params,
-        drive=drive,
-        pump=pump,
-        t_total=warmup + measure_periods * drive.period,
-        dt=dt,
-        warmup=warmup,
-        sample_stride=sample_stride,
-    )

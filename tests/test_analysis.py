@@ -174,6 +174,11 @@ def test_second_spike_onset(default_scenario, eps_opt, runs):
     assert counts == [runs] * len(counts)
 
 
+def _rate(config, p_pump):
+    """Pump rate of ``p_pump`` at the pumping efficiency of ``config``, 1/s."""
+    return ps.pump_rate(replace(config.pump, p_pump=p_pump), config.params)
+
+
 class TestPeriodicMetrics:
     @pytest.mark.parametrize("name, p_pump, eps_opt, dt", [
         ("default", 0.0, 0.1, None),
@@ -192,7 +197,7 @@ class TestPeriodicMetrics:
         config = replace(base, pump=ps.PumpScenario(p_pump, eps_opt),
                          warmup=warm, t_total=warm + 5.5 * period)
         want = ps.pulse_metrics(ps.simulate(config), scenario.drive)
-        got = analysis._periodic_metrics(base, p_pump)
+        got = analysis._periodic_metrics(base, _rate(base, p_pump))
         assert got.residual <= analysis._PERIODIC_RTOL
         assert got.pulse_energy == pytest.approx(want.pulse_energy, rel=1e-9)
         assert got.avg_power == pytest.approx(want.avg_power, rel=1e-9)
@@ -202,7 +207,7 @@ class TestPeriodicMetrics:
     def test_reported_residual_within_bound(self, base_config, drive,
                                             eps_opt, p_pump):
         base = replace(base_config, pump=ps.PumpScenario(0.0, eps_opt))
-        got = analysis._periodic_metrics(base, p_pump)
+        got = analysis._periodic_metrics(base, _rate(base, p_pump))
         assert 0.0 <= got.residual <= analysis._PERIODIC_RTOL
         assert 1 <= got.periods <= (analysis._ANDERSON_PERIODS
                                     + analysis._PLAIN_PERIODS)
@@ -210,9 +215,10 @@ class TestPeriodicMetrics:
 
     def test_plain_iteration_past_the_acceleration_cap(self, base_config,
                                                        monkeypatch):
-        accelerated = analysis._periodic_metrics(base_config, 1.6e-3)
+        r_opt = _rate(base_config, 1.6e-3)
+        accelerated = analysis._periodic_metrics(base_config, r_opt)
         monkeypatch.setattr(analysis, "_ANDERSON_PERIODS", 1)
-        plain = analysis._periodic_metrics(base_config, 1.6e-3)
+        plain = analysis._periodic_metrics(base_config, r_opt)
         assert plain.periods > accelerated.periods
         assert plain.residual <= analysis._PERIODIC_RTOL
         assert plain.pulse_energy == pytest.approx(accelerated.pulse_energy,
@@ -222,7 +228,7 @@ class TestPeriodicMetrics:
         monkeypatch.setattr(analysis, "_ANDERSON_PERIODS", 3)
         monkeypatch.setattr(analysis, "_PLAIN_PERIODS", 2)
         with pytest.raises(ps.ConvergenceError) as info:
-            analysis._periodic_metrics(base_config, 1.6e-3)
+            analysis._periodic_metrics(base_config, _rate(base_config, 1.6e-3))
         assert info.value.residual > analysis._PERIODIC_RTOL
         assert f"{info.value.residual:.3e}" in str(info.value)
         assert "in 5 periods" in str(info.value)
@@ -269,7 +275,8 @@ class TestPumpSweep:
         def energy(eps, p_pump):
             config = replace(base_config, pump=ps.PumpScenario(p_pump, eps))
             if path == "periodic":  # what fit_eps_opt evaluates
-                return analysis._periodic_metrics(config, p_pump).pulse_energy
+                return analysis._periodic_metrics(
+                    config, _rate(config, p_pump)).pulse_energy
             return ps.pulse_metrics(ps.simulate(config),
                                     config.drive).pulse_energy
 
@@ -303,8 +310,11 @@ class TestPumpSweep:
 
 @pytest.fixture(scope="module")
 def small_config(params, drive):
-    return ps.standard_config(params, drive, ps.PumpScenario(0.0, 0.1),
-                              measure_periods=5)
+    warmup = ps.default_warmup(params, drive)
+    return ps.SimConfig(params=params, drive=drive,
+                        pump=ps.PumpScenario(0.0, 0.1),
+                        t_total=warmup + 5 * drive.period, dt=1e-13,
+                        warmup=warmup)
 
 
 class TestFitEpsOpt:

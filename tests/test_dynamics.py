@@ -228,12 +228,20 @@ class TestSimConfigValidation:
                          pump=ps.PumpScenario(0.0), t_total=1e-9,
                          dt=1e-13, warmup=0.0, sample_stride=0)
 
-    def test_standard_config_warmup_rule(self, params, drive):
-        config = ps.standard_config(params, drive, ps.PumpScenario(0.0))
+    def test_default_warmup_rule(self, params, drive):
+        def standard(wave):
+            # warm up by the default rule, then measure 10 periods
+            warmup = ps.default_warmup(params, wave)
+            return ps.SimConfig(params=params, drive=wave,
+                                pump=ps.PumpScenario(0.0),
+                                t_total=warmup + 10 * wave.period, dt=1e-13,
+                                warmup=warmup)
+
+        config = standard(drive)
         assert config.warmup == pytest.approx(10.0 * params.tau_e)  # > 20 periods
         slow = ps.DriveWaveform(i_bias=3e-3, i_pulse=20e-3, pulse_width=1.2e-9,
                                 rep_rate=1e7)
-        config = ps.standard_config(params, slow, ps.PumpScenario(0.0))
+        config = standard(slow)
         assert config.warmup == pytest.approx(20.0 / slow.rep_rate)
 
 
@@ -628,8 +636,7 @@ class TestDriveRuns:
         wave = replace(drive, pulse_width=duty / rate, rep_rate=rate)
         p = round(wave.period / dt)
         assert p == steps_per_period
-        runs = list(dynamics._drive_runs(periods * p, dt, wave,
-                                         *dynamics._sources(wave, 0.0)))
+        runs = list(dynamics._drive_runs(periods * p, dt, wave, 0.0))
         by_period = [[run for run in runs if j * p <= run[0] < (j + 1) * p]
                      for j in range(periods)]
         assert sum(map(len, by_period)) == len(runs)

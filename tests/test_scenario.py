@@ -1,9 +1,11 @@
 """Scenario document loading, unit conversion, and validation messages."""
 
+from dataclasses import fields
+
 import pytest
 
 import pumpsim as ps
-from pumpsim.scenario import parse_scenario, scenario_dict
+from pumpsim.scenario import BUILTIN_SCENARIOS, parse_scenario, scenario_dict
 
 
 def minimal_doc():
@@ -84,12 +86,19 @@ class TestParsing:
     def test_round_trip(self):
         scn = parse_scenario(minimal_doc())
         again = parse_scenario(scenario_dict(scn))
-        assert again.params.tau_e == pytest.approx(scn.params.tau_e, rel=1e-12)
-        assert again.params.e_photon_pump == pytest.approx(
-            scn.params.e_photon_pump, rel=1e-12
-        )
-        assert again.drive == scn.drive
-        assert again.t_total == pytest.approx(scn.t_total, rel=1e-12)
+        pairs = [(f"{part}.{f.name}", getattr(getattr(scn, part), f.name),
+                  getattr(getattr(again, part), f.name))
+                 for part in ("params", "drive", "pump")
+                 for f in fields(getattr(scn, part))]
+        pairs += [(name, getattr(scn, name), getattr(again, name))
+                  for name in ("dt", "t_total", "warmup", "sample_stride")]
+        for name, want, got in pairs:
+            assert got == pytest.approx(want, rel=1e-15, abs=0.0), name
+
+    @pytest.mark.parametrize("name", BUILTIN_SCENARIOS)
+    def test_builtin_round_trip_is_exact(self, name):
+        scn = ps.load_scenario(name)
+        assert parse_scenario(scenario_dict(scn)) == scn
 
     def test_numeric_strings_accepted(self):
         doc = minimal_doc()
