@@ -144,18 +144,10 @@ def _dqe_for_power(scenario, currents, p_pump_w):
     return curve, eta
 
 
-def _single_power_mw(values, default: float) -> float:
-    if values is None:
-        return default
-    if len(values) != 1:
-        raise ValueError("--pump-mw: this command takes a single power")
-    return values[0]
-
-
 def cmd_lcurve(args) -> int:
     scenario = load_scenario(args.scenario)
     currents = _parse_current_range(args.currents)
-    p_pump_w = _single_power_mw(args.pump_mw, 0.0) * 1e-3
+    p_pump_w = args.pump_mw * 1e-3
     curve, eta = _dqe_for_power(scenario, currents, p_pump_w)
     curve.to_csv(args.out)
     _write_sidecar(args.out, "lcurve", {
@@ -210,7 +202,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_fit(args) -> int:
     scenario = load_scenario(args.scenario)
-    target_p = _single_power_mw(args.pump_mw, 1.6) * 1e-3
+    target_p = args.pump_mw * 1e-3
     result = fit_eps_opt(scenario.sim_config(), target_p, args.target_ratio)
     print(f"eps_opt={result.eps_opt:.12g}")
     print(f"residual={result.residual:.12g}")
@@ -276,8 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output CSV path (i_a,p_w)")
     p.add_argument("--currents", default="7:25:0.5",
                    help="current grid lo:hi:step in mA")
-    p.add_argument("--pump-mw", type=_float_list, default=None,
-                   help="cw pump power in mW (single value)")
+    p.add_argument("--pump-mw", type=float, default=0.0,
+                   help="cw pump power in mW (default 0)")
     p.set_defaults(func=cmd_lcurve)
 
     p = sub.add_parser("dqe", help="differential quantum efficiency vs pump power")
@@ -303,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
                                    "target pulse-energy ratio")
     add_scenario(p)
     p.add_argument("--out", default=None, help="optional fit report CSV")
-    p.add_argument("--pump-mw", type=_float_list, default=None,
+    p.add_argument("--pump-mw", type=float, default=1.6,
                    help="pump power of the target point in mW (default 1.6)")
     p.add_argument("--target-ratio", type=float, default=1.10,
                    help="normalized pulse energy to reproduce (default 1.10)")

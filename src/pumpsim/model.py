@@ -5,13 +5,15 @@ active region and the normalized intracavity photon number ``q``.  Electrical
 injection and, under attack, absorption of shorter-wavelength light delivered
 through the fiber pigtail both feed the carrier population; stimulated and
 spontaneous emission couple it to the photon field.  Everything here is a pure
-function of immutable value types, in SI units throughout.
+function of immutable value types, in SI units throughout.  The device keeps
+its two vacuum wavelengths; ``photon_energy`` turns them into the photon
+energies the rate equations use.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 __all__ = [
     "ELEMENTARY_CHARGE",
@@ -41,6 +43,14 @@ def photon_energy(wavelength: float) -> float:
     return PLANCK_CONSTANT * SPEED_OF_LIGHT / wavelength
 
 
+def _require_finite(obj) -> None:
+    """Refuse a NaN or infinite value in any field of dataclass ``obj``."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class LaserParams:
     """Device constants of the rate-equation model.
@@ -64,11 +74,14 @@ class LaserParams:
     eta : float
         Differential quantum output, in (0, 1].  Not fixed by the device
         data this model was built around; treat as a free parameter.
-    e_photon_out : float
-        Photon energy at the emission wavelength, J.
-    e_photon_pump : float
-        Photon energy at the pumping (attack) wavelength, J.  Must exceed
-        ``e_photon_out``: only shorter wavelengths are absorbed.
+    emission_wavelength : float
+        Vacuum wavelength of the emitted light, m.
+    pump_wavelength : float
+        Vacuum wavelength of the pumping (attack) light, m.  Must be shorter
+        than ``emission_wavelength``: only shorter wavelengths are absorbed.
+
+    The photon energies at the two wavelengths are the read-only properties
+    ``e_photon_out`` and ``e_photon_pump``, in J.
     """
 
     tau_e: float
@@ -79,10 +92,14 @@ class LaserParams:
     c_sp: float
     gamma_q: float
     eta: float
-    e_photon_out: float
-    e_photon_pump: float
+    emission_wavelength: float
+    pump_wavelength: float
 
     def __post_init__(self):
+        _require_finite(self)
+        # photon_energy refuses a nonpositive wavelength before any other check
+        e_photon_out = self.e_photon_out
+        e_photon_pump = self.e_photon_pump
         if self.tau_e <= 0.0:
             raise ValueError(f"tau_e must be positive, got {self.tau_e}")
         if self.tau_ph <= 0.0:
@@ -106,42 +123,23 @@ class LaserParams:
             raise ValueError(f"gamma_q must be nonnegative, got {self.gamma_q}")
         if not 0.0 < self.eta <= 1.0:
             raise ValueError(f"eta must be in (0, 1], got {self.eta}")
-        if self.e_photon_out <= 0.0:
-            raise ValueError(f"e_photon_out must be positive, got {self.e_photon_out}")
-        if self.e_photon_pump <= self.e_photon_out:
+        if e_photon_out <= 0.0:
+            raise ValueError(f"e_photon_out must be positive, got {e_photon_out}")
+        if e_photon_pump <= e_photon_out:
             raise ValueError(
                 "e_photon_pump must exceed e_photon_out (pump wavelength shorter "
-                f"than emission), got {self.e_photon_pump} <= {self.e_photon_out}"
+                f"than emission), got {e_photon_pump} <= {e_photon_out}"
             )
 
-    @classmethod
-    def from_wavelengths(
-        cls,
-        *,
-        tau_e: float,
-        tau_ph: float,
-        gamma_conf: float,
-        n_th: float,
-        n_0: float,
-        c_sp: float,
-        gamma_q: float,
-        emission_wavelength: float,
-        pump_wavelength: float,
-        eta: float = 0.5,
-    ) -> "LaserParams":
-        """Build parameters from vacuum wavelengths in meters."""
-        return cls(
-            tau_e=tau_e,
-            tau_ph=tau_ph,
-            gamma_conf=gamma_conf,
-            n_th=n_th,
-            n_0=n_0,
-            c_sp=c_sp,
-            gamma_q=gamma_q,
-            eta=eta,
-            e_photon_out=photon_energy(emission_wavelength),
-            e_photon_pump=photon_energy(pump_wavelength),
-        )
+    @property
+    def e_photon_out(self) -> float:
+        """Photon energy at the emission wavelength, J."""
+        return photon_energy(self.emission_wavelength)
+
+    @property
+    def e_photon_pump(self) -> float:
+        """Photon energy at the pumping wavelength, J."""
+        return photon_energy(self.pump_wavelength)
 
 
 @dataclass(frozen=True)
@@ -154,6 +152,7 @@ class DriveWaveform:
     rep_rate: float  # pulses per second
 
     def __post_init__(self):
+        _require_finite(self)
         if self.i_bias < 0.0:
             raise ValueError(f"i_bias must be nonnegative, got {self.i_bias}")
         if self.i_pulse < 0.0:
@@ -185,8 +184,7 @@ class PumpScenario:
     eps_opt: float = 0.1
 
     def __post_init__(self):
-        if not math.isfinite(self.p_pump):
-            raise ValueError(f"p_pump must be finite, got {self.p_pump}")
+        _require_finite(self)
         if self.p_pump < 0.0:
             raise ValueError(f"p_pump must be nonnegative, got {self.p_pump}")
         if not 0.0 <= self.eps_opt <= 1.0:

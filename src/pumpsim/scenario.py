@@ -6,9 +6,11 @@ train (currents in mA, width in ns, rate in GHz), ``pump`` the attack power
 in mW plus the pumping efficiency, and ``numerics`` the integration controls.
 One table, ``_SCHEMA``, names every document key with its SI field, scale
 and default: ``parse_scenario`` reads it forwards and ``scenario_dict``
-backwards.  Unknown keys are rejected and every violation names the
-offending field.  A parsed document is a ``Scenario``, the ``SimConfig`` of
-the run it describes.
+backwards.  Every field is a constructor argument of the model's value
+types, the two wavelengths included, so no value is converted twice.
+Unknown keys are rejected and every violation names the offending field.  A
+parsed document is a ``Scenario``, the ``SimConfig`` of the run it
+describes.
 """
 
 from __future__ import annotations
@@ -23,13 +25,7 @@ import yaml
 
 from .dynamics import SimConfig, default_warmup
 from .errors import ScenarioError
-from .model import (
-    PLANCK_CONSTANT,
-    SPEED_OF_LIGHT,
-    DriveWaveform,
-    LaserParams,
-    PumpScenario,
-)
+from .model import DriveWaveform, LaserParams, PumpScenario
 
 __all__ = [
     "Scenario",
@@ -44,7 +40,7 @@ _REQUIRED = object()  # the default of a key every document must give
 
 # section -> document key -> (SI field, scale to SI, SI default), in the order
 # keys are read and written.  The fields are the keyword arguments of
-# LaserParams.from_wavelengths, DriveWaveform, PumpScenario and SimConfig.
+# LaserParams, DriveWaveform, PumpScenario and SimConfig.
 # A default of None is computed from the other values; a scale of None marks
 # an integer, taken as written.
 _SCHEMA = {
@@ -76,12 +72,6 @@ _SCHEMA = {
         "warmup_ns": ("warmup", 1e-9, None),  # default_warmup
         "sample_stride": ("sample_stride", None, 1),
     },
-}
-
-# wavelength field -> the photon energy LaserParams keeps instead
-_PHOTON_ENERGY = {
-    "emission_wavelength": "e_photon_out",
-    "pump_wavelength": "e_photon_pump",
 }
 
 
@@ -123,9 +113,13 @@ def _take(section: dict, key: str, label: str, scale, default):
             pass
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(label, f"must be a number, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError:  # an integer too large for a float
+        number = math.inf
+    if not math.isfinite(number):
         raise ScenarioError(label, f"must be a finite number, got {value!r}")
-    return float(value) * scale
+    return number * scale
 
 
 def _section(doc: dict, name: str) -> dict:
@@ -188,7 +182,7 @@ def parse_scenario(doc) -> Scenario:
             raise ScenarioError(key, "missing required section")
 
     with _field("laser"):
-        params = LaserParams.from_wavelengths(**_section(doc, "laser"))
+        params = LaserParams(**_section(doc, "laser"))
     with _field("drive"):
         drive = DriveWaveform(**_section(doc, "drive"))
     with _field("pump"):
@@ -214,9 +208,5 @@ def scenario_dict(scenario: Scenario) -> dict:
 
 
 def _document_value(owner, field: str, scale):
-    if scale is None:
-        return getattr(owner, field)
-    if field in _PHOTON_ENERGY:
-        return (PLANCK_CONSTANT * SPEED_OF_LIGHT
-                / getattr(owner, _PHOTON_ENERGY[field]) / scale)
-    return getattr(owner, field) / scale
+    value = getattr(owner, field)
+    return value if scale is None else value / scale

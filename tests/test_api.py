@@ -34,8 +34,9 @@ SIGNATURES = {
     "FitError": '(message: str, achieved: float | None = None)',
     "FitResult": "(eps_opt: 'float', residual: 'float', bracket_lo: 'float', bracket_hi: 'float', evaluations: 'int') -> None",
     "IsolationChain": '(components)',
-    "LaserParams": "(tau_e: 'float', tau_ph: 'float', gamma_conf: 'float', n_th: 'float', n_0: 'float', c_sp: 'float', gamma_q: 'float', eta: 'float', e_photon_out: 'float', e_photon_pump: 'float') -> None",
-    "LaserParams.from_wavelengths": '(*, tau_e: \'float\', tau_ph: \'float\', gamma_conf: \'float\', n_th: \'float\', n_0: \'float\', c_sp: \'float\', gamma_q: \'float\', emission_wavelength: \'float\', pump_wavelength: \'float\', eta: \'float\' = 0.5) -> "\'LaserParams\'"',
+    "LaserParams": "(tau_e: 'float', tau_ph: 'float', gamma_conf: 'float', n_th: 'float', n_0: 'float', c_sp: 'float', gamma_q: 'float', eta: 'float', emission_wavelength: 'float', pump_wavelength: 'float') -> None",
+    "LaserParams.e_photon_out": 'property',
+    "LaserParams.e_photon_pump": 'property',
     "LaserState": "(n: 'float', q: 'float') -> None",
     "LightCurrentCurve": "(currents: 'np.ndarray', powers: 'np.ndarray') -> None",
     "LightCurrentCurve.to_csv": "(self, path) -> 'None'",
@@ -89,7 +90,8 @@ FIELDS = {
                   "evaluations"),
     "IsolationChain": ("components",),
     "LaserParams": ("tau_e", "tau_ph", "gamma_conf", "n_th", "n_0", "c_sp",
-                    "gamma_q", "eta", "e_photon_out", "e_photon_pump"),
+                    "gamma_q", "eta", "emission_wavelength",
+                    "pump_wavelength"),
     "LaserState": ("n", "q"),
     "LightCurrentCurve": ("currents", "powers"),
     "PulseMetrics": ("pulse_energy", "avg_power", "peak_power", "peak_time"),

@@ -287,6 +287,16 @@ class TestParsing:
         assert code == 1
         assert "--pump-mw" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["lcurve", "--pump-mw", "1,2"],
+        ["lcurve", "--pump-mw", "1.6,"],
+        ["fit", "--pump-mw", "1,2"],
+    ])
+    def test_single_pump_power(self, capsys, tmp_path, argv):
+        code, _, err = run(capsys, *argv, "--out", str(tmp_path / "x.csv"))
+        assert code == 1
+        assert "--pump-mw" in err
+
 
 def _scenario_with(tmp_path, section, key, value):
     doc = scenario_dict(load_scenario("default"))
@@ -350,6 +360,14 @@ class TestNonFinite:
                            "--out", str(tmp_path / "x.csv"))
         assert code == 1
         assert f"{section}.{key}" in err
+
+
+def test_oversized_integer_is_input_error(capsys, tmp_path):
+    path = _scenario_with(tmp_path, "laser", "n_th", 10**400)
+    code, _, err = run(capsys, "lcurve", "--scenario", path,
+                       "--out", str(tmp_path / "x.csv"))
+    assert code == 1
+    assert "laser.n_th" in err and "finite" in err
 
 
 @pytest.mark.parametrize("command", ["simulate", "lcurve"])

@@ -1,5 +1,6 @@
 """Rate-equation building blocks: gain, pumping rate, derivatives, power."""
 
+import dataclasses
 import math
 
 import pytest
@@ -28,7 +29,7 @@ def make_params(**overrides):
         pump_wavelength=1310e-9,
     )
     values.update(overrides)
-    return ps.LaserParams.from_wavelengths(**values)
+    return ps.LaserParams(**values)
 
 
 def test_photon_energy_values():
@@ -36,6 +37,24 @@ def test_photon_energy_values():
     assert ps.photon_energy(1310e-9) == pytest.approx(1.5163709e-19, rel=1e-7)
     with pytest.raises(ValueError):
         ps.photon_energy(0.0)
+
+
+def test_photon_energies_follow_wavelengths():
+    params = make_params()
+    assert params.e_photon_out == ps.photon_energy(1550e-9)
+    assert params.e_photon_pump == ps.photon_energy(1310e-9)
+    moved = dataclasses.replace(params, pump_wavelength=980e-9)
+    assert moved.e_photon_pump == ps.photon_energy(980e-9)
+    with pytest.raises(AttributeError):
+        params.e_photon_out = 1e-19
+
+
+@pytest.mark.parametrize("field", ["emission_wavelength", "pump_wavelength"])
+@pytest.mark.parametrize("value", [0.0, -1550e-9])
+def test_nonpositive_wavelength_is_checked_first(field, value):
+    """A bad wavelength wins over every other bad field."""
+    with pytest.raises(ValueError, match="^wavelength must be positive"):
+        make_params(tau_e=0.0, eta=2.0, **{field: value})
 
 
 class TestGain:
@@ -198,6 +217,22 @@ class TestValidation:
         equation; a product that rounds to 0 would divide by zero there."""
         with pytest.raises(ValueError, match="gamma_conf.*tau_ph"):
             make_params(**overrides)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("cls, field", [
+        pytest.param(cls, f.name, id=f"{cls.__name__}.{f.name}")
+        for cls in (ps.LaserParams, ps.DriveWaveform, ps.PumpScenario)
+        for f in dataclasses.fields(cls)
+    ])
+    def test_non_finite_fields_rejected(self, cls, field, value):
+        valid = {
+            ps.LaserParams: dataclasses.asdict(make_params()),
+            ps.DriveWaveform: dict(i_bias=6e-3, i_pulse=20e-3,
+                                   pulse_width=2e-10, rep_rate=2.5e9),
+            ps.PumpScenario: dict(p_pump=1.6e-3, eps_opt=0.1),
+        }[cls]
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            cls(**{**valid, field: value})
 
     def test_bad_drive_rejected(self):
         with pytest.raises(ValueError):

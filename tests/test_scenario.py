@@ -119,6 +119,8 @@ class TestParsing:
             (lambda d: d["laser"].update(tau_e_ns="fast"), "laser.tau_e_ns"),
             (lambda d: d["numerics"].update(sample_stride=2.5),
              "numerics.sample_stride"),
+            pytest.param(lambda d: d["laser"].update(n_th=10**400),
+                         "laser.n_th", id="oversized-integer"),
         ],
     )
     def test_violations_name_the_field(self, mutate, field):
@@ -142,6 +144,14 @@ class TestParsing:
         doc = minimal_doc()
         doc["numerics"]["dt_ps"] = 5.0  # does not resolve tau_ph
         with pytest.raises(ps.ScenarioError, match="tau_ph"):
+            parse_scenario(doc)
+
+    def test_rate_overflowing_to_inf_is_refused(self):
+        """A finite document value can still overflow when scaled to SI."""
+        doc = minimal_doc()
+        doc["drive"].update(pulse_width_ns=0.0, rep_rate_ghz=1e300)
+        with pytest.raises(ps.ScenarioError,
+                           match="^drive: rep_rate must be finite"):
             parse_scenario(doc)
 
     def test_non_mapping_rejected(self):
