@@ -11,12 +11,13 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .dynamics import (
+    _BRENTQ_RTOL,
     SimConfig,
     SimTrace,
     _advance,
+    _brentq,
     _drive_runs,
     _split,
     _write_csv,
@@ -387,23 +388,26 @@ def pump_sweep(base: SimConfig, powers, jobs: int = 1) -> list[SweepRow]:
 _EPS_LO = 1e-6  # fit bracket on eps_opt
 _EPS_HI = 1.0
 _RATIO_TOL = 1e-3  # largest accepted |achieved ratio - target ratio|
-_LOG_BRACKET_TOL = 1e-4  # brentq's xtol, a width in log10(eps_opt)
+_LOG_BRACKET_TOL = 1e-4  # the root find's xtol, a width in log10(eps_opt)
+_FIT_MAXITER = 100  # Brent iterations before the fit gives up
 
 
 def fit_eps_opt(base: SimConfig, target_p_pump: float,
                 target_ratio: float) -> FitResult:
     """Calibrate the pumping efficiency to a measured pulse-energy ratio.
 
-    Brent's bracketed root find over log10(eps_opt) solves for the point
-    where the normalized pulse energy of the periodic state at
-    ``target_p_pump`` (``_periodic_metrics``) equals ``target_ratio``.  It
+    Brent's bracketed root find over log10(eps_opt) (``dynamics._brentq``,
+    to a width of ``_LOG_BRACKET_TOL``) solves for the point where the
+    normalized pulse energy of the periodic state at ``target_p_pump``
+    (``_periodic_metrics``) equals ``target_ratio``.  It
     relies only on the sign change between eps_opt 1e-6 and 1 (``_EPS_LO``,
     ``_EPS_HI``), so a flat stretch of the ratio cannot mislead it.  The
     search space is log spaced because plausible efficiencies span decades.
     ``eps_opt`` is the end of the tightest evaluated bracket that lies closer
     to the target.  Raises ``FitError`` when the target cannot be reached
-    inside that bracket, or when the closer end misses it by ``_RATIO_TOL``
-    or more.
+    inside that bracket, when the root find has not converged after
+    ``_FIT_MAXITER`` iterations, or when the closer end misses the target by
+    ``_RATIO_TOL`` or more.
     """
     if not (math.isfinite(target_ratio) and target_ratio > 1.0):
         raise ValueError(
@@ -436,10 +440,10 @@ def fit_eps_opt(base: SimConfig, target_p_pump: float,
             achieved=cache[a],
         )
 
-    _, info = brentq(excess, a, b, xtol=_LOG_BRACKET_TOL, full_output=True,
-                     disp=False)
-    if not info.converged:
-        raise FitError(f"fit did not converge: {info.flag}")
+    _, converged, iterations = _brentq(excess, a, b, _LOG_BRACKET_TOL,
+                                       _BRENTQ_RTOL, _FIT_MAXITER)
+    if not converged:
+        raise FitError(f"fit did not converge after {iterations} iterations")
 
     x_lo = max(x for x, r in cache.items() if r <= target_ratio)
     x_hi = min(x for x, r in cache.items() if r >= target_ratio)

@@ -14,7 +14,6 @@ import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ConvergenceError, SimulationError
 from .model import (
@@ -37,7 +36,7 @@ __all__ = [
     "default_warmup",
 ]
 
-_BRENTQ_RTOL = 4.0 * np.finfo(float).eps
+_BRENTQ_RTOL = 4.0 * sys.float_info.epsilon
 _CSV_BLOCK_ROWS = 8192  # rows formatted per write
 
 
@@ -162,6 +161,83 @@ def _derivatives_ok(state: LaserState, i_dc: float, r_opt: float,
     return residual <= bound, residual
 
 
+def _brentq(f, a: float, b: float, xtol: float, rtol: float,
+            maxiter: int) -> tuple[float, bool, int]:
+    """Root of ``f`` on ``[a, b]`` by Brent's method (Brent, *Algorithms for
+    Minimization Without Derivatives*, 1973, ch. 4); returns
+    ``(root, converged, iterations)``.
+
+    A statement-for-statement port of the iteration in scipy's ``brentq.c``,
+    so it evaluates ``f`` at the same points and returns the same root, bit
+    for bit.  It stops when ``f`` is 0 or the bracket is narrower than
+    ``xtol + rtol*|root|``.  ``a``, ``b``, the tolerances and every value of
+    ``f`` are coerced to Python floats: one numpy scalar would make every
+    iterate a numpy scalar, and each evaluation of ``f`` slower.  Raises
+    ``ValueError`` when ``f(a)`` and ``f(b)`` have the same sign or ``f``
+    returns NaN.
+    """
+    xtol, rtol = float(xtol), float(rtol)
+
+    def value(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(
+                f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre, True, 0
+    if fcur == 0.0:
+        return xcur, True, 0
+    # Residuals are not NaN, and nonzero up to the stop test below (which
+    # returns on a zero whatever the branches before it did), so comparing
+    # with 0 compares sign bits, as brentq.c does.
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for iteration in range(1, maxiter + 1):
+        if (fpre < 0.0) != (fcur < 0.0):  # xpre is the new contrapoint
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):  # xcur is the better end
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur, True, iteration
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic interpolation
+                try:
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+                except ZeroDivisionError:
+                    # C gives an infinite or NaN step here, which bisects
+                    stry = math.inf
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = value(xcur)
+    return xcur, False, maxiter
+
+
 def steady_state(params: LaserParams, i_dc: float, r_opt: float = 0.0) -> LaserState:
     """Equilibrium of the rate equations under dc current and cw pumping.
 
@@ -180,7 +256,7 @@ def steady_state(params: LaserParams, i_dc: float, r_opt: float = 0.0) -> LaserS
     ``model.derivatives`` (``_derivatives_ok``).  A failed root find, or an
     answer that misses that check, raises ``ConvergenceError``; its message
     names the cause, and it carries the derivative residual of the last
-    candidate (the bracket's upper end when ``brentq`` raised).
+    candidate (the bracket's upper end when ``_brentq`` raised).
     """
     if i_dc < 0.0:
         raise ValueError(f"i_dc must be nonnegative, got {i_dc}")
@@ -223,20 +299,17 @@ def steady_state(params: LaserParams, i_dc: float, r_opt: float = 0.0) -> LaserS
                 hi *= 2.0
         # Near q = 0, n(q) ~ n_th*q/ad, so the derivative check needs q to
         # within about 1e-6*ad/n_th.  The floor, a few subnormal spacings,
-        # lets brentq stop on a root below the smallest normal double.
+        # lets the root find stop on a root below the smallest normal double.
         xtol = max(min(1e-30, 1e-7 * ad / params.n_th), 1e-322)
         try:
-            q, result = brentq(
-                excess, 0.0, hi,
-                xtol=xtol, rtol=_BRENTQ_RTOL, maxiter=3000,
-                full_output=True, disp=False,
-            )
+            q, converged, iterations = _brentq(excess, 0.0, hi, xtol,
+                                               _BRENTQ_RTOL, 3000)
         except ValueError as exc:  # no sign change, or a NaN residual
             q, failure = hi, f"root find failed ({exc})"
         else:
-            if not result.converged:
+            if not converged:
                 failure = (f"root find did not converge after "
-                           f"{result.iterations} iterations")
+                           f"{iterations} iterations")
         state = LaserState(n=carriers(q)[0], q=q)
 
     ok, residual = _derivatives_ok(state, i_dc, r_opt, params)

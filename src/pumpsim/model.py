@@ -68,7 +68,8 @@ class LaserParams:
     n_0 : float
         Carrier number at transparency.
     c_sp : float
-        Fraction of spontaneous emission entering the lasing mode.
+        Fraction of spontaneous emission entering the lasing mode, in [0, 1],
+        with ``c_sp*n_0 < gamma_conf*n_th``.
     gamma_q : float
         Gain compression factor, dimensionless.
     eta : float
@@ -119,6 +120,16 @@ class LaserParams:
             )
         if not 0.0 <= self.c_sp <= 1.0:
             raise ValueError(f"c_sp must be in [0, 1], got {self.c_sp}")
+        # Spontaneous emission into the mode (c_sp photons per carrier) and
+        # absorption (1/gamma_conf carriers per photon) form a loop; at a
+        # loop gain c_sp*n_0/(gamma_conf*n_th) of 1 or more the field stays
+        # bright without injection.
+        if self.c_sp * (self.n_0 / self.n_th) >= self.gamma_conf:
+            raise ValueError(
+                "c_sp*n_0 must be below gamma_conf*n_th, got "
+                f"c_sp={self.c_sp}, n_0={self.n_0}, "
+                f"gamma_conf={self.gamma_conf}, n_th={self.n_th}"
+            )
         if self.gamma_q < 0.0:
             raise ValueError(f"gamma_q must be nonnegative, got {self.gamma_q}")
         if not 0.0 < self.eta <= 1.0:

@@ -166,7 +166,9 @@ def load_scenario(source) -> Scenario:
         )
     try:
         doc = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+    # PyYAML builds values with int() and datetime, whose refusals (such as
+    # an integer over Python's 4,300-digit limit) are plain ValueErrors
+    except (yaml.YAMLError, ValueError) as exc:
         raise ScenarioError("scenario", f"{label}: invalid YAML: {exc}") from exc
     return parse_scenario(doc)
 

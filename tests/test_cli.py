@@ -197,10 +197,10 @@ class TestCurves:
 class TestSteadyStateFailures:
     def test_unconverged_root_find_exits_2(self, capsys, tmp_path,
                                            monkeypatch):
-        real = dynamics.brentq
+        real = dynamics._brentq
         monkeypatch.setattr(
-            dynamics, "brentq",
-            lambda f, a, b, **kw: real(f, a, b, **{**kw, "maxiter": 1}),
+            dynamics, "_brentq",
+            lambda f, a, b, xtol, rtol, maxiter: real(f, a, b, xtol, rtol, 1),
         )
         code, _, err = run(capsys, "lcurve", "--currents", "12:25:6",
                            "--out", str(tmp_path / "lc.csv"))
@@ -380,13 +380,48 @@ def test_underflowing_gamma_conf_is_input_error(capsys, tmp_path, command):
     assert not (tmp_path / "x.csv").exists()
 
 
-@pytest.mark.parametrize("module", ["pumpsim", "pumpsim.cli"])
-def test_python_dash_m(module):
+def test_bright_without_injection_is_input_error(capsys, tmp_path):
+    path = _scenario_with(tmp_path, "laser", "c_sp", 1.0)
+    code, _, err = run(capsys, "lcurve", "--scenario", path,
+                       "--out", str(tmp_path / "x.csv"))
+    assert code == 1
+    for field in ("c_sp=", "n_0=", "gamma_conf=", "n_th="):
+        assert field in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python has no integer digit limit")
+def test_huge_yaml_integer_names_the_file(capsys, tmp_path):
+    # PyYAML's int() refuses more than 4,300 digits with a bare ValueError
+    path = Path(_scenario_with(tmp_path, "laser", "n_th", 123456789))
+    path.write_text(path.read_text().replace("123456789", "1" + "0" * 5000))
+    code, _, err = run(capsys, "lcurve", "--scenario", str(path),
+                       "--out", str(tmp_path / "x.csv"))
+    assert code == 1
+    assert str(path) in err and "invalid YAML" in err
+
+
+def _python(*args):
+    """Run this interpreter on ``args`` with the package importable."""
     src = str(Path(pumpsim.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-m", module, "budget"], env=env,
+    return subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, text=True, timeout=60)
+
+
+@pytest.mark.parametrize("module", ["pumpsim", "pumpsim.cli"])
+def test_python_dash_m(module):
+    done = _python("-m", module, "budget")
     assert done.returncode == 0, done.stderr
     assert "verdict=resilient" in done.stdout
+
+
+def test_import_leaves_scipy_unloaded():
+    # importing scipy.optimize cost about 0.7 s of every process's start-up
+    done = _python("-c", "import sys, pumpsim, pumpsim.cli; "
+                   "print(sorted(m for m in sys.modules if 'scipy' in m))")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

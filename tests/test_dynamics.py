@@ -1,6 +1,8 @@
 """Drive waveform, steady states, and the fixed-step integrator."""
 
 import math
+import re
+import sys
 import types
 from unittest import mock
 from dataclasses import replace
@@ -8,7 +10,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
-from scipy.optimize import brentq
 
 import pumpsim as ps
 from pumpsim import dynamics
@@ -96,12 +97,6 @@ class TestSteadyState:
         step=st.floats(1e-6, 20e-3),
         r_opt=st.just(0.0) | st.floats(5e-324, 1e17),
     )
-    # c_sp above gamma_conf, where [0, 2*gamma_conf*tau_ph*inj] has no sign
-    # change at 2 and 20 mA
-    @example(tau_e=1e-9, tau_ph=3e-12, gamma_conf=0.12, n_0=5.5e7, span=1e7,
-             c_sp=0.5, gamma_q=1e-6, i_dc=2e-3, step=18e-3, r_opt=1e15)
-    @example(tau_e=1e-9, tau_ph=3e-12, gamma_conf=0.12, n_0=5.5e7, span=1e7,
-             c_sp=1.0, gamma_q=1e-6, i_dc=2e-3, step=18e-3, r_opt=0.0)
     # subthreshold roots below a fixed xtol of 1e-30
     @example(tau_e=1e-9, tau_ph=3e-12, gamma_conf=0.12, n_0=5.5e7, span=1e7,
              c_sp=1e-30, gamma_q=1e-6, i_dc=1e-3, step=18e-3, r_opt=0.0)
@@ -124,6 +119,7 @@ class TestSteadyState:
              step=18e-3, r_opt=2.975062220086746e-34)
     def test_root_find_properties(self, tau_e, tau_ph, gamma_conf, n_0,
                                   span, c_sp, gamma_q, i_dc, step, r_opt):
+        assume(c_sp * (n_0 / (n_0 + span)) < gamma_conf)  # LaserParams' domain
         params = make_params(tau_e=tau_e, tau_ph=tau_ph,
                              gamma_conf=gamma_conf, n_0=n_0,
                              n_th=n_0 + span, c_sp=c_sp, gamma_q=gamma_q)
@@ -138,6 +134,22 @@ class TestSteadyState:
         assert pumped.n == pytest.approx(shifted.n, rel=1e-9)
         assert pumped.q == pytest.approx(shifted.q, rel=1e-9)
 
+    # c_sp above gamma_conf at n_0 near n_th: c_sp*n_0 is 3.5 and 7 times
+    # gamma_conf*n_th, so the field would be bright without injection
+    @pytest.mark.parametrize("c_sp", [0.5, 1.0])
+    def test_bright_without_injection_refused(self, c_sp):
+        with pytest.raises(ValueError, match="c_sp\\*n_0") as info:
+            make_params(tau_e=1e-9, tau_ph=3e-12, gamma_conf=0.12, n_0=5.5e7,
+                        n_th=6.5e7, c_sp=c_sp, gamma_q=1e-6)
+        for field in ("c_sp=", "n_0=", "gamma_conf=", "n_th="):
+            assert field in str(info.value)
+
+    def test_bright_loop_boundary(self):
+        # c_sp*n_0 == gamma_conf*n_th exactly is refused, just below is not
+        with pytest.raises(ValueError):
+            make_params(gamma_conf=0.5, n_0=5e7, n_th=1e8, c_sp=1.0)
+        make_params(gamma_conf=0.5, n_0=5e7, n_th=1e8, c_sp=0.999)
+
     def test_invalid_inputs(self, params):
         with pytest.raises(ValueError):
             ps.steady_state(params, -1e-3)
@@ -146,16 +158,19 @@ class TestSteadyState:
 
 
 def failing_brentq(mode):
-    """scipy's brentq, made to fail the way ``mode`` names."""
-    def fake(f, a, b, **kw):
+    """The package's Brent root find, made to fail the way ``mode`` names."""
+    real = dynamics._brentq
+
+    def fake(f, a, b, xtol, rtol, maxiter):
         if mode == "bracket":
-            return brentq(lambda q: 1.0, a, b, **kw)
+            return real(lambda q: 1.0, a, b, xtol, rtol, maxiter)
         if mode == "nan":
-            return brentq(lambda q: math.nan, a, b, **kw)
+            return real(lambda q: math.nan, a, b, xtol, rtol, maxiter)
         if mode == "maxiter":
-            return brentq(f, a, b, **{**kw, "maxiter": 1})
-        q, result = brentq(f, a, b, **kw)  # "miss": converged, wrong root
-        return 0.5 * q, result
+            return real(f, a, b, xtol, rtol, 1)
+        # "miss": converged, wrong root
+        q, converged, iterations = real(f, a, b, xtol, rtol, maxiter)
+        return 0.5 * q, converged, iterations
     return fake
 
 
@@ -174,7 +189,7 @@ class TestRootFindFailures:
             residuals.append(residual)
             return ok, residual
 
-        monkeypatch.setattr(dynamics, "brentq", failing_brentq(mode))
+        monkeypatch.setattr(dynamics, "_brentq", failing_brentq(mode))
         monkeypatch.setattr(dynamics, "_derivatives_ok", spy)
         with pytest.raises(ConvergenceError) as info:
             ps.steady_state(params, i_dc)
@@ -192,7 +207,7 @@ class TestRootFindFailures:
             residuals.append(real_check(*args)[1])
             return False, residuals[-1]
 
-        monkeypatch.setattr(dynamics, "brentq", failing_brentq("bracket"))
+        monkeypatch.setattr(dynamics, "_brentq", failing_brentq("bracket"))
         monkeypatch.setattr(dynamics, "_derivatives_ok", never_ok)
         with pytest.raises(ConvergenceError) as info:
             ps.steady_state(params, 20e-3)
@@ -207,6 +222,150 @@ class TestRootFindFailures:
         assert math.isnan(info.value.residual)
         assert "missed the derivative check" in str(info.value)
         assert "residual nan 1/s" in str(info.value)
+
+
+_RTOL = 4.0 * np.finfo(float).eps  # scipy's smallest allowed rtol
+
+
+def _recorded(f):
+    """``f`` and the list of every ``x`` it is called with."""
+    xs = []
+
+    def g(x):
+        xs.append(x)
+        return f(x)
+    return g, xs
+
+
+def _brent_cases():
+    """A seeded set of functions and brackets: smooth, flat-stepped (the
+    extrapolation divides by zero), scaled to the edges of the double range,
+    and subnormal; with tolerances that converge and maxiters that do not."""
+    rng = np.random.default_rng(16)
+    cases = []
+    for _ in range(150):
+        c = rng.uniform(-5.0, 5.0)
+        lo, hi = c - rng.uniform(0.0, 10.0), c + rng.uniform(0.0, 10.0)
+        p = int(rng.choice([1, 3, 5]))
+        scale = float(rng.choice([1e-300, 1e-200, 1.0, 1e100]))
+        step = float(rng.choice([0.5, 1e-3, 1e-8]))
+        cases += [
+            (lambda x, c=c, p=p, s=scale:
+             s * ((x - c) ** p + 0.1 * math.sin(x) * (x - c)), lo, hi),
+            (lambda x, c=c, h=step: (math.floor((x - c) / h) + 0.3) * h,
+             lo, hi),
+            (lambda x, c=c: math.tanh(50.0 * (x - c))
+             + math.copysign(1e-310, x - c), lo, hi),
+            (lambda x, c=c: 1e-310 * (x - c), lo, hi),
+        ]
+    tolerances = [(2e-12, _RTOL, 100), (5e-324, _RTOL, 3000),
+                  (1e-3, 1e-10, 5), (1e-12, _RTOL, 3)]
+    cases = [(f, a, b, *tol) for f, a, b in cases for tol in tolerances]
+    # A kink and a coarse xtol: an interpolated step falls between
+    # 3|sbis| - delta and 3|sbis|, so dropping delta there is seen.
+    for c, k1, k2, a, b, xtol in [(0.25, 1.0, 3.75, -1.75, 4.25, 1.0),
+                                  (0.25, 0.5, 4.5, -2.75, 3.25, 0.25),
+                                  (-0.625, 0.5, 7.0, -4.375, 2.625, 2**-5)]:
+        cases.append((lambda x, c=c, k1=k1, k2=k2:
+                      (k1 if x < c else k2) * (x - c) + 0.125 * (x - c) ** 2,
+                      a, b, xtol, _RTOL, 100))
+    return cases
+
+
+class TestBrentq:
+    """``dynamics._brentq``, the port of the iteration in scipy's brentq.c."""
+
+    @staticmethod
+    def assert_matches_scipy(f, a, b, xtol, rtol, maxiter):
+        optimize = pytest.importorskip("scipy.optimize")
+        g, ours = _recorded(f)
+        h, theirs = _recorded(f)
+        try:
+            want, info = optimize.brentq(h, a, b, xtol=xtol, rtol=rtol,
+                                         maxiter=maxiter, full_output=True,
+                                         disp=False)
+        except ValueError as exc:  # same signs at both ends
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                dynamics._brentq(g, a, b, xtol, rtol, maxiter)
+        else:
+            root, converged, iterations = dynamics._brentq(g, a, b, xtol,
+                                                           rtol, maxiter)
+            assert root.hex() == want.hex()
+            assert (converged, iterations) == (info.converged,
+                                               info.iterations)
+        assert [x.hex() for x in ours] == [x.hex() for x in theirs]
+
+    def test_matches_scipy_bit_for_bit(self):
+        for case in _brent_cases():
+            self.assert_matches_scipy(*case)
+
+    def test_steady_state_residual_matches_scipy(self, monkeypatch):
+        calls = []
+        real = dynamics._brentq
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(dynamics, "_brentq", spy)
+        # defaults; c_sp above gamma_conf (the bracket end is doubled); and
+        # tiny c_sp, whose xtol at 1e-300 is subnormal
+        for overrides in ({}, {"c_sp": 0.5, "n_0": 0.0}, {"c_sp": 1e-30},
+                          {"c_sp": 1e-300}):
+            params = make_params(**overrides)
+            for i_dc in (1e-12, 2e-3, 20e-3, np.float64(12.5e-3)):
+                ps.steady_state(params, i_dc, 1e15)
+        monkeypatch.undo()
+        assert len(calls) == 16
+        assert any(0.0 < args[3] < sys.float_info.min for args in calls)
+        for args in calls:
+            self.assert_matches_scipy(*args)
+
+    def test_endpoint_roots(self):
+        # scipy leaves its iteration count unset on this path; none ran
+        assert dynamics._brentq(lambda x: x, 0.0, 1.0, 1e-12, _RTOL, 100) \
+            == (0.0, True, 0)
+        assert dynamics._brentq(lambda x: x - 1.0, 0.0, 1.0, 1e-12, _RTOL,
+                                100) == (1.0, True, 0)
+
+    @pytest.mark.parametrize("f", [lambda x: 1.0, lambda x: -2.0,
+                                   lambda x: 1e-200])
+    def test_same_signs_raise(self, f):
+        # 1e-200 squared underflows: the signs are compared, not a product
+        with pytest.raises(ValueError, match="different signs"):
+            dynamics._brentq(f, 0.0, 1.0, 1e-12, _RTOL, 100)
+
+    @pytest.mark.parametrize("nan_at", ["a", "b", "inside"])
+    def test_nan_residual_raises(self, nan_at):
+        def f(x):
+            inside = 0.0 < x < 1.0
+            if {"a": x == 0.0, "b": x == 1.0, "inside": inside}[nan_at]:
+                return math.nan
+            return x - 0.3
+
+        with pytest.raises(ValueError, match="NaN"):
+            dynamics._brentq(f, 0.0, 1.0, 1e-12, _RTOL, 100)
+
+    @pytest.mark.parametrize("maxiter", [0, 1, 2])
+    def test_maxiter(self, maxiter):
+        root, converged, iterations = dynamics._brentq(
+            lambda x: math.exp(x) - 5.0, -3.0, 4.0, 1e-12, _RTOL, maxiter)
+        assert (converged, iterations) == (False, maxiter)
+        if maxiter == 0:
+            assert root == 4.0
+        self.assert_matches_scipy(lambda x: math.exp(x) - 5.0, -3.0, 4.0,
+                                  1e-12, _RTOL, maxiter)
+
+    def test_numpy_scalars_iterate_as_floats(self):
+        # One numpy scalar among the inputs must not make every iterate a
+        # numpy scalar: each evaluation of f would slow down several-fold.
+        g, xs = _recorded(lambda x: np.float64(x) ** 3 - np.float64(2.0))
+        root, converged, _ = dynamics._brentq(
+            g, np.float64(0.0), np.float64(3.0), np.float64(1e-12),
+            np.float64(_RTOL), 100)
+        assert converged and len(xs) > 5
+        assert all(type(x) is float for x in xs)
+        assert type(root) is float
 
 
 class TestSimConfigValidation:
