@@ -19,7 +19,6 @@ from .dynamics import (
     SimConfig,
     SimTrace,
     default_warmup,
-    drive_current,
     simulate,
     steady_state,
 )

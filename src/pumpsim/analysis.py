@@ -1,6 +1,9 @@
 """Observables extracted from simulations: light-current curves, differential
 quantum efficiency, per-pulse energy metrics, pump-power sweeps, and the
 calibration of the unknown pumping efficiency against a measured target.
+
+Nothing here integrates: sweeps and fits measure one period of the periodic
+state that ``dynamics`` solves for, and the pulse metrics measure traces.
 """
 
 from __future__ import annotations
@@ -16,14 +19,12 @@ from .dynamics import (
     _BRENTQ_RTOL,
     SimConfig,
     SimTrace,
-    _advance,
     _brentq,
-    _drive_runs,
-    _split,
+    _periodic_state,
     _write_csv,
     steady_state,
 )
-from .errors import ConvergenceError, FitError, NoPulseError
+from .errors import FitError, NoPulseError
 from .model import (
     ELEMENTARY_CHARGE,
     DriveWaveform,
@@ -251,11 +252,6 @@ def pulse_metrics(trace: SimTrace, drive: DriveWaveform) -> PulseMetrics:
     return metrics
 
 
-_PERIODIC_RTOL = 1e-12  # bound on the period-to-period residual of (n, q)
-_ANDERSON_PERIODS = 40  # periods of accelerated iteration
-_PLAIN_PERIODS = 200  # further plain periods before giving up
-
-
 class _Periodic(NamedTuple):
     pulse_energy: float  # J in the 10%-of-peak window of the recorded period
     avg_power: float  # W over the recorded period
@@ -267,77 +263,14 @@ def _periodic_metrics(base: SimConfig, r_opt: float) -> _Periodic:
     """Pulse energy and average power of the periodic state under the pump
     rate ``r_opt`` (1/s).
 
-    Shooting on the period map ``F``: the state at one period start to the
-    state at the next, integrated by ``dynamics._advance``.  From the bias
-    steady state, two plain periods ``x <- F(x)`` are followed by Anderson
-    acceleration with memory 2 (Anderson 1965; Walker & Ni 2011) on
-    ``(n, q)``, scaled by the state after the first period, until the
-    relative residual ``max|F(x) - x| / scale`` is at most
-    ``_PERIODIC_RTOL``.  After ``_ANDERSON_PERIODS`` periods plain iteration
-    takes over; ``_PLAIN_PERIODS`` periods later ``ConvergenceError``
-    carries the residual.  The period from the converged start is then
-    recorded and measured like one period of ``pulse_metrics``.  The step is
-    ``base.dt`` when it divides the period, else ``period/ceil(period/dt)``;
-    ``base``'s pump, warmup, ``t_total`` and ``sample_stride`` play no part.
+    ``dynamics._periodic_state`` solves for the state and records one period
+    of it on ``base``'s step; that period is measured like one period of
+    ``pulse_metrics``.  ``base``'s pump, warmup, ``t_total`` and
+    ``sample_stride`` play no part.
     """
-    params = base.params
-    drive = base.drive
-    m, frac = _split(drive.period / base.dt)
-    h = base.dt
-    if frac:  # shrink the step to a whole number of steps per period
-        m += 1
-        h = drive.period / m
-    runs = list(_drive_runs(m, h, drive, r_opt))
-
-    init = steady_state(params, drive.i_bias, r_opt)
-    first = np.array(_advance(init.n, init.q, runs, params, h)[:2])
-    scale = np.where(first > 0.0, first, 1.0)
-
-    def start(y) -> tuple[float, float]:
-        # Python floats: the kernel runs several times slower on numpy scalars
-        n, q = (y * scale).tolist()
-        return n, q
-
-    def period_map(y):
-        n, q, _, _ = _advance(*start(y), runs, params, h)
-        return np.array([n, q]) / scale
-
-    y = np.array([init.n, init.q]) / scale
-    g = first / scale
-    periods = 1
-    ys, gs = [], []  # the last three iterates and their images
-    while True:
-        f = g - y
-        residual = float(np.abs(f).max())
-        if residual <= _PERIODIC_RTOL:
-            break
-        if periods >= _ANDERSON_PERIODS + _PLAIN_PERIODS:
-            raise ConvergenceError(
-                f"periodic state did not converge in {periods} periods "
-                f"(residual {residual:.3e}, bound {_PERIODIC_RTOL:g})",
-                residual=residual,
-            )
-        ys, gs = (ys + [y])[-3:], (gs + [g])[-3:]
-        y = g
-        if len(ys) == 3 and periods < _ANDERSON_PERIODS:
-            # Two residual differences in two dimensions: the least-squares
-            # coefficients solve a 2x2 system, by Cramer's rule (a LAPACK
-            # call would cost about 1 MB of resident memory).
-            (a, c), (b, d) = np.diff(np.array(gs) - np.array(ys), axis=0).tolist()
-            dg = np.diff(np.array(gs), axis=0)
-            det = a * d - b * c
-            if abs(det) > 1e-12 * (abs(a * d) + abs(b * c)):
-                mixed = (g - (d * f[0] - b * f[1]) / det * dg[0]
-                         - (a * f[1] - c * f[0]) / det * dg[1])
-                if np.isfinite(mixed).all() and (mixed >= 0.0).all():
-                    y = mixed
-        g = period_map(y)
-        periods += 1
-
-    out_n = np.empty(m + 1)
-    out_q = np.empty(m + 1)
-    _advance(*start(y), runs, params, h, (out_n, out_q, 0, 1))
-    p = photon_to_power(out_q, params)
+    h, q, residual, periods = _periodic_state(base.params, base.drive,
+                                              base.dt, r_opt)
+    p = photon_to_power(q, base.params)
     energy, _, _ = _period_pulse(p, h)
     return _Periodic(float(energy), float(p[:-1].mean()), residual, periods)
 

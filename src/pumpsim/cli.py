@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 from . import __version__
@@ -184,13 +183,12 @@ def cmd_dqe(args) -> int:
 def cmd_sweep(args) -> int:
     scenario = load_scenario(args.scenario)
     powers = [p * 1e-3 for p in args.pump_mw]
-    jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
-    rows = pump_sweep(scenario.sim_config(), powers, jobs=jobs)
+    rows = pump_sweep(scenario.sim_config(), powers, jobs=args.jobs)
     write_sweep_csv(rows, args.out)
     _write_sidecar(args.out, "sweep", {
         "scenario": str(args.scenario),
         "pump_mw": [p / 1e-3 for p in powers],
-        "jobs": jobs,
+        "jobs": args.jobs,
     })
     for row in rows:
         print(f"p_pump_w={row.p_pump_w:.12g} "
@@ -287,8 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--pump-mw", type=_float_list, required=True,
                    help="comma-separated pump powers in mW, ascending")
-    p.add_argument("--jobs", type=_positive_int, default=None,
-                   help="worker processes (default: all cores)")
+    p.add_argument("--jobs", type=_positive_int, default=1,
+                   help="worker processes (default: 1)")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("fit", help="calibrate the pumping efficiency to a "

@@ -2,8 +2,10 @@
 
 The integrator is a classical fixed-step 4th-order scheme: deterministic,
 reproducible to the bit, and fast enough in plain Python because the system
-has only two state variables.  Steady states are found algebraically, by
-one root find over the photon number.
+has only two state variables.  It is the only code that integrates: this
+module owns the step grid, the drive schedule on it, and the shooting solve
+for the periodic state that sweeps and fits measure.  Steady states are
+found algebraically, by one root find over the photon number.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .model import (
 __all__ = [
     "SimConfig",
     "SimTrace",
-    "drive_current",
     "steady_state",
     "simulate",
     "default_warmup",
@@ -144,13 +145,6 @@ def _write_csv(path, header: str, columns) -> None:
             ends = starts[1:] + [len(lead)]
             fh.write("".join([tail.join(heads[s:e]) + tail
                               for s, e, tail in zip(starts, ends, tails)]))
-
-
-def drive_current(t: float, drive: DriveWaveform) -> float:
-    """Instantaneous drive current at time t >= 0; pulse-on starts each period."""
-    if math.fmod(t, drive.period) < drive.pulse_width:
-        return drive.i_bias + drive.i_pulse
-    return drive.i_bias
 
 
 def _derivatives_ok(state: LaserState, i_dc: float, r_opt: float,
@@ -480,10 +474,12 @@ def _drive_runs(n_steps: int, dt: float, drive: DriveWaveform, r_opt: float):
     schedule repeats exactly every ``P`` steps; otherwise at ``j*period/dt``.
     A grid step that an edge falls inside is split into sub-steps that end on
     the edge, so every step sees one source.  Samples stay at ``k*dt``.  A
-    drive whose two sources are equal is one run.
+    drive whose two sources are equal is one run.  Sources are Python
+    floats, whatever the drive's fields are: the kernel runs several times
+    slower on numpy scalars.
     """
-    src_on = (drive.i_bias + drive.i_pulse) / ELEMENTARY_CHARGE + r_opt
-    src_off = drive.i_bias / ELEMENTARY_CHARGE + r_opt
+    src_on = float((drive.i_bias + drive.i_pulse) / ELEMENTARY_CHARGE + r_opt)
+    src_off = float(drive.i_bias / ELEMENTARY_CHARGE + r_opt)
     if src_on == src_off or drive.pulse_width == 0.0:
         yield (0, n_steps, dt, src_off)
         return
@@ -519,6 +515,87 @@ def _pieces(a: tuple[int, float], b: tuple[int, float], dt: float,
         yield (ka, kb, dt, src)
     if fb:
         yield (kb, kb + 1, fb * dt, src)
+
+
+_PERIODIC_RTOL = 1e-12  # bound on the period-to-period residual of (n, q)
+_ANDERSON_PERIODS = 40  # periods of accelerated iteration
+_PLAIN_PERIODS = 200  # further plain periods before giving up
+
+
+def _periodic_state(params: LaserParams, drive: DriveWaveform, dt: float,
+                    r_opt: float) -> tuple[float, np.ndarray, float, int]:
+    """One period of the periodic state under the pump rate ``r_opt`` (1/s);
+    returns ``(h, q, residual, periods)``: the step, the photon number at
+    the ``m + 1`` grid points ``0, h, ..., m*h = period``, the residual
+    ``max|F(x) - x| / scale`` at the recorded start, and the periods
+    integrated before the recorded one.
+
+    Shooting on the period map ``F``: the state at one period start to the
+    state at the next, integrated by ``_advance``.  The step is ``dt`` when
+    it divides the period, else ``period/ceil(period/dt)``.  From the bias
+    steady state, two plain periods ``x <- F(x)`` are followed by Anderson
+    acceleration with memory 2 (Anderson 1965; Walker & Ni 2011) on
+    ``(n, q)``, scaled by the state after the first period, until the
+    relative residual is at most ``_PERIODIC_RTOL``.  After
+    ``_ANDERSON_PERIODS`` periods plain iteration takes over;
+    ``_PLAIN_PERIODS`` periods later ``ConvergenceError`` carries the
+    residual.  The state is two Python floats throughout.
+    """
+    m, frac = _split(drive.period / dt)
+    h = dt
+    if frac:  # shrink the step to a whole number of steps per period
+        m += 1
+        h = drive.period / m
+    runs = list(_drive_runs(m, h, drive, r_opt))
+
+    init = steady_state(params, drive.i_bias, r_opt)
+    n, q = float(init.n), float(init.q)
+    first_n, first_q, _, _ = _advance(n, q, runs, params, h)
+    scale_n = first_n if first_n > 0.0 else 1.0
+    scale_q = first_q if first_q > 0.0 else 1.0
+
+    def period_map(y: tuple[float, float]) -> tuple[float, float]:
+        n, q, _, _ = _advance(y[0] * scale_n, y[1] * scale_q, runs, params, h)
+        return n / scale_n, q / scale_q
+
+    y = (n / scale_n, q / scale_q)
+    g = (first_n / scale_n, first_q / scale_q)
+    periods = 1
+    fs, gs = [], []  # the last three residuals F(x) - x and images F(x)
+    while True:
+        f = (g[0] - y[0], g[1] - y[1])
+        residual = max(abs(f[0]), abs(f[1]))
+        if residual <= _PERIODIC_RTOL:
+            break
+        if periods >= _ANDERSON_PERIODS + _PLAIN_PERIODS:
+            raise ConvergenceError(
+                f"periodic state did not converge in {periods} periods "
+                f"(residual {residual:.3e}, bound {_PERIODIC_RTOL:g})",
+                residual=residual,
+            )
+        fs, gs = (fs + [f])[-3:], (gs + [g])[-3:]
+        y = g
+        if len(fs) == 3 and periods < _ANDERSON_PERIODS:
+            # Two residual differences in two dimensions: the least-squares
+            # coefficients solve a 2x2 system, by Cramer's rule.
+            a, c = fs[1][0] - fs[0][0], fs[1][1] - fs[0][1]
+            b, d = fs[2][0] - fs[1][0], fs[2][1] - fs[1][1]
+            det = a * d - b * c
+            if abs(det) > 1e-12 * (abs(a * d) + abs(b * c)):
+                u = (d * f[0] - b * f[1]) / det
+                v = (a * f[1] - c * f[0]) / det
+                mixed = tuple(g[i] - u * (gs[1][i] - gs[0][i])
+                              - v * (gs[2][i] - gs[1][i]) for i in (0, 1))
+                if all(math.isfinite(x) and x >= 0.0 for x in mixed):
+                    y = mixed
+        g = period_map(y)
+        periods += 1
+
+    out_n = np.empty(m + 1)
+    out_q = np.empty(m + 1)
+    _advance(y[0] * scale_n, y[1] * scale_q, runs, params, h,
+             (out_n, out_q, 0, 1))
+    return h, out_q, residual, periods
 
 
 def default_warmup(params: LaserParams, drive: DriveWaveform) -> float:

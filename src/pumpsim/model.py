@@ -62,7 +62,7 @@ class LaserParams:
     tau_ph : float
         Photon lifetime inside the cavity, s.
     gamma_conf : float
-        Confinement factor, dimensionless, in (0, 1].
+        Confinement factor, dimensionless, in [1e-12, 1].
     n_th : float
         Carrier number at threshold.
     n_0 : float
@@ -112,6 +112,12 @@ class LaserParams:
                 f"gamma_conf*tau_ph underflows to 0, got "
                 f"gamma_conf={self.gamma_conf}, tau_ph={self.tau_ph}"
             )
+        # At n_0 = 0 and c_sp above gamma_conf, rounding in
+        # q*g/(gamma_conf*tau_ph) makes steady states miss the derivative
+        # check from gamma_conf of about 1e-17 down; this bound keeps a margin.
+        if self.gamma_conf < 1e-12:
+            raise ValueError(
+                f"gamma_conf must be at least 1e-12, got {self.gamma_conf}")
         if self.n_0 < 0.0:
             raise ValueError(f"n_0 must be nonnegative, got {self.n_0}")
         if self.n_th <= self.n_0:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pumpsim as ps
-from pumpsim import analysis
+from pumpsim import analysis, dynamics
 from pumpsim.model import ELEMENTARY_CHARGE
 
 from test_model import make_params
@@ -198,7 +198,7 @@ class TestPeriodicMetrics:
                          warmup=warm, t_total=warm + 5.5 * period)
         want = ps.pulse_metrics(ps.simulate(config), scenario.drive)
         got = analysis._periodic_metrics(base, _rate(base, p_pump))
-        assert got.residual <= analysis._PERIODIC_RTOL
+        assert got.residual <= dynamics._PERIODIC_RTOL
         assert got.pulse_energy == pytest.approx(want.pulse_energy, rel=1e-9)
         assert got.avg_power == pytest.approx(want.avg_power, rel=1e-9)
 
@@ -208,28 +208,28 @@ class TestPeriodicMetrics:
                                             eps_opt, p_pump):
         base = replace(base_config, pump=ps.PumpScenario(0.0, eps_opt))
         got = analysis._periodic_metrics(base, _rate(base, p_pump))
-        assert 0.0 <= got.residual <= analysis._PERIODIC_RTOL
-        assert 1 <= got.periods <= (analysis._ANDERSON_PERIODS
-                                    + analysis._PLAIN_PERIODS)
+        assert 0.0 <= got.residual <= dynamics._PERIODIC_RTOL
+        assert 1 <= got.periods <= (dynamics._ANDERSON_PERIODS
+                                    + dynamics._PLAIN_PERIODS)
         assert 0.0 < got.pulse_energy <= got.avg_power * drive.period
 
     def test_plain_iteration_past_the_acceleration_cap(self, base_config,
                                                        monkeypatch):
         r_opt = _rate(base_config, 1.6e-3)
         accelerated = analysis._periodic_metrics(base_config, r_opt)
-        monkeypatch.setattr(analysis, "_ANDERSON_PERIODS", 1)
+        monkeypatch.setattr(dynamics, "_ANDERSON_PERIODS", 1)
         plain = analysis._periodic_metrics(base_config, r_opt)
         assert plain.periods > accelerated.periods
-        assert plain.residual <= analysis._PERIODIC_RTOL
+        assert plain.residual <= dynamics._PERIODIC_RTOL
         assert plain.pulse_energy == pytest.approx(accelerated.pulse_energy,
                                                    rel=1e-9)
 
     def test_period_cap_raises_with_residual(self, base_config, monkeypatch):
-        monkeypatch.setattr(analysis, "_ANDERSON_PERIODS", 3)
-        monkeypatch.setattr(analysis, "_PLAIN_PERIODS", 2)
+        monkeypatch.setattr(dynamics, "_ANDERSON_PERIODS", 3)
+        monkeypatch.setattr(dynamics, "_PLAIN_PERIODS", 2)
         with pytest.raises(ps.ConvergenceError) as info:
             analysis._periodic_metrics(base_config, _rate(base_config, 1.6e-3))
-        assert info.value.residual > analysis._PERIODIC_RTOL
+        assert info.value.residual > dynamics._PERIODIC_RTOL
         assert f"{info.value.residual:.3e}" in str(info.value)
         assert "in 5 periods" in str(info.value)
 
@@ -240,6 +240,32 @@ class TestPeriodicMetrics:
         aligned = analysis._periodic_metrics(
             replace(base_config, dt=0.4e-9 / 1334), 0.0)
         assert coarse == aligned
+
+    @pytest.mark.parametrize("dt, numpy_drive", [
+        (None, False),  # 0.1 ps divides the 400 ps period
+        (0.3e-12, False),  # it does not
+        (None, True),
+    ])
+    def test_kernel_sees_only_floats(self, base_config, monkeypatch, dt,
+                                     numpy_drive):
+        # The kernel runs several times slower on numpy scalars
+        base = base_config if dt is None else replace(base_config, dt=dt)
+        if numpy_drive:
+            drive = base.drive
+            base = replace(base, drive=replace(
+                drive, i_bias=np.float64(drive.i_bias),
+                i_pulse=np.float64(drive.i_pulse)))
+        advance = dynamics._advance
+        seen = set()
+
+        def recorded(n, q, runs, *args):
+            runs = list(runs)
+            seen.update({type(n), type(q)} | {type(r[3]) for r in runs})
+            return advance(n, q, runs, *args)
+
+        monkeypatch.setattr(dynamics, "_advance", recorded)
+        analysis._periodic_metrics(base, _rate(base, 1.6e-3))
+        assert seen == {float}
 
 
 class TestPumpSweep:

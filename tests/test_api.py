@@ -16,7 +16,7 @@ EXPORTS = [
     "SPEED_OF_LIGHT", "Scenario", "ScenarioError", "SimConfig", "SimTrace",
     "SimulationError", "SweepRow", "VerdictReport", "analysis",
     "builtin_chain", "chain_isolation", "compute_dqe", "dbm_to_watts",
-    "default_warmup", "derivatives", "drive_current", "dynamics", "errors",
+    "default_warmup", "derivatives", "dynamics", "errors",
     "fit_eps_opt", "gain", "isolation", "knee_current", "light_current_curve",
     "load_chain_csv", "load_scenario", "model", "photon_energy",
     "photon_to_power", "pulse_metrics", "pump_rate", "pump_sweep",
@@ -63,7 +63,6 @@ SIGNATURES = {
     "dbm_to_watts": "(dbm: 'float') -> 'float'",
     "default_warmup": "(params: 'LaserParams', drive: 'DriveWaveform') -> 'float'",
     "derivatives": "(state: 'LaserState', i_now: 'float', r_opt: 'float', params: 'LaserParams') -> 'tuple[float, float]'",
-    "drive_current": "(t: 'float', drive: 'DriveWaveform') -> 'float'",
     "fit_eps_opt": "(base: 'SimConfig', target_p_pump: 'float', target_ratio: 'float') -> 'FitResult'",
     "gain": "(state: 'LaserState', params: 'LaserParams') -> 'float'",
     "knee_current": "(curve: 'LightCurrentCurve', fit_lo: 'float', fit_hi: 'float') -> 'float'",

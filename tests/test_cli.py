@@ -233,6 +233,14 @@ class TestSweepAndFit:
         assert first == [0.0, 1.0, 1.0]
         assert last[1] > 1.0 and last[2] > 1.0
 
+    def test_sweep_runs_one_job_by_default(self, capsys, tmp_path):
+        out_path = tmp_path / "sweep.csv"
+        code, _, _ = run(capsys, "sweep", "--pump-mw", "0,1.6",
+                         "--out", str(out_path))
+        assert code == 0
+        sidecar = json.loads((tmp_path / "sweep.csv.meta.json").read_text())
+        assert sidecar["settings"]["jobs"] == 1
+
     def test_fit_reports_and_reproduces(self, capsys, tmp_path):
         out_path = tmp_path / "fit.csv"
         code, out, _ = run(capsys, "fit", "--target-ratio", "1.05",
@@ -257,8 +265,8 @@ class TestSweepAndFit:
     ])
     def test_unconverged_periodic_state_is_numerical_failure(
             self, capsys, tmp_path, monkeypatch, argv):
-        monkeypatch.setattr(analysis, "_ANDERSON_PERIODS", 2)
-        monkeypatch.setattr(analysis, "_PLAIN_PERIODS", 1)
+        monkeypatch.setattr(dynamics, "_ANDERSON_PERIODS", 2)
+        monkeypatch.setattr(dynamics, "_PLAIN_PERIODS", 1)
         code, _, err = run(capsys, *argv, "--out", str(tmp_path / "x.csv"))
         assert code == 2
         assert "periodic state did not converge" in err
@@ -377,6 +385,15 @@ def test_underflowing_gamma_conf_is_input_error(capsys, tmp_path, command):
                          "--out", str(tmp_path / "x.csv"))
     assert code == 1
     assert "gamma_conf" in err and "tau_ph" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_tiny_gamma_conf_is_input_error(capsys, tmp_path):
+    path = _scenario_with(tmp_path, "laser", "gamma_conf", 1e-13)
+    code, _, err = run(capsys, "lcurve", "--scenario", path,
+                       "--out", str(tmp_path / "x.csv"))
+    assert code == 1
+    assert "gamma_conf must be at least 1e-12" in err
     assert not (tmp_path / "x.csv").exists()
 
 

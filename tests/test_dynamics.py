@@ -19,24 +19,6 @@ from pumpsim.model import ELEMENTARY_CHARGE
 from test_model import make_params
 
 
-class TestDriveCurrent:
-    def test_pulse_on_at_period_start(self, drive):
-        assert ps.drive_current(0.0, drive) == pytest.approx(26e-3)
-
-    def test_off_window(self, drive):
-        assert ps.drive_current(0.3e-9, drive) == pytest.approx(6e-3)
-
-    def test_periodic(self, drive):
-        assert ps.drive_current(0.4e-9, drive) == ps.drive_current(0.0, drive)
-        assert ps.drive_current(0.65e-9, drive) == ps.drive_current(0.25e-9, drive)
-
-    def test_flat_without_modulation(self, params):
-        flat = ps.DriveWaveform(i_bias=5e-3, i_pulse=0.0, pulse_width=0.2e-9,
-                                rep_rate=2.5e9)
-        for t in (0.0, 1e-10, 7.3e-9):
-            assert ps.drive_current(t, flat) == 5e-3
-
-
 class TestSteadyState:
     def test_dark_fixed_point(self, params):
         state = ps.steady_state(params, 0.0, 0.0)
@@ -88,7 +70,7 @@ class TestSteadyState:
     @given(
         tau_e=st.floats(0.3e-9, 3e-9),
         tau_ph=st.floats(1e-12, 1e-11),
-        gamma_conf=st.floats(0.01, 1.0),
+        gamma_conf=st.floats(-12.0, 0.0).map(lambda e: 10.0 ** e),
         n_0=st.floats(0.0, 1e8),
         span=st.floats(1e6, 1e8),
         c_sp=st.just(0.0) | st.floats(5e-324, 1.0),
@@ -117,6 +99,9 @@ class TestSteadyState:
              span=18405777.386812218 - 18307702.19245789,
              c_sp=8.29900964324e-313, gamma_q=2028.7560245406046, i_dc=0.0,
              step=18e-3, r_opt=2.975062220086746e-34)
+    # the smallest gamma_conf LaserParams accepts, far below c_sp at n_0 = 0
+    @example(tau_e=1e-9, tau_ph=3e-12, gamma_conf=1e-12, n_0=0.0, span=1.07e7,
+             c_sp=1.0, gamma_q=1e-6, i_dc=1e-3, step=18e-3, r_opt=1e15)
     def test_root_find_properties(self, tau_e, tau_ph, gamma_conf, n_0,
                                   span, c_sp, gamma_q, i_dc, step, r_opt):
         assume(c_sp * (n_0 / (n_0 + span)) < gamma_conf)  # LaserParams' domain
@@ -465,13 +450,14 @@ class TestSimulate:
         state = ps.steady_state(params, drive.i_bias, 0.0)
 
         def rk4_step(n, q):
-            def f(nn, qq, t):
+            # the pulse is on over the first 2000 steps
+            def f(nn, qq):
                 return ps.derivatives(ps.LaserState(n=nn, q=qq),
-                                      ps.drive_current(t, drive), 0.0, params)
-            k1n, k1q = f(n, q, 0.0)
-            k2n, k2q = f(n + 0.5 * dt * k1n, q + 0.5 * dt * k1q, 0.5 * dt)
-            k3n, k3q = f(n + 0.5 * dt * k2n, q + 0.5 * dt * k2q, 0.5 * dt)
-            k4n, k4q = f(n + dt * k3n, q + dt * k3q, dt)
+                                      drive.i_bias + drive.i_pulse, 0.0, params)
+            k1n, k1q = f(n, q)
+            k2n, k2q = f(n + 0.5 * dt * k1n, q + 0.5 * dt * k1q)
+            k3n, k3q = f(n + 0.5 * dt * k2n, q + 0.5 * dt * k2q)
+            k4n, k4q = f(n + dt * k3n, q + dt * k3q)
             return (n + dt * (k1n + 2.0 * k2n + 2.0 * k3n + k4n) / 6.0,
                     q + dt * (k1q + 2.0 * k2q + 2.0 * k3q + k4q) / 6.0)
 

@@ -201,6 +201,7 @@ class TestValidation:
             {"eta": 0.0},
             {"eta": 1.1},
             {"pump_wavelength": 1550e-9},  # pump must be shorter
+            {"gamma_conf": 9.9e-13, "n_0": 0.0},  # only the 1e-12 bound refuses
         ],
     )
     def test_bad_params_rejected(self, overrides):
