@@ -255,7 +255,7 @@ def pulse_metrics(trace: SimTrace, drive: DriveWaveform) -> PulseMetrics:
 class _Periodic(NamedTuple):
     pulse_energy: float  # J in the 10%-of-peak window of the recorded period
     avg_power: float  # W over the recorded period
-    residual: float  # max |F(x) - x| / scale at the recorded period's start
+    residual: float  # max_i |F(x)_i - x_i| / scale_i at the recorded start
     periods: int  # periods integrated before the recorded one
 
 
@@ -281,9 +281,11 @@ def pump_sweep(base: SimConfig, powers, jobs: int = 1) -> list[SweepRow]:
 
     Rows are independent shooting solves (``_periodic_metrics``) on the
     baseline's step, so discretization bias cancels in the ratios; the
-    config's warmup, ``t_total`` and ``sample_stride`` play no part.
-    ``jobs`` > 1 distributes rows over a process pool; ordering follows the
-    input.
+    config's warmup, ``t_total`` and ``sample_stride`` play no part.  Each
+    pump rate is solved once, the unpumped one included, so a zero-pump row
+    divides the unpumped measurement by itself and reads exactly 1.
+    ``jobs`` > 1 distributes the solves over a process pool; ordering
+    follows the input.
     """
     powers = [float(p) for p in powers]
     if not all(math.isfinite(p) and p >= 0.0 for p in powers):
@@ -291,31 +293,25 @@ def pump_sweep(base: SimConfig, powers, jobs: int = 1) -> list[SweepRow]:
     if any(b < a for a, b in zip(powers, powers[1:])):
         raise ValueError("pump powers must be sorted ascending")
 
-    unpumped = _periodic_metrics(base, 0.0)
     rates = [pump_rate(PumpScenario(p, base.pump.eps_opt), base.params)
-             for p in powers if p != 0.0]
-    if jobs > 1 and len(rates) > 1:
+             for p in powers]
+    measured = {0.0: _periodic_metrics(base, 0.0)}  # pump rate -> metrics
+    todo = [r for r in dict.fromkeys(rates) if r not in measured]
+    if jobs > 1 and len(todo) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_periodic_metrics,
-                                    itertools.repeat(base), rates))
+            measured.update(zip(todo, pool.map(
+                _periodic_metrics, itertools.repeat(base), todo)))
     else:
-        results = [_periodic_metrics(base, r) for r in rates]
+        measured.update((r, _periodic_metrics(base, r)) for r in todo)
 
-    rows = []
-    it = iter(results)
-    for p in powers:
-        if p == 0.0:
-            rows.append(SweepRow(p_pump_w=0.0, norm_pulse_energy=1.0,
-                                 norm_avg_power=1.0))
-        else:
-            result = next(it)
-            rows.append(SweepRow(
-                p_pump_w=p,
-                norm_pulse_energy=result.pulse_energy / unpumped.pulse_energy,
-                norm_avg_power=result.avg_power / unpumped.avg_power))
-    return rows
+    unpumped = measured[0.0]
+    return [SweepRow(
+        p_pump_w=abs(p),  # -0.0 prints as 0
+        norm_pulse_energy=measured[r].pulse_energy / unpumped.pulse_energy,
+        norm_avg_power=measured[r].avg_power / unpumped.avg_power)
+        for p, r in zip(powers, rates)]
 
 
 _EPS_LO = 1e-6  # fit bracket on eps_opt

@@ -24,7 +24,7 @@ from .analysis import (
     write_sweep_csv,
 )
 from .dynamics import _write_csv, simulate
-from .errors import NumericalError, ScenarioError
+from .errors import NumericalError
 from .isolation import AttackBudget, builtin_chain, load_chain_csv, verdict
 from .model import PumpScenario, pump_rate
 from .scenario import BUILTIN_SCENARIOS, load_scenario
@@ -183,7 +183,7 @@ def cmd_dqe(args) -> int:
 def cmd_sweep(args) -> int:
     scenario = load_scenario(args.scenario)
     powers = [p * 1e-3 for p in args.pump_mw]
-    rows = pump_sweep(scenario.sim_config(), powers, jobs=args.jobs)
+    rows = pump_sweep(scenario, powers, jobs=args.jobs)
     write_sweep_csv(rows, args.out)
     _write_sidecar(args.out, "sweep", {
         "scenario": str(args.scenario),
@@ -201,7 +201,7 @@ def cmd_sweep(args) -> int:
 def cmd_fit(args) -> int:
     scenario = load_scenario(args.scenario)
     target_p = args.pump_mw * 1e-3
-    result = fit_eps_opt(scenario.sim_config(), target_p, args.target_ratio)
+    result = fit_eps_opt(scenario, target_p, args.target_ratio)
     print(f"eps_opt={result.eps_opt:.12g}")
     print(f"residual={result.residual:.12g}")
     print(f"bracket_lo={result.bracket_lo:.12g}")
@@ -320,7 +320,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ScenarioError, ValueError) as exc:
+    except ValueError as exc:  # ScenarioError included
         print(f"pumpsim: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except NumericalError as exc:

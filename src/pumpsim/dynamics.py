@@ -54,6 +54,10 @@ class SimConfig:
     sample_stride: int = 1  # output decimation factor
 
     def __post_init__(self):
+        for name in ("t_total", "dt", "warmup"):  # NaN fails every test below
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(
+                    f"{name} must be finite, got {getattr(self, name)}")
         if self.dt <= 0.0:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.dt > self.params.tau_ph / 10.0:
@@ -67,7 +71,9 @@ class SimConfig:
             raise ValueError(
                 f"t_total={self.t_total} must exceed warmup={self.warmup}"
             )
-        if not isinstance(self.sample_stride, int) or self.sample_stride < 1:
+        if (not isinstance(self.sample_stride, int)
+                or isinstance(self.sample_stride, bool)
+                or self.sample_stride < 1):
             raise ValueError(
                 f"sample_stride must be a positive integer, got {self.sample_stride}"
             )
@@ -252,6 +258,10 @@ def steady_state(params: LaserParams, i_dc: float, r_opt: float = 0.0) -> LaserS
     names the cause, and it carries the derivative residual of the last
     candidate (the bracket's upper end when ``_brentq`` raised).
     """
+    if not math.isfinite(i_dc):
+        raise ValueError(f"i_dc must be finite, got {i_dc}")
+    if not math.isfinite(r_opt):
+        raise ValueError(f"r_opt must be finite, got {r_opt}")
     if i_dc < 0.0:
         raise ValueError(f"i_dc must be nonnegative, got {i_dc}")
     if r_opt < 0.0:
@@ -527,19 +537,21 @@ def _periodic_state(params: LaserParams, drive: DriveWaveform, dt: float,
     """One period of the periodic state under the pump rate ``r_opt`` (1/s);
     returns ``(h, q, residual, periods)``: the step, the photon number at
     the ``m + 1`` grid points ``0, h, ..., m*h = period``, the residual
-    ``max|F(x) - x| / scale`` at the recorded start, and the periods
-    integrated before the recorded one.
+    ``max_i |F(x)_i - x_i| / scale_i`` at the recorded start, and the
+    periods integrated before the recorded one.
 
     Shooting on the period map ``F``: the state at one period start to the
     state at the next, integrated by ``_advance``.  The step is ``dt`` when
     it divides the period, else ``period/ceil(period/dt)``.  From the bias
     steady state, two plain periods ``x <- F(x)`` are followed by Anderson
-    acceleration with memory 2 (Anderson 1965; Walker & Ni 2011) on
-    ``(n, q)``, scaled by the state after the first period, until the
-    relative residual is at most ``_PERIODIC_RTOL``.  After
+    acceleration with memory 2 (Anderson 1965; Walker & Ni 2011) on the
+    physical state ``x = (n, q)`` until the relative residual is at most
+    ``_PERIODIC_RTOL``; ``scale`` is the state after the first period (a
+    zero component counts as 1) and enters only the residual.  After
     ``_ANDERSON_PERIODS`` periods plain iteration takes over;
     ``_PLAIN_PERIODS`` periods later ``ConvergenceError`` carries the
-    residual.  The state is two Python floats throughout.
+    residual.  The state is two Python floats throughout, and the recorded
+    period starts from the two floats of the last iterate.
     """
     m, frac = _split(drive.period / dt)
     h = dt
@@ -549,22 +561,14 @@ def _periodic_state(params: LaserParams, drive: DriveWaveform, dt: float,
     runs = list(_drive_runs(m, h, drive, r_opt))
 
     init = steady_state(params, drive.i_bias, r_opt)
-    n, q = float(init.n), float(init.q)
-    first_n, first_q, _, _ = _advance(n, q, runs, params, h)
-    scale_n = first_n if first_n > 0.0 else 1.0
-    scale_q = first_q if first_q > 0.0 else 1.0
-
-    def period_map(y: tuple[float, float]) -> tuple[float, float]:
-        n, q, _, _ = _advance(y[0] * scale_n, y[1] * scale_q, runs, params, h)
-        return n / scale_n, q / scale_q
-
-    y = (n / scale_n, q / scale_q)
-    g = (first_n / scale_n, first_q / scale_q)
+    x = (float(init.n), float(init.q))
+    g = _advance(x[0], x[1], runs, params, h)[:2]
+    scale = tuple(v if v > 0.0 else 1.0 for v in g)
     periods = 1
     fs, gs = [], []  # the last three residuals F(x) - x and images F(x)
     while True:
-        f = (g[0] - y[0], g[1] - y[1])
-        residual = max(abs(f[0]), abs(f[1]))
+        f = (g[0] - x[0], g[1] - x[1])
+        residual = max(abs(f[0]) / scale[0], abs(f[1]) / scale[1])
         if residual <= _PERIODIC_RTOL:
             break
         if periods >= _ANDERSON_PERIODS + _PLAIN_PERIODS:
@@ -574,10 +578,12 @@ def _periodic_state(params: LaserParams, drive: DriveWaveform, dt: float,
                 residual=residual,
             )
         fs, gs = (fs + [f])[-3:], (gs + [g])[-3:]
-        y = g
+        x = g
         if len(fs) == 3 and periods < _ANDERSON_PERIODS:
             # Two residual differences in two dimensions: the least-squares
-            # coefficients solve a 2x2 system, by Cramer's rule.
+            # coefficients solve a 2x2 system, by Cramer's rule.  Scaling a
+            # component scales one row and the right-hand side alike, so
+            # the coefficients need no scaled copy of the state.
             a, c = fs[1][0] - fs[0][0], fs[1][1] - fs[0][1]
             b, d = fs[2][0] - fs[1][0], fs[2][1] - fs[1][1]
             det = a * d - b * c
@@ -586,15 +592,14 @@ def _periodic_state(params: LaserParams, drive: DriveWaveform, dt: float,
                 v = (a * f[1] - c * f[0]) / det
                 mixed = tuple(g[i] - u * (gs[1][i] - gs[0][i])
                               - v * (gs[2][i] - gs[1][i]) for i in (0, 1))
-                if all(math.isfinite(x) and x >= 0.0 for x in mixed):
-                    y = mixed
-        g = period_map(y)
+                if all(math.isfinite(y) and y >= 0.0 for y in mixed):
+                    x = mixed
+        g = _advance(x[0], x[1], runs, params, h)[:2]
         periods += 1
 
     out_n = np.empty(m + 1)
     out_q = np.empty(m + 1)
-    _advance(y[0] * scale_n, y[1] * scale_q, runs, params, h,
-             (out_n, out_q, 0, 1))
+    _advance(x[0], x[1], runs, params, h, (out_n, out_q, 0, 1))
     return h, out_q, residual, periods
 
 

@@ -57,6 +57,10 @@ class TestLightCurrentCurve:
             ps.light_current_curve(params, 0.0, [2e-3, 1e-3])
         with pytest.raises(ValueError):
             ps.light_current_curve(params, 0.0, [-1e-3, 1e-3])
+        with pytest.raises(ValueError, match="i_dc must be finite"):
+            ps.light_current_curve(params, 0.0, [1e-3, math.nan])
+        with pytest.raises(ValueError, match="r_opt must be finite"):
+            ps.light_current_curve(params, math.inf, [1e-3, 2e-3])
 
 
 class TestComputeDqe:
@@ -232,6 +236,41 @@ class TestPeriodicMetrics:
         assert info.value.residual > dynamics._PERIODIC_RTOL
         assert f"{info.value.residual:.3e}" in str(info.value)
         assert "in 5 periods" in str(info.value)
+
+    @pytest.mark.parametrize("p_pump", [k * 0.4e-3 for k in range(6)])
+    def test_paper_operating_point_is_a_stable_closed_orbit(
+            self, base_config, monkeypatch, p_pump):
+        # The solve checks only its own residual.  The recorded period must
+        # close on itself, and the period map's Jacobian at its start must
+        # have spectral radius below 1, or the laser would not settle on the
+        # orbit the sweep and the fit measure (0.30 at most on default over
+        # eps_opt 0.05 to 1 and 0 to 2 mW).
+        advance = dynamics._advance
+        recorded = []
+
+        def spy(n, q, runs, params, h, out=None):
+            runs = list(runs)
+            if out is not None:
+                recorded.append((n, q, runs, params, h))
+            return advance(n, q, runs, params, h, out)
+
+        monkeypatch.setattr(dynamics, "_advance", spy)
+        _, q, _, _ = dynamics._periodic_state(
+            base_config.params, base_config.drive, base_config.dt,
+            _rate(base_config, p_pump))
+        (n0, q0, runs, params, h), = recorded
+        assert abs(q[-1] / q[0] - 1.0) <= 1e-10
+
+        def image(x):
+            return np.array(advance(x[0], x[1], runs, params, h)[:2])
+
+        columns = []
+        for i, x in enumerate((n0, q0)):
+            plus, minus = [n0, q0], [n0, q0]
+            plus[i], minus[i] = x * (1.0 + 1e-7), x * (1.0 - 1e-7)
+            columns.append((image(plus) - image(minus)) / (plus[i] - minus[i]))
+        jacobian = np.column_stack(columns)
+        assert max(abs(np.linalg.eigvals(jacobian))) < 1.0
 
     def test_step_shrinks_to_divide_the_period(self, base_config):
         # 0.3 ps does not divide 400 ps: 1334 steps of 0.29985 ps instead

@@ -140,6 +140,13 @@ class TestSteadyState:
             ps.steady_state(params, -1e-3)
         with pytest.raises(ValueError):
             ps.steady_state(params, 1e-3, -1.0)
+        # non-finite inputs are input errors, not the root find's
+        # ConvergenceError
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="i_dc must be finite"):
+                ps.steady_state(params, bad)
+            with pytest.raises(ValueError, match="r_opt must be finite"):
+                ps.steady_state(params, 6e-3, bad)
 
 
 def failing_brentq(mode):
@@ -371,6 +378,20 @@ class TestSimConfigValidation:
             ps.SimConfig(params=params, drive=drive,
                          pump=ps.PumpScenario(0.0), t_total=1e-9,
                          dt=1e-13, warmup=0.0, sample_stride=0)
+        with pytest.raises(ValueError, match="sample_stride"):  # not stride 1
+            ps.SimConfig(params=params, drive=drive,
+                         pump=ps.PumpScenario(0.0), t_total=1e-9,
+                         dt=1e-13, warmup=0.0, sample_stride=True)
+
+    @pytest.mark.parametrize("field, value", [
+        ("dt", math.nan), ("dt", math.inf), ("warmup", math.nan),
+        ("warmup", math.inf), ("t_total", math.nan), ("t_total", math.inf),
+    ])
+    def test_numerics_must_be_finite(self, base_config, field, value):
+        # NaN passes every sign check, and simulate cannot size a run of
+        # infinite length
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            replace(base_config, **{field: value})
 
     def test_default_warmup_rule(self, params, drive):
         def standard(wave):
