@@ -16,7 +16,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .dynamics import (
-    _BRENTQ_RTOL,
     SimConfig,
     SimTrace,
     _brentq,
@@ -314,10 +313,11 @@ def pump_sweep(base: SimConfig, powers, jobs: int = 1) -> list[SweepRow]:
         for p, r in zip(powers, rates)]
 
 
-_EPS_LO = 1e-6  # fit bracket on eps_opt
-_EPS_HI = 1.0
+_EPS_HI = 1.0  # the fit brackets eps_opt on [0, _EPS_HI]
 _RATIO_TOL = 1e-3  # largest accepted |achieved ratio - target ratio|
-_LOG_BRACKET_TOL = 1e-4  # the root find's xtol, a width in log10(eps_opt)
+# relative bracket width, 1e-4 in log10; alone it stops the search, since
+# the root lies above 0
+_EPS_RTOL = math.log(10.0) * 1e-4
 _FIT_MAXITER = 100  # Brent iterations before the fit gives up
 
 
@@ -325,18 +325,20 @@ def fit_eps_opt(base: SimConfig, target_p_pump: float,
                 target_ratio: float) -> FitResult:
     """Calibrate the pumping efficiency to a measured pulse-energy ratio.
 
-    Brent's bracketed root find over log10(eps_opt) (``dynamics._brentq``,
-    to a width of ``_LOG_BRACKET_TOL``) solves for the point where the
-    normalized pulse energy of the periodic state at ``target_p_pump``
-    (``_periodic_metrics``) equals ``target_ratio``.  It
-    relies only on the sign change between eps_opt 1e-6 and 1 (``_EPS_LO``,
-    ``_EPS_HI``), so a flat stretch of the ratio cannot mislead it.  The
-    search space is log spaced because plausible efficiencies span decades.
-    ``eps_opt`` is the end of the tightest evaluated bracket that lies closer
-    to the target.  Raises ``FitError`` when the target cannot be reached
-    inside that bracket, when the root find has not converged after
-    ``_FIT_MAXITER`` iterations, or when the closer end misses the target by
-    ``_RATIO_TOL`` or more.
+    Brent's bracketed root find over eps_opt on [0, 1] (``dynamics._brentq``)
+    solves for the point where the normalized pulse energy of the periodic
+    state at ``target_p_pump`` (``_periodic_metrics``) equals
+    ``target_ratio``.  It stops when the bracket is narrower than
+    ``_EPS_RTOL`` relative to its better end, the width of 1e-4 in log10 at
+    every scale of eps_opt.  At eps_opt 0 nothing is pumped, so the ratio
+    there is the baseline over itself, exactly 1, below every valid target,
+    and costs no solve.  The search relies only on the sign change between
+    0 and 1, so a flat stretch of the ratio cannot mislead it.  ``eps_opt``
+    is the end of the tightest evaluated bracket that lies closer to the
+    target, and ``evaluations`` counts the pumped solves.  Raises
+    ``FitError`` when the ratio at eps_opt 1 stays below the target, when
+    the root find has not converged after ``_FIT_MAXITER`` iterations, or
+    when the closer end misses the target by ``_RATIO_TOL`` or more.
     """
     if not (math.isfinite(target_ratio) and target_ratio > 1.0):
         raise ValueError(
@@ -346,50 +348,42 @@ def fit_eps_opt(base: SimConfig, target_p_pump: float,
             f"target_p_pump must be finite and positive, got {target_p_pump}")
 
     e_base = _periodic_metrics(base, 0.0).pulse_energy
-    cache: dict[float, float] = {}  # log10(eps_opt) -> ratio
+    cache = {0.0: 1.0}  # eps_opt -> ratio; eps_opt 0 pumps nothing
 
-    def excess(x: float) -> float:
-        if x not in cache:
-            r_opt = pump_rate(PumpScenario(target_p_pump, 10.0 ** x),
-                              base.params)
-            cache[x] = _periodic_metrics(base, r_opt).pulse_energy / e_base
-        return cache[x] - target_ratio
+    def excess(eps: float) -> float:
+        if eps not in cache:
+            r_opt = pump_rate(PumpScenario(target_p_pump, eps), base.params)
+            cache[eps] = _periodic_metrics(base, r_opt).pulse_energy / e_base
+        return cache[eps] - target_ratio
 
-    a, b = math.log10(_EPS_LO), math.log10(_EPS_HI)
-    if excess(b) < 0.0:
+    if excess(_EPS_HI) < 0.0:
         raise FitError(
             f"target ratio {target_ratio} unreachable: maximum achieved "
-            f"{cache[b]:.6f} at eps_opt={_EPS_HI}",
-            achieved=cache[b],
-        )
-    if excess(a) > 0.0:
-        raise FitError(
-            f"target ratio {target_ratio} below the ratio {cache[a]:.6f} already "
-            f"reached at eps_opt={_EPS_LO}",
-            achieved=cache[a],
+            f"{cache[_EPS_HI]:.6f} at eps_opt={_EPS_HI}",
+            achieved=cache[_EPS_HI],
         )
 
-    _, converged, iterations = _brentq(excess, a, b, _LOG_BRACKET_TOL,
-                                       _BRENTQ_RTOL, _FIT_MAXITER)
+    _, converged, iterations = _brentq(excess, 0.0, _EPS_HI, 0.0,
+                                       _EPS_RTOL, _FIT_MAXITER)
     if not converged:
         raise FitError(f"fit did not converge after {iterations} iterations")
 
-    x_lo = max(x for x, r in cache.items() if r <= target_ratio)
-    x_hi = min(x for x, r in cache.items() if r >= target_ratio)
-    x_best = min((x_lo, x_hi), key=lambda x: abs(cache[x] - target_ratio))
-    residual = abs(cache[x_best] - target_ratio)
+    lo = max(eps for eps, r in cache.items() if r <= target_ratio)
+    hi = min(eps for eps, r in cache.items() if r >= target_ratio)
+    best = min((lo, hi), key=lambda eps: abs(cache[eps] - target_ratio))
+    residual = abs(cache[best] - target_ratio)
     if residual >= _RATIO_TOL:
         raise FitError(
             f"fit stalled: best residual {residual:.3e} at eps_opt="
-            f"{10.0 ** x_best:.6g} exceeds tolerance {_RATIO_TOL}",
-            achieved=cache[x_best],
+            f"{best:.6g} exceeds tolerance {_RATIO_TOL}",
+            achieved=cache[best],
         )
     return FitResult(
-        eps_opt=10.0 ** x_best,
+        eps_opt=best,
         residual=residual,
-        bracket_lo=10.0 ** x_lo,
-        bracket_hi=10.0 ** x_hi,
-        evaluations=len(cache),
+        bracket_lo=lo,
+        bracket_hi=hi,
+        evaluations=len(cache) - 1,
     )
 
 

@@ -528,6 +528,7 @@ def _pieces(a: tuple[int, float], b: tuple[int, float], dt: float,
 
 
 _PERIODIC_RTOL = 1e-12  # bound on the period-to-period residual of (n, q)
+_RECORD_RTOL = 1e-9  # residual below which the next period is recorded
 _ANDERSON_PERIODS = 40  # periods of accelerated iteration
 _PLAIN_PERIODS = 200  # further plain periods before giving up
 
@@ -550,8 +551,13 @@ def _periodic_state(params: LaserParams, drive: DriveWaveform, dt: float,
     zero component counts as 1) and enters only the residual.  After
     ``_ANDERSON_PERIODS`` periods plain iteration takes over;
     ``_PLAIN_PERIODS`` periods later ``ConvergenceError`` carries the
-    residual.  The state is two Python floats throughout, and the recorded
-    period starts from the two floats of the last iterate.
+    residual.  The state is two Python floats throughout.  Once a residual
+    is at most ``_RECORD_RTOL``, the next period is integrated with
+    recording, and if it passes, it is the recorded period; otherwise, and
+    when the first period passes, the converged start is integrated once
+    more to record it.  Either way the record starts from the two floats of
+    the converged start, so where it is made changes none of its bits, and
+    ``periods + 1`` periods are integrated in all.
     """
     m, frac = _split(drive.period / dt)
     h = dt
@@ -559,12 +565,14 @@ def _periodic_state(params: LaserParams, drive: DriveWaveform, dt: float,
         m += 1
         h = drive.period / m
     runs = list(_drive_runs(m, h, drive, r_opt))
+    record = (np.empty(m + 1), np.empty(m + 1), 0, 1)
 
     init = steady_state(params, drive.i_bias, r_opt)
     x = (float(init.n), float(init.q))
     g = _advance(x[0], x[1], runs, params, h)[:2]
     scale = tuple(v if v > 0.0 else 1.0 for v in g)
     periods = 1
+    recorded = False  # whether the period from x to g was recorded
     fs, gs = [], []  # the last three residuals F(x) - x and images F(x)
     while True:
         f = (g[0] - x[0], g[1] - x[1])
@@ -594,13 +602,16 @@ def _periodic_state(params: LaserParams, drive: DriveWaveform, dt: float,
                               - v * (gs[2][i] - gs[1][i]) for i in (0, 1))
                 if all(math.isfinite(y) and y >= 0.0 for y in mixed):
                     x = mixed
-        g = _advance(x[0], x[1], runs, params, h)[:2]
+        recorded = residual <= _RECORD_RTOL
+        g = _advance(x[0], x[1], runs, params, h,
+                     record if recorded else None)[:2]
         periods += 1
 
-    out_n = np.empty(m + 1)
-    out_q = np.empty(m + 1)
-    _advance(x[0], x[1], runs, params, h, (out_n, out_q, 0, 1))
-    return h, out_q, residual, periods
+    if recorded:
+        periods -= 1
+    else:
+        _advance(x[0], x[1], runs, params, h, record)
+    return h, record[1], residual, periods
 
 
 def default_warmup(params: LaserParams, drive: DriveWaveform) -> float:

@@ -183,6 +183,39 @@ def _rate(config, p_pump):
     return ps.pump_rate(replace(config.pump, p_pump=p_pump), config.params)
 
 
+class _AdvanceSpy:
+    """Stands in for ``dynamics._advance``: counts its calls, and keeps the
+    arguments of every recording call."""
+
+    def __init__(self, monkeypatch):
+        self.advance = dynamics._advance
+        self.calls = 0
+        self.recorded = []
+        monkeypatch.setattr(dynamics, "_advance", self)
+
+    def __call__(self, n, q, runs, params, h, out=None):
+        runs = list(runs)
+        self.calls += 1
+        if out is not None:
+            self.recorded.append((n, q, runs, params, h))
+        return self.advance(n, q, runs, params, h, out)
+
+    def spectral_radius(self) -> float:
+        """Of the period map's Jacobian at the last recorded start, by
+        central differences through the real kernel."""
+        n0, q0, runs, params, h = self.recorded[-1]
+
+        def image(x):
+            return np.array(self.advance(x[0], x[1], runs, params, h)[:2])
+
+        columns = []
+        for i, x in enumerate((n0, q0)):
+            plus, minus = [n0, q0], [n0, q0]
+            plus[i], minus[i] = x * (1.0 + 1e-7), x * (1.0 - 1e-7)
+            columns.append((image(plus) - image(minus)) / (plus[i] - minus[i]))
+        return max(abs(np.linalg.eigvals(np.column_stack(columns))))
+
+
 class TestPeriodicMetrics:
     @pytest.mark.parametrize("name, p_pump, eps_opt, dt", [
         ("default", 0.0, 0.1, None),
@@ -245,32 +278,44 @@ class TestPeriodicMetrics:
         # have spectral radius below 1, or the laser would not settle on the
         # orbit the sweep and the fit measure (0.30 at most on default over
         # eps_opt 0.05 to 1 and 0 to 2 mW).
-        advance = dynamics._advance
-        recorded = []
-
-        def spy(n, q, runs, params, h, out=None):
-            runs = list(runs)
-            if out is not None:
-                recorded.append((n, q, runs, params, h))
-            return advance(n, q, runs, params, h, out)
-
-        monkeypatch.setattr(dynamics, "_advance", spy)
+        spy = _AdvanceSpy(monkeypatch)
         _, q, _, _ = dynamics._periodic_state(
             base_config.params, base_config.drive, base_config.dt,
             _rate(base_config, p_pump))
-        (n0, q0, runs, params, h), = recorded
+        assert len(spy.recorded) == 1
         assert abs(q[-1] / q[0] - 1.0) <= 1e-10
+        assert spy.spectral_radius() < 1.0
 
-        def image(x):
-            return np.array(advance(x[0], x[1], runs, params, h)[:2])
+    @pytest.mark.parametrize("name, dt", [
+        ("default", None),
+        ("experiment", None),
+        ("default", 0.3e-12),  # does not divide the 400 ps period
+    ])
+    def test_record_matches_a_separate_recording(self, monkeypatch, name,
+                                                 dt):
+        # The period that proves convergence is the recorded one; recording
+        # it after the loop instead gives the same bits, one period later.
+        base = ps.load_scenario(name).sim_config()
+        args = (base.params, base.drive, dt or base.dt, _rate(base, 1.6e-3))
+        spy = _AdvanceSpy(monkeypatch)
+        h, q, residual, periods = dynamics._periodic_state(*args)
+        assert spy.calls == periods + 1
+        monkeypatch.setattr(dynamics, "_RECORD_RTOL", -1.0)
+        spy.calls = 0
+        after = dynamics._periodic_state(*args)
+        assert spy.calls == after[3] + 1
+        assert after[3] == periods + 1
+        assert (after[0], after[2]) == (h, residual)
+        assert after[1].tobytes() == q.tobytes()
 
-        columns = []
-        for i, x in enumerate((n0, q0)):
-            plus, minus = [n0, q0], [n0, q0]
-            plus[i], minus[i] = x * (1.0 + 1e-7), x * (1.0 - 1e-7)
-            columns.append((image(plus) - image(minus)) / (plus[i] - minus[i]))
-        jacobian = np.column_stack(columns)
-        assert max(abs(np.linalg.eigvals(jacobian))) < 1.0
+    def test_experiment_solve_is_two_periods(self, monkeypatch):
+        # The bias steady state is already periodic to 1e-12; the second
+        # period proves it and is the recorded one.
+        base = ps.load_scenario("experiment").sim_config()
+        spy = _AdvanceSpy(monkeypatch)
+        _, _, _, periods = dynamics._periodic_state(
+            base.params, base.drive, base.dt, _rate(base, 1.6e-3))
+        assert (spy.calls, periods, len(spy.recorded)) == (2, 1, 1)
 
     def test_step_shrinks_to_divide_the_period(self, base_config):
         # 0.3 ps does not divide 400 ps: 1334 steps of 0.29985 ps instead
@@ -395,6 +440,21 @@ class TestFitEpsOpt:
                                 1.0543367457078245)
         assert result.residual < 1e-3
         assert result.bracket_lo <= result.eps_opt <= result.bracket_hi
+
+    def test_fit_cost_on_default(self, base_config, monkeypatch):
+        # the README example: 7 pumped solves and 69 periods in all
+        spy = _AdvanceSpy(monkeypatch)
+        result = ps.fit_eps_opt(base_config, 1.6e-3, 1.10)
+        assert result.residual < 1e-3
+        assert result.evaluations <= 7
+        assert spy.calls <= 69
+
+    @pytest.mark.parametrize("target", [1.0001, 1.00001, 1.001])
+    def test_bracket_is_relative_at_small_eps(self, base_config, target):
+        # the bracket on eps_opt narrows relative to its end, not to 1
+        result = ps.fit_eps_opt(base_config, 1.6e-3, target)
+        assert result.eps_opt > 0.0
+        assert result.bracket_hi / result.bracket_lo - 1.0 <= 2.4e-4
 
     def test_unreachable_target(self, small_config):
         with pytest.raises(ps.FitError) as err:

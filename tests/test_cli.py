@@ -248,7 +248,7 @@ class TestSweepAndFit:
         assert code == 0
         assert summary_value(out, "residual") < 1e-3
         eps = summary_value(out, "eps_opt")
-        assert 1e-6 <= eps <= 1.0
+        assert 0.0 < eps <= 1.0
         assert out_path.read_text().startswith(
             "eps_opt,residual,bracket_lo,bracket_hi\n"
         )
