@@ -19,6 +19,7 @@ from .dynamics import (
     SimConfig,
     SimTrace,
     _brentq,
+    _complete_period_bounds,
     _periodic_state,
     _write_csv,
     steady_state,
@@ -148,28 +149,6 @@ def knee_current(
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 
-def _complete_period_bounds(
-    t: np.ndarray, period: float
-) -> list[tuple[int, int, int]]:
-    """(period index, first sample, boundary sample) for each complete period."""
-    t0 = float(t[0])
-    h = float(t[1] - t[0])
-
-    def at_or_after(x: float) -> int:
-        return int(math.ceil((x - t0) / h - 1e-9))
-
-    bounds = []
-    j = int(math.ceil(t0 / period - 1e-9))
-    while True:
-        a = at_or_after(j * period)
-        b = at_or_after((j + 1) * period)
-        if b > len(t) - 1:
-            break
-        bounds.append((j, a, b))
-        j += 1
-    return bounds
-
-
 def _window_energy(seg: np.ndarray, h: float, threshold: float) -> float:
     """Trapezoidal energy over every run of samples at or above threshold.
 
@@ -217,10 +196,8 @@ def pulse_metrics(trace: SimTrace, drive: DriveWaveform) -> PulseMetrics:
     inter-pulse spontaneous floor.  The trace must span at least 5 complete
     drive periods.
     """
-    if len(trace.t) < 2:
-        raise ValueError("trace too short for pulse metrics")
+    h = trace.sample_spacing  # refuses a trace of fewer than two samples
     period = drive.period
-    h = trace.sample_spacing
     bounds = _complete_period_bounds(trace.t, period)
     if len(bounds) < 5:
         raise ValueError(

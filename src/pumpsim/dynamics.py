@@ -96,11 +96,16 @@ class SimTrace:
     def __post_init__(self):
         if not (len(self.t) == len(self.n) == len(self.q) == len(self.p)):
             raise ValueError("trace arrays must have equal length")
-        if len(self.t) >= 2:
-            steps = np.diff(self.t)
-            if steps.min() <= 0.0:
+        t = self.t
+        if len(t) >= 2:
+            if (t[1:] <= t[:-1]).any():
                 raise ValueError("trace times must be strictly increasing")
-            if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
+            # Samples k*dt lie on the line through the ends, to 3 ulps of
+            # max|t| for one sign: the rounding of k*dt and of the line.
+            off = np.linspace(t[0], t[-1], len(t))
+            off -= t
+            bound = 8.0 * np.spacing(max(abs(t[0]), abs(t[-1])))
+            if not np.abs(off, out=off).max() <= bound:  # NaN fails too
                 raise ValueError("trace times must be uniformly spaced")
         for name in ("n", "q", "p"):
             if getattr(self, name).min(initial=0.0) < 0.0:
@@ -108,9 +113,10 @@ class SimTrace:
 
     @property
     def sample_spacing(self) -> float:
+        """Time between samples, s, taken over the whole trace's span."""
         if len(self.t) < 2:
             raise ValueError("need at least two samples for a spacing")
-        return float(self.t[1] - self.t[0])
+        return float((self.t[-1] - self.t[0]) / (len(self.t) - 1))
 
     def to_csv(self, path) -> None:
         """Write the trace as CSV with 12 significant digits per value."""
@@ -471,6 +477,22 @@ def _split(x: float) -> tuple[int, float]:
     if f >= 1.0 - _EDGE_TOL:
         return k + 1, 0.0
     return k, f
+
+
+def _complete_period_bounds(t: np.ndarray,
+                            period: float) -> list[tuple[int, int, int]]:
+    """(period index, first sample, boundary sample) of each drive period
+    that the uniform times ``t`` cover.  Period ``j`` begins at the first
+    sample at or after ``j*period`` (an edge at most ``_EDGE_TOL`` spacings
+    past a sample lies on it, as in ``_drive_runs``) unless it began a
+    spacing or more before ``t[0]``."""
+    h = float((t[-1] - t[0]) / (len(t) - 1))
+    j = np.arange((t[0] - h) // period, t[-1] // period + 2, dtype=int)
+    edges = j * period - _EDGE_TOL * h
+    inside = (edges > t[0] - h) & (edges <= t[-1])
+    starts = np.searchsorted(t, edges[inside]).tolist()
+    j = j[inside].tolist()
+    return list(zip(j, starts[:-1], starts[1:]))
 
 
 def _drive_runs(n_steps: int, dt: float, drive: DriveWaveform, r_opt: float):

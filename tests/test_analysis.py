@@ -151,9 +151,10 @@ class TestPulseMetrics:
             ps.pulse_metrics(trace, drive)
 
     def test_needs_five_periods(self, drive):
-        trace = make_flat_trace(1e-3, periods=3, period=drive.period)
-        with pytest.raises(ValueError):
-            ps.pulse_metrics(trace, drive)
+        for periods in (0, 3):  # 0 is a one-sample trace
+            trace = make_flat_trace(1e-3, periods=periods, period=drive.period)
+            with pytest.raises(ValueError):
+                ps.pulse_metrics(trace, drive)
 
 
 def _window_runs(trace, drive):

@@ -3,6 +3,7 @@
 import math
 import re
 import sys
+import tracemalloc
 import types
 from unittest import mock
 from dataclasses import replace
@@ -548,9 +549,55 @@ class TestTraceValidation:
                         p=np.zeros(3))
 
     def test_rejects_nonuniform_times(self):
-        with pytest.raises(ValueError):
-            ps.SimTrace(t=np.array([0.0, 1.0, 3.0]), n=np.zeros(3),
-                        q=np.zeros(3), p=np.zeros(3))
+        for last in (3.0, 2.000001):
+            with pytest.raises(ValueError):
+                ps.SimTrace(t=np.array([0.0, 1.0, last]), n=np.zeros(3),
+                            q=np.zeros(3), p=np.zeros(3))
+
+    @settings(deadline=None)
+    @given(
+        dt=st.sampled_from([0.05e-12, 0.1e-12 / 3.0, 0.1e-12, 0.25e-12,
+                            0.3e-12]),
+        log_warm=st.floats(0.0, 13.0),
+        stride=st.integers(1, 9),
+        samples=st.integers(2, 20000),
+    )
+    def test_accepts_simulated_grids(self, dt, log_warm, stride, samples):
+        # first differences of k*dt far from t = 0 wander by more than 1e-9
+        # relative; the samples still lie on one line, and the spacing over
+        # the span carries the rounding of t once over all the spacings
+        t = (int(10.0 ** log_warm) + stride * np.arange(samples)) * dt
+        zeros = np.zeros(samples)
+        trace = ps.SimTrace(t=t, n=zeros, q=zeros, p=zeros)
+        assert abs(trace.sample_spacing - stride * dt) <= (
+            np.spacing(t[-1]) / (samples - 1) + 4.0 * np.spacing(stride * dt))
+
+    def test_long_flat_trace(self, params, drive):
+        # 1.1 us of warmup at 0.1 ps: first differences vary by 2e-9
+        config = ps.SimConfig(params=params, drive=replace(drive, i_pulse=0.0),
+                              pump=ps.PumpScenario(0.0),
+                              t_total=1.1e-6 + 2e-9, dt=1e-13, warmup=1.1e-6)
+        assert len(ps.simulate(config).t) == 20001
+
+    def test_spacing_check_allocates_no_more_than_first_differences(self):
+        t = np.arange(200_000) * 1e-13
+        zeros = np.zeros(len(t))
+
+        def peak(f):
+            tracemalloc.start()
+            try:
+                f()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        def first_differences():
+            steps = np.diff(t)
+            return np.allclose(steps, steps[0], rtol=1e-9, atol=0.0)
+
+        assert first_differences()
+        assert peak(lambda: ps.SimTrace(t=t, n=zeros, q=zeros, p=zeros)) <= (
+            peak(first_differences))
 
     def test_rejects_negative_values(self):
         with pytest.raises(ValueError):
@@ -852,6 +899,62 @@ class TestDriveRuns:
                                                params, h)
         assert abs(got_n - want_n) <= math.ulp(want_n)
         assert abs(got_q - want_q) <= math.ulp(want_q)
+
+
+def simulated_times(dt, t_total, warmup, stride):
+    """``(n_steps, warm_steps, t)``: simulate's step count, first sample step
+    and sample times, built as simulate builds them."""
+    n_steps = int(round(t_total / dt))
+    warm_steps = min(int(math.ceil(warmup / dt - 1e-9)), n_steps)
+    n_out = (n_steps - warm_steps) // stride + 1
+    return n_steps, warm_steps, (warm_steps + stride * np.arange(n_out)) * dt
+
+
+def driven_period_starts(drive, dt, n_steps):
+    """The first grid step at or after each pulse-on edge up to step
+    ``n_steps``, read off ``_drive_runs``: the end of the run before each
+    rise of the source.  An edge inside a step splits it, and the run before
+    the edge ends with that step."""
+    runs = list(dynamics._drive_runs(n_steps + 1, dt, drive, 0.0))
+    return [0] + [a[1] for a, b in zip(runs, runs[1:]) if b[3] > a[3]]
+
+
+class TestCompletePeriodBounds:
+    @settings(deadline=None)
+    @given(
+        dt=st.sampled_from([0.05e-12, 0.1e-12 / 3.0, 0.1e-12, 0.25e-12,
+                            0.3e-12]),
+        rate=st.one_of(st.sampled_from([1e8, 2.5e8, 5e8, 1e9, 1.25e9, 2e9,
+                                        2.5e9]),
+                       st.floats(1e8, 2.5e9)),
+        duty=st.floats(0.05, 0.9),
+        warm_periods=st.one_of(st.integers(0, 30), st.floats(0.0, 30.0)),
+        periods=st.floats(0.5, 8.0),
+        stride=st.sampled_from([1, 2, 7]),
+    )
+    def test_bounds_are_the_driven_periods(self, drive, dt, rate, duty,
+                                           warm_periods, periods, stride):
+        wave = replace(drive, pulse_width=duty / rate, rep_rate=rate)
+        warmup = warm_periods * wave.period
+        n_steps, warm_steps, t = simulated_times(
+            dt, warmup + periods * wave.period, warmup, stride)
+        assume(len(t) >= 2)
+        # the first sample at or after each period's first step, on the
+        # sample grid continued before the trace
+        firsts = [-((warm_steps - k) // stride)
+                  for k in driven_period_starts(wave, dt, n_steps)]
+        want = [(j, a, b) for j, (a, b) in enumerate(zip(firsts, firsts[1:]))
+                if a >= 0 and b < len(t)]
+        assert dynamics._complete_period_bounds(t, wave.period) == want
+
+    def test_experiment_grid_has_six_periods(self):
+        scenario = ps.load_scenario("experiment")
+        _, _, t = simulated_times(scenario.dt, scenario.t_total,
+                                  scenario.warmup, scenario.sample_stride)
+        bounds = dynamics._complete_period_bounds(t, scenario.drive.period)
+        assert [(a, b) for _, a, b in bounds] == [
+            (k * 1_000_000, (k + 1) * 1_000_000) for k in range(6)]
+        assert len(t) == 6_000_001
 
 
 def savetxt_bytes(path, header, columns):
