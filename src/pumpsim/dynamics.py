@@ -10,6 +10,7 @@ found algebraically, by one root find over the photon number.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import sys
@@ -123,16 +124,88 @@ class SimTrace:
         _write_csv(path, "t_s,n,q,p_w", [self.t, self.n, self.q, self.p])
 
 
+@functools.cache
+def _digit_tables():
+    """``_exponent_lines``' tables, built on the first CSV write; a run that
+    writes none never builds them.
+
+    ``pow10[308 - e]`` is ``10**(11 - e)`` for ``e`` = 308 .. -308, correctly
+    rounded from a decimal literal, and 0 past the double range, which hands
+    a value back.  ``digits[g]`` holds the 4 ASCII digits of ``g`` < 10,000
+    and ``trailing[g]`` how many of them are trailing zeros.  Byte ``j`` of
+    the slot ``-d.ddddddddddde+xxx\n`` is kept at ``keep[n, j]`` for ``n``
+    significant digits; the sign and the exponent's hundreds are set per row.
+    """
+    pow10 = np.array([float(f"1e{k}") if k <= 308 else 0.0
+                      for k in range(-297, 320)])
+    # "0000" .. "9999" in order, as ASCII bytes
+    chars = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4,
+                                 indexing="ij"), axis=-1).reshape(10000, 4)
+    trailing = (chars[:, ::-1] == ord("0")).cumprod(
+        axis=1, dtype=np.uint8).sum(axis=1, dtype=np.uint8)
+    keep = (np.array([0, 0, 1] + list(range(1, 12)) + [0] * 6)
+            < np.arange(13)[:, None])
+    return pow10, chars.view(np.uint32).ravel(), trailing, keep
+
+
+def _exponent_lines(x: np.ndarray) -> tuple[np.ndarray, str]:
+    """Mask the values of ``x`` that ``%.12g`` prints in exponent notation
+    with digits that arithmetic proves, and their ``%.12g`` lines.
+
+    With ``e = floor(log10|x|)``, ``d = |x|*10**(11 - e)`` is within 2.2e-4
+    of exact (two roundings below 1e12), so outside 1e-3 of a tie
+    ``rint(d)`` is the integer that ``%.12g`` rounds to.  Handed back are
+    zero, subnormal, non-finite and fixed-notation (``-4 <= e < 12``)
+    values, ties, values below 1e-297, and a ``rint(d)`` that is not 12
+    digits (a ``log10`` off by one, or a round up to the next power of ten).
+    A line is the slot ``-d.ddddddddddde+xxx\n`` less the sign of a
+    positive value, trailing zeros, a bare ``.`` and the hundreds digit of
+    an exponent below 100.
+    """
+    pow10, digit_table, trailing, keep_table = _digit_tables()
+    a = np.abs(x)
+    fast = np.isfinite(a)
+    a[~fast] = 1.0
+    # zero and subnormals take e = -308, whose factor is 0
+    e = np.floor(np.log10(np.maximum(a, sys.float_info.min)))
+    d = a * pow10[(308.0 - e).astype(np.intp)]
+    r = np.rint(d)
+    fast &= (((e < -4.0) | (e >= 12.0)) & (r >= 1e11) & (r < 1e12)
+             & (np.abs(d - np.floor(d) - 0.5) > 1e-3))
+    r, e, neg = r[fast], e[fast].astype(np.intp), x[fast] < 0.0
+    # three 4-digit groups; r is an integer below 2**53, so both floors
+    # of a quotient are exact
+    hi = np.floor(r / 1e8)
+    r -= hi * 1e8
+    mid = np.floor(r / 1e4)
+    groups = np.array([hi, mid, r - mid * 1e4], dtype=np.intp)
+    digits = digit_table.take(groups.T).view(np.uint8)
+    hi, mid, lo = trailing.take(groups)
+    zeros = lo + (groups[2] == 0) * (mid + (groups[1] == 0) * hi)
+    rows = np.frombuffer(bytearray(b"-0.00000000000e+000\n" * len(r)),
+                         dtype=np.uint8).reshape(-1, 20)
+    rows[:, 1] = digits[:, 0]
+    rows[:, 3:14] = digits[:, 1:]
+    rows[:, 15] = np.where(e < 0, ord("-"), ord("+"))
+    rows[:, 16:19] = digit_table.take(np.abs(e)[:, None]).view(np.uint8)[:, 1:]
+    keep = keep_table.take(12 - zeros, axis=0)
+    keep[:, 0] = neg
+    keep[:, 16] = rows[:, 16] != ord("0")
+    return fast, str(rows[keep], "ascii")
+
+
 def _write_csv(path, header: str, columns) -> None:
     """Write equal-length columns under a header line, 12 significant digits
     per value; the one CSV format of every pumpsim data file.
 
     The bytes are those of ``np.savetxt(fmt="%.12g", delimiter=",")``.  Rows
-    are written a block at a time.  Within a block the first column is
-    formatted for every row, and the rest of a row is formatted once per run
-    of consecutive rows whose remaining values are bit-identical (a trace's
-    stall-skipped steps repeat ``n``, ``q`` and ``p``), then joined between
-    the first-column strings of the run.
+    are written a block at a time.  Within a block the first column (a
+    trace's time) is formatted by digit arithmetic (``_exponent_lines``);
+    the values it cannot prove, such as zero, non-finite, fixed-notation
+    values and ties, go to ``%.12g``.  The rest of a row is formatted once
+    per run of consecutive rows whose remaining values are bit-identical (a
+    trace's stall-skipped steps repeat ``n``, ``q`` and ``p``), then joined
+    between the first-column strings of the run.
     """
     first, *rest = [np.asarray(c, dtype=float) for c in columns]
     suffix = ",%.12g" * len(rest) + "\n"
@@ -151,8 +224,15 @@ def _write_csv(path, header: str, columns) -> None:
             values = np.array([c[new] for c in block]).ravel(order="F")
             tails = ((suffix * int(new.sum())) % tuple(values.tolist())
                      ).splitlines(True)
-            heads = (("%.12g\n" * len(lead)) % tuple(lead.tolist())
-                     ).splitlines()
+            fast, text = _exponent_lines(lead)
+            heads = text.splitlines()
+            if not fast.all():
+                slow = lead[~fast]
+                merged = np.empty(len(lead), dtype=object)
+                merged[fast] = heads
+                merged[~fast] = (("%.12g\n" * len(slow))
+                                 % tuple(slow.tolist())).splitlines()
+                heads = merged.tolist()
             starts = np.flatnonzero(new).tolist()
             ends = starts[1:] + [len(lead)]
             fh.write("".join([tail.join(heads[s:e]) + tail

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: artifacts, summaries, exit codes."""
 
+import hashlib
 import json
 import math
 import os
@@ -105,6 +106,18 @@ class TestSimulate:
         assert a.read_bytes() == b.read_bytes()
         assert ((tmp_path / "a.csv.meta.json").read_text()
                 == (tmp_path / "b.csv.meta.json").read_text())
+
+    @pytest.mark.parametrize("pump_mw, digest", [
+        ("0", "e71cf9de25d79f8cc343a363266d1151d3e2c5cdf0ac8208fe5a76057371f94f"),
+        ("1.6", "a3b0b0984450b10d829a726ec6fb71b6026a31a1998b832da991d82b52f47ee7"),
+    ])
+    def test_default_trace_digest(self, capsys, tmp_path, pump_mw, digest):
+        """The bytes of the default trace, pinned: a change to the integrator
+        or to the CSV writer that moves one byte fails here."""
+        out = tmp_path / "trace.csv"
+        assert run(capsys, "simulate", "--out", str(out),
+                   "--pump-mw", pump_mw)[0] == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_stalled_trace_bytes_match_savetxt(self, capsys, tmp_path,
                                                monkeypatch):

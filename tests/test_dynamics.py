@@ -969,6 +969,52 @@ def savetxt_bytes(path, header, columns):
 # of %.12g: non-finite, subnormal, huge
 EDGE_VALUES = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324,
                -2.5e-310, 1e300, -1e300, 1.0 / 3.0]
+# exact ties at the 12th digit: %.12g rounds them half to even
+# (2.288818359375e-05 prints as 2.28881835938e-05)
+TIES = [3 * 2.0 ** -17, 12345678901250000.0, 1234567890.125]
+# one value of each kind that the digit arithmetic hands back to %.12g
+HANDED_BACK = {
+    "zero": 0.0,
+    "negative zero": -0.0,
+    "subnormal": -2.5e-310,
+    "nan": math.nan,
+    "inf": math.inf,
+    "-inf": -math.inf,
+    "below 1e-297": 9.999999999996e-298,
+    "fixed notation, small": 1.5e-4,
+    "fixed notation, large": -123456789012.0,
+    "tie": 3 * 2.0 ** -17,
+    "rounds up to the next power of ten": 9.9999999999996e-06,
+}
+
+
+def ulps(x, k):
+    """``x`` moved ``k`` ulps, up for k > 0 and down for k < 0."""
+    for _ in range(abs(k)):
+        x = np.nextafter(x, math.copysign(math.inf, k))
+    return float(x)
+
+
+# powers of ten and their neighbours, where a log10 can be off by one and a
+# value can round up to the next power at 12 digits
+near_powers_of_ten = st.builds(
+    lambda p, k, sign: sign * ulps(float(f"1e{p}"), k),
+    st.integers(-300, 300), st.integers(-4, 4), st.sampled_from([1.0, -1.0]))
+
+
+@st.composite
+def sample_times(draw):
+    """Times as simulate makes them, ``(w + s*k)*dt``: first sample step
+    ``w``, stride ``s`` and a step of 1e-15 to 1e-11 s."""
+    dt = draw(st.floats(1e-15, 1e-11))
+    w = draw(st.integers(0, 10 ** 9))
+    s = draw(st.integers(1, 100))
+    return (w + s * np.arange(draw(st.integers(1, 40)))) * dt
+
+
+first_values = st.lists(st.one_of(
+    near_powers_of_ten, st.sampled_from(EDGE_VALUES + TIES), st.floats()),
+    min_size=1, max_size=40).map(np.array)
 
 
 @st.composite
@@ -1029,3 +1075,31 @@ class TestWriteCsv:
             dynamics._write_csv(got, header, columns)
         assert got.read_bytes() == savetxt_bytes(csv_dir / "want.csv", header,
                                                  columns)
+
+    @given(first=st.one_of(sample_times(), first_values),
+           repeats=st.integers(1, 5), block=st.integers(1, 9))
+    @example(first=np.array(TIES), repeats=1, block=9)
+    @example(first=np.array(list(HANDED_BACK.values())), repeats=2, block=4)
+    @example(first=np.array([1e-100, -1e-123, 1e200, -2e-308]), repeats=3,
+             block=2)
+    def test_first_column_matches_savetxt(self, csv_dir, first, repeats,
+                                          block):
+        """Times, powers of ten give or take 4 ulps, ties, 3-digit exponents
+        and every hand-back case in the first column, with the other column
+        in runs of ``repeats`` rows."""
+        columns = [first, (np.arange(len(first)) // repeats) * 0.1]
+        got = csv_dir / "got.csv"
+        with mock.patch.object(dynamics, "_CSV_BLOCK_ROWS", block):
+            dynamics._write_csv(got, "t_s,n", columns)
+        assert got.read_bytes() == savetxt_bytes(csv_dir / "want.csv",
+                                                 "t_s,n", columns)
+
+    def test_simulate_times_take_the_digit_path(self, base_trace):
+        """No time of the default trace goes to %.12g, and each kind of
+        value that the digit arithmetic cannot prove does."""
+        fast, text = dynamics._exponent_lines(base_trace.t)
+        assert fast.all()
+        assert text == "".join(["%.12g\n" % t for t in base_trace.t.tolist()])
+        fast, text = dynamics._exponent_lines(
+            np.array(list(HANDED_BACK.values())))
+        assert not fast.any() and text == ""
