@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import struct
 import sys
 from dataclasses import dataclass, field
 
@@ -420,6 +421,15 @@ def simulate(config: SimConfig) -> SimTrace:
     already on.  Output samples run from the end of the warmup interval to
     ``t_total`` at a spacing of ``dt * sample_stride``.  Identical configs
     produce bit-identical traces.
+
+    Steps that provably repeat are not integrated (``_advance``): a run
+    that stalls on a fixed point jumps to its end, and a run that reaches
+    the exact state of an earlier run, with the same step, source and
+    stride phase, copies that run's samples up to where it stopped.  Whole
+    periods that repeat, edge fractions that recur and runs that relax
+    onto an earlier trajectory are copied; a span whose samples fell in the
+    warmup, where none were stored, is integrated.  The trace and the clamp
+    count are bit for bit those of integrating every step.
     """
     params = config.params
     drive = config.drive
@@ -457,6 +467,20 @@ def _advance(n: float, q: float, runs, params: LaserParams, dt: float,
     ``out = (out_n, out_q, first, stride)`` the state at the start of grid
     step ``first + j*stride``, and after the last run, is stored at index
     ``j``.  Negative excursions are clamped to zero and counted.
+
+    Two exact shortcuts skip steps without changing a bit of the result,
+    since one step depends only on the state, ``h`` and ``src``.  A step
+    that maps a nonzero state onto itself (a stall) is a fixed point of
+    every later step of its run, so the run jumps to its end.  And every
+    ``_CHECKPOINT_STEPS`` steps a run of several steps looks up the bits of
+    ``(n, q, h, src)``, at its phase of ``stride``, among the checkpoints
+    of the runs before it in this call.  A hit repeats that earlier run
+    from there to where it stopped integrating (its stall or its end): the
+    run jumps there, adds the clamps of that span and copies its samples.
+    That covers whole periods that repeat, edge fractions that recur, and
+    runs that relax onto an earlier trajectory.  A span that would pass the
+    end of the run, or whose earlier samples were not stored (they fell
+    before ``first``), is integrated as usual.
     """
     # Hoist everything the inner loop touches.  The stage arithmetic is
     # model.derivatives with i/e + r_opt and 0.5*h computed once: the same
@@ -481,67 +505,124 @@ def _advance(n: float, q: float, runs, params: LaserParams, dt: float,
     clamps = 0
     steps = 0
     k_end = 0
-    for k0, k_end, h, src in runs:
+    # (bits of n, q, h and src, stride phase) at a checkpoint -> (run index,
+    # step, clamps so far) of its latest run
+    seen = {}
+    stops = []  # per run: (step where integration stopped, n, q, clamps)
+    for run, (k0, k_end, h, src) in enumerate(runs):
         half = 0.5 * h
         steps += k_end - k0
-        for k in range(k0, k_end):
-            if k == rec:
-                out_n[j] = n
-                out_q[j] = q
-                j += 1
-                rec += stride
+        k = k0
+        while k < k_end:
+            # a run of several steps starts on the grid, so each of its
+            # samples is its own state (a split step's is its first piece's)
+            if k_end - k0 > 1:
+                # bits, not values: -0.0 == 0.0, but they print apart
+                key = _CHECKPOINT_KEY(n, q, h, src, k % stride)
+                hit = seen.get(key)
+                seen[key] = (run, k, clamps)
+                if hit is not None and hit[0] < run:
+                    _, k_from, clamps_from = hit
+                    k_stop, n_stop, q_stop, clamps_stop = stops[hit[0]]
+                    k_new = k + k_stop - k_from
+                    if k_from < k_stop and k_new <= k_end:
+                        j_new = _replay_samples(out, j, k, k_new, k_from)
+                        if j_new is not None:
+                            j = j_new
+                            rec = first + j * stride
+                            n, q = n_stop, q_stop
+                            clamps += clamps_stop - clamps_from
+                            steps -= k_new - k
+                            k = k_new
+                            continue
+            for k in range(k, min(k + _CHECKPOINT_STEPS, k_end)):
+                if k == rec:
+                    out_n[j] = n
+                    out_q[j] = q
+                    j += 1
+                    rec += stride
 
-            g = (n - n_0) / denom / sqrt(1.0 + two_gq * q)
-            k1n = src - n / tau_e - q * g / gtp
-            k1q = (g - 1.0) * q / tau_ph + c_sp * n / tau_e
-            na = n + half * k1n
-            qa = q + half * k1q
-            g = (na - n_0) / denom / sqrt(1.0 + two_gq * qa)
-            k2n = src - na / tau_e - qa * g / gtp
-            k2q = (g - 1.0) * qa / tau_ph + c_sp * na / tau_e
-            nb = n + half * k2n
-            qb = q + half * k2q
-            g = (nb - n_0) / denom / sqrt(1.0 + two_gq * qb)
-            k3n = src - nb / tau_e - qb * g / gtp
-            k3q = (g - 1.0) * qb / tau_ph + c_sp * nb / tau_e
-            nc = n + h * k3n
-            qc = q + h * k3q
-            g = (nc - n_0) / denom / sqrt(1.0 + two_gq * qc)
-            k4n = src - nc / tau_e - qc * g / gtp
-            k4q = (g - 1.0) * qc / tau_ph + c_sp * nc / tau_e
+                g = (n - n_0) / denom / sqrt(1.0 + two_gq * q)
+                k1n = src - n / tau_e - q * g / gtp
+                k1q = (g - 1.0) * q / tau_ph + c_sp * n / tau_e
+                na = n + half * k1n
+                qa = q + half * k1q
+                g = (na - n_0) / denom / sqrt(1.0 + two_gq * qa)
+                k2n = src - na / tau_e - qa * g / gtp
+                k2q = (g - 1.0) * qa / tau_ph + c_sp * na / tau_e
+                nb = n + half * k2n
+                qb = q + half * k2q
+                g = (nb - n_0) / denom / sqrt(1.0 + two_gq * qb)
+                k3n = src - nb / tau_e - qb * g / gtp
+                k3q = (g - 1.0) * qb / tau_ph + c_sp * nb / tau_e
+                nc = n + h * k3n
+                qc = q + h * k3q
+                g = (nc - n_0) / denom / sqrt(1.0 + two_gq * qc)
+                k4n = src - nc / tau_e - qc * g / gtp
+                k4q = (g - 1.0) * qc / tau_ph + c_sp * nc / tau_e
 
-            n1 = n + h * (k1n + 2.0 * k2n + 2.0 * k3n + k4n) / 6.0
-            q1 = q + h * (k1q + 2.0 * k2q + 2.0 * k3q + k4q) / 6.0
-            if n1 == n and q1 == q and n != 0.0 and q != 0.0:
-                # Step k maps the nonzero state (n, q) onto itself bit for
-                # bit.  The step map depends only on the state, h and src,
-                # so every later step of this run does too: jump to the end
-                # of the run and fill the samples by slice.
-                steps -= k_end - k - 1
-                if out_n is not None:
-                    j_end = max(j, -((first - k_end) // stride))
-                    out_n[j:j_end] = n
-                    out_q[j:j_end] = q
-                    j = j_end
-                    rec = first + j * stride
-                break
-            if not (isfinite(n1) and isfinite(q1)):
-                raise SimulationError(
-                    f"state became non-finite at t={(k + 1) * dt:.6e} s",
-                    t_failure=(k + 1) * dt,
-                )
-            if n1 < 0.0:
-                n1 = 0.0
-                clamps += 1
-            if q1 < 0.0:
-                q1 = 0.0
-                clamps += 1
-            n = n1
-            q = q1
+                n1 = n + h * (k1n + 2.0 * k2n + 2.0 * k3n + k4n) / 6.0
+                q1 = q + h * (k1q + 2.0 * k2q + 2.0 * k3q + k4q) / 6.0
+                if n1 == n and q1 == q and n != 0.0 and q != 0.0:
+                    # Step k maps the nonzero state (n, q) onto itself bit
+                    # for bit.  The step map depends only on the state, h
+                    # and src, so every later step of this run does too:
+                    # jump to the end of the run and fill the samples by
+                    # slice.
+                    steps -= k_end - k - 1
+                    if out_n is not None:
+                        j_end = max(j, -((first - k_end) // stride))
+                        out_n[j:j_end] = n
+                        out_q[j:j_end] = q
+                        j = j_end
+                        rec = first + j * stride
+                    break
+                if not (isfinite(n1) and isfinite(q1)):
+                    raise SimulationError(
+                        f"state became non-finite at t={(k + 1) * dt:.6e} s",
+                        t_failure=(k + 1) * dt,
+                    )
+                if n1 < 0.0:
+                    n1 = 0.0
+                    clamps += 1
+                if q1 < 0.0:
+                    q1 = 0.0
+                    clamps += 1
+                n = n1
+                q = q1
+            else:
+                k += 1
+                continue
+            break  # stalled at step k
+        stops.append((k, n, q, clamps))
     if rec == k_end:
         out_n[j] = n
         out_q[j] = q
     return n, q, clamps, steps
+
+
+_CHECKPOINT_STEPS = 1024  # steps between a run's replay checkpoints
+_CHECKPOINT_KEY = struct.Struct("4dq").pack
+
+
+def _replay_samples(out, j: int, k: int, k_new: int, k_from: int):
+    """Store the samples of steps ``k`` to ``k_new`` of a span that repeats
+    the one from step ``k_from`` (at the same phase of ``stride``) by
+    copying that span's samples; returns the next sample index, or None
+    when some of them were not stored because they fell before ``first``.
+    ``j`` is the index of the first sample at or after step ``k``."""
+    if out is None:
+        return j
+    out_n, out_q, first, stride = out
+    j_new = max(j, -((first - k_new) // stride))
+    if j_new > j:
+        back = k - k_from
+        if j * stride < back:
+            return None
+        lag = back // stride
+        out_n[j:j_new] = out_n[j - lag:j_new - lag]
+        out_q[j:j_new] = out_q[j - lag:j_new - lag]
+    return j_new
 
 
 _EDGE_TOL = 1e-6  # steps; an edge this close to a grid point lies on it

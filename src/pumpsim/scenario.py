@@ -38,6 +38,10 @@ BUILTIN_SCENARIOS = ("default", "experiment")
 
 _REQUIRED = object()  # the default of a key every document must give
 
+# libyaml's parser when PyYAML was built with it (about ten times faster on
+# a builtin), else the pure-Python one; both build the same safe document
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 # section -> document key -> (SI field, scale to SI, SI default), in the order
 # keys are read and written.  The fields are the keyword arguments of
 # LaserParams, DriveWaveform, PumpScenario and SimConfig.
@@ -165,7 +169,7 @@ def load_scenario(source) -> Scenario:
             f"{', '.join(BUILTIN_SCENARIOS)}",
         )
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_YAML_LOADER)
     # PyYAML builds values with int() and datetime, whose refusals (such as
     # an integer over Python's 4,300-digit limit) are plain ValueErrors
     except (yaml.YAMLError, ValueError) as exc:

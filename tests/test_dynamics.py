@@ -727,14 +727,17 @@ def reference_simulate(config):
 
 @pytest.fixture
 def schedule(monkeypatch):
-    """The drive runs of every simulate call, and (stalled step, end of run,
-    step count) of every stall skip.
+    """The drive runs of every simulate call, (stalled step, end of run,
+    step count) of every stall skip, and (first step, end) of every replayed
+    span.
 
     An integrated step ends with two finite checks; a stalled step breaks out
-    of its run before them.  So the checks made between two runs count the
-    steps integrated in the first, and a run with fewer integrated steps than
+    of its run before them.  A replayed span is copied, not integrated: it
+    passes through ``_replay_samples``, which the fixture wraps to count
+    it.  So the checks made between two runs count the steps integrated in
+    the first, and a run whose integrated and replayed steps fall short of
     its length was skipped from the stalled step to its end."""
-    seen = types.SimpleNamespace(runs=[], skips=[], checks=0)
+    seen = types.SimpleNamespace(runs=[], skips=[], replays=[], checks=0)
 
     def isfinite(x):
         seen.checks += 1
@@ -745,15 +748,25 @@ def schedule(monkeypatch):
            if not name.startswith("_")})
     counted.isfinite = isfinite
     monkeypatch.setattr(dynamics, "math", counted)
+    replay = dynamics._replay_samples
+
+    def replayed(out, j, k, k_new, k_from):
+        j_new = replay(out, j, k, k_new, k_from)
+        if j_new is not None:
+            seen.replays.append((k, k_new))
+        return j_new
+
+    monkeypatch.setattr(dynamics, "_replay_samples", replayed)
     runs = dynamics._drive_runs
 
     def recorded(n_steps, *args):
         for run in runs(n_steps, *args):
             k, k_end = run[:2]
             seen.runs.append(run)
-            before = seen.checks
+            before = (seen.checks, len(seen.replays))
             yield run
-            stalled = k + (seen.checks - before) // 2
+            stalled = k + (seen.checks - before[0]) // 2 + sum(
+                b - a for a, b in seen.replays[before[1]:])
             if stalled < k_end:
                 seen.skips.append((stalled, k_end, n_steps))
 
@@ -805,6 +818,86 @@ class TestStallSkip:
     def test_pumped_default_never_stalls(self, pumped_config, schedule):
         assert_same_trace(pumped_config)
         assert schedule.skips == []
+        # its period starts repeat from period 20, and the runs after that
+        # are replayed, not skipped
+        assert schedule.replays
+
+
+def fast_config(tau_e, steps_per_period, duty, pulse, p_pump, warm, periods,
+                stride):
+    """A device whose carrier lifetime ``tau_e`` of 10-20 ps relaxes the
+    state onto one trajectory, bit for bit, within a few short periods, so
+    replays fire in traces that an oracle can check.  The step is 0.3 ps;
+    the bias is half the threshold current and the pulse ``pulse``
+    threshold currents; ``warm`` and ``periods`` count periods."""
+    params = make_params(tau_e=tau_e)
+    i_th = ELEMENTARY_CHARGE * params.n_th / tau_e
+    dt = 0.3e-12
+    period = steps_per_period * dt
+    wave = ps.DriveWaveform(i_bias=0.5 * i_th, i_pulse=pulse * i_th,
+                            pulse_width=duty * period, rep_rate=1.0 / period)
+    return ps.SimConfig(params=params, drive=wave,
+                        pump=ps.PumpScenario(p_pump, eps_opt=0.5),
+                        t_total=(warm + periods) * period, dt=dt,
+                        warmup=warm * period, sample_stride=stride)
+
+
+class TestReplay:
+    @settings(deadline=None)
+    @given(
+        tau_e=st.sampled_from([10e-12, 20e-12]),
+        whole=st.integers(40, 400),
+        third=st.booleans(),  # period/dt whole, or whole plus 1/3
+        duty=st.floats(0.02, 0.5),
+        pulse=st.floats(0.5, 20.0),
+        p_pump=st.sampled_from([0.0, 0.5]),
+        warm=st.floats(0.0, 3.0),
+        periods=st.integers(3, 12),
+        stride=st.integers(1, 9),
+        checkpoint=st.sampled_from([3, 16, 1024]),
+    )
+    # replays fire in each of these; the last one clamps 1,720 times
+    @example(tau_e=10e-12, whole=300, third=False, duty=0.2, pulse=5.0,
+             p_pump=0.0, warm=1.5, periods=8, stride=1, checkpoint=1024)
+    @example(tau_e=10e-12, whole=301, third=False, duty=0.2, pulse=5.0,
+             p_pump=0.5, warm=1.5, periods=8, stride=2, checkpoint=1024)
+    @example(tau_e=10e-12, whole=300, third=True, duty=0.05, pulse=5.0,
+             p_pump=0.5, warm=0.5, periods=12, stride=2, checkpoint=16)
+    @example(tau_e=20e-12, whole=300, third=False, duty=0.2, pulse=1e4,
+             p_pump=0.0, warm=0.0, periods=20, stride=1, checkpoint=1024)
+    def test_bit_identical_to_reference(self, tau_e, whole, third, duty,
+                                        pulse, p_pump, warm, periods, stride,
+                                        checkpoint):
+        """Replays, stall skips and checkpoints anywhere in a run leave every
+        sample and the clamp count as the plain loop has them, at strides
+        that do not divide the period and warmups that end mid-period."""
+        config = fast_config(tau_e, whole + third / 3.0, duty, pulse, p_pump,
+                             warm, periods, stride)
+        with mock.patch.object(dynamics, "_CHECKPOINT_STEPS", checkpoint):
+            assert_same_trace(config)
+
+    def test_lowduty_shape_replays(self, schedule):
+        """At 2000 1/3 steps per period the edge fractions recur every three
+        periods, and later periods rejoin earlier ones inside their runs:
+        fewer steps are integrated and the trace does not change."""
+        config = fast_config(10e-12, 2000 + 1.0 / 3.0, 0.02, 5.0, 0.5, 1.0, 6, 1)
+        steps = []
+        advance = dynamics._advance
+
+        def counted(*args):
+            result = advance(*args)
+            steps.append(result[3])
+            return result
+
+        with mock.patch.object(dynamics, "_advance", counted):
+            assert_same_trace(config)
+            with mock.patch.object(dynamics, "_replay_samples",
+                                   lambda *args: None):
+                ps.simulate(config)
+        assert schedule.replays
+        replayed = sum(b - a for a, b in schedule.replays)
+        assert steps[0] + replayed == steps[1]
+        assert steps[0] < steps[1]
 
 
 class TestDriveRuns:
@@ -1082,6 +1175,9 @@ class TestWriteCsv:
     @example(first=np.array(list(HANDED_BACK.values())), repeats=2, block=4)
     @example(first=np.array([1e-100, -1e-123, 1e200, -2e-308]), repeats=3,
              block=2)
+    # a time column past 1e-4 s is all fixed notation
+    @example(first=1e-4 + (333334 + np.arange(40)) * 3e-13, repeats=2,
+             block=9)
     def test_first_column_matches_savetxt(self, csv_dir, first, repeats,
                                           block):
         """Times, powers of ten give or take 4 ulps, ties, 3-digit exponents

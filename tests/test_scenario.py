@@ -1,10 +1,14 @@
 """Scenario document loading, unit conversion, and validation messages."""
 
+import sys
 from dataclasses import fields
+from importlib import resources
 
 import pytest
+import yaml
 
 import pumpsim as ps
+from pumpsim import scenario
 from pumpsim.scenario import BUILTIN_SCENARIOS, parse_scenario, scenario_dict
 
 
@@ -179,4 +183,34 @@ class TestParsing:
         path = tmp_path / "broken.yaml"
         path.write_text("laser: [unclosed\n")
         with pytest.raises(ps.ScenarioError, match="YAML"):
+            ps.load_scenario(path)
+
+
+# the pure-Python parser, and libyaml's when PyYAML was built with it
+LOADERS = [yaml.SafeLoader] + (
+    [yaml.CSafeLoader] if hasattr(yaml, "CSafeLoader") else [])
+
+
+class TestYamlLoader:
+    @pytest.mark.parametrize("name", BUILTIN_SCENARIOS)
+    @pytest.mark.parametrize("loader", LOADERS)
+    def test_builtins_parse_alike(self, monkeypatch, name, loader):
+        text = (resources.files("pumpsim.data") / f"{name}.yaml").read_text()
+        assert yaml.load(text, Loader=loader) == yaml.safe_load(text)
+        monkeypatch.setattr(scenario, "_YAML_LOADER", loader)
+        assert ps.load_scenario(name) == parse_scenario(yaml.safe_load(text))
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="this Python has no integer digit limit")
+    @pytest.mark.parametrize("loader", LOADERS)
+    def test_huge_integer_is_invalid_yaml(self, monkeypatch, tmp_path,
+                                          loader):
+        # int() refuses more than 4,300 digits with a bare ValueError
+        doc = minimal_doc()
+        doc["laser"]["n_th"] = 123456789
+        path = tmp_path / "huge.yaml"
+        path.write_text(yaml.safe_dump(doc).replace("123456789",
+                                                    "1" + "0" * 5000))
+        monkeypatch.setattr(scenario, "_YAML_LOADER", loader)
+        with pytest.raises(ps.ScenarioError, match="invalid YAML"):
             ps.load_scenario(path)
