@@ -126,118 +126,118 @@ class SimTrace:
 
 
 @functools.cache
-def _digit_tables():
-    """``_exponent_lines``' tables, built on the first CSV write; a run that
-    writes none never builds them.
-
-    ``pow10[308 - e]`` is ``10**(11 - e)`` for ``e`` = 308 .. -308, correctly
-    rounded from a decimal literal, and 0 past the double range, which hands
-    a value back.  ``digits[g]`` holds the 4 ASCII digits of ``g`` < 10,000
-    and ``trailing[g]`` how many of them are trailing zeros.  Byte ``j`` of
-    the slot ``-d.ddddddddddde+xxx\n`` is kept at ``keep[n, j]`` for ``n``
-    significant digits; the sign and the exponent's hundreds are set per row.
-    """
-    pow10 = np.array([float(f"1e{k}") if k <= 308 else 0.0
-                      for k in range(-297, 320)])
+def _format_tables():
+    """``_format_slots``' tables, built on the first CSV write: by ``b = e +
+    308``, ``pow10[b] = 10**(11 - e)`` (0 past the double range) and 12 times
+    the notation ``kinds[b]`` (``e + 4`` if fixed, else 16, +2 if ``e < 0``,
+    +1 if ``|e| > 99``); by 4-digit group, its ASCII ``digits`` and its
+    ``trailing`` zeros; by key ``240*sign + kind + zeros``, the ``templates``
+    of the line's bytes in a source row (digits ``1``-``C`` of ``r``, ``0HTU``
+    of ``|e|``, ``-.e+``, the separator ``,``) and their ``lengths``."""
+    e = range(-308, 309)
+    pow10 = np.array([float(f"1e{11 - k}") if k > -298 else 0.0 for k in e])
+    kinds = 12 * np.array([k + 4 if -4 <= k < 12 else
+                           16 + 2 * (k < 0) + (abs(k) > 99) for k in e])
     # "0000" .. "9999" in order, as ASCII bytes
     chars = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4,
                                  indexing="ij"), axis=-1).reshape(10000, 4)
-    trailing = (chars[:, ::-1] == ord("0")).cumprod(
-        axis=1, dtype=np.uint8).sum(axis=1, dtype=np.uint8)
-    keep = (np.array([0, 0, 1] + list(range(1, 12)) + [0] * 6)
-            < np.arange(13)[:, None])
-    return pow10, chars.view(np.uint32).ravel(), trailing, keep
+    trailing = (chars[:, ::-1] == ord("0")).cumprod(axis=1).sum(axis=1)
+    lines = []
+    for sign, kind, zeros in itertools.product("_-", range(20), range(12)):
+        # the digits after 4 - kind zeros if e < 0: kind - 3 of them (or one)
+        # before the point, then the rest up to the last nonzero digit
+        lead, point = max(4 - kind, 0), max(kind - 3, 1) if kind < 16 else 1
+        d = "0" * lead + "123456789ABC"
+        line = (d[:point] + "." + d[point:lead + 12 - zeros]).rstrip(".")
+        if kind >= 16:  # e+TU, e-TU, e+HTU or e-HTU
+            line += "e" + "+-"[kind > 17] + "HTU"[1 - kind % 2:]
+        lines.append((sign + line + ",").lstrip("_"))
+    templates = np.array([["123456789ABC0HTU-.e+,\0".index(c)
+                           for c in line.ljust(20, "\0")] for line in lines])
+    return (pow10, kinds, chars.view(np.uint32).ravel(), trailing, templates,
+            np.array([len(line) for line in lines]))
 
 
-def _exponent_lines(x: np.ndarray) -> tuple[np.ndarray, str]:
-    """Mask the values of ``x`` that ``%.12g`` prints in exponent notation
-    with digits that arithmetic proves, and their ``%.12g`` lines.
+def _format_slots(x: np.ndarray, sep: str) -> tuple[np.ndarray, np.ndarray]:
+    """The ``%.12g`` text of each value of ``x`` and ``sep``, one per row of
+    a uint8 array, left-aligned and nul-padded; and the indices of the
+    values handed back to ``%.12g``: zero, subnormal and non-finite values,
+    values below 1e-297, ties under an inexact factor, and an ``r`` that is
+    not 12 digits (a ``log10`` off by one, or a round up to 1e12).
 
-    With ``e = floor(log10|x|)``, ``d = |x|*10**(11 - e)`` is within 2.2e-4
-    of exact (two roundings below 1e12), so outside 1e-3 of a tie
-    ``rint(d)`` is the integer that ``%.12g`` rounds to.  Handed back are
-    zero, subnormal, non-finite and fixed-notation (``-4 <= e < 12``)
-    values, ties, values below 1e-297, and a ``rint(d)`` that is not 12
-    digits (a ``log10`` off by one, or a round up to the next power of ten).
-    A line is the slot ``-d.ddddddddddde+xxx\n`` less the sign of a
-    positive value, trailing zeros, a bare ``.`` and the hundreds digit of
-    an exponent below 100.
+    With ``e = floor(log10|x|)``, ``r = rint(d)`` of ``d = |x|*10**(11 - e)``
+    is the 12-digit integer that ``%.12g`` rounds to, ties aside.  A row
+    gathers from its value's source row the template of its sign, notation
+    and trailing zeros (``_format_tables``).
     """
-    pow10, digit_table, trailing, keep_table = _digit_tables()
-    a = np.abs(x)
-    fast = np.isfinite(a)
-    a[~fast] = 1.0
-    # zero and subnormals take e = -308, whose factor is 0
-    e = np.floor(np.log10(np.maximum(a, sys.float_info.min)))
-    d = a * pow10[(308.0 - e).astype(np.intp)]
+    pow10, kinds, digits, trailing, templates, lengths = _format_tables()
+    fast = np.isfinite(x)
+    a = np.where(fast, np.abs(x), 1.0)
+    # zero and subnormals take b = 0, whose factor is 0
+    b = np.floor(np.log10(np.maximum(a, sys.float_info.min))).astype(np.intp)
+    b += 308
+    d = a * pow10.take(b)
     r = np.rint(d)
-    fast &= (((e < -4.0) | (e >= 12.0)) & (r >= 1e11) & (r < 1e12)
-             & (np.abs(d - np.floor(d) - 0.5) > 1e-3))
-    r, e, neg = r[fast], e[fast].astype(np.intp), x[fast] < 0.0
-    # three 4-digit groups; r is an integer below 2**53, so both floors
-    # of a quotient are exact
-    hi = np.floor(r / 1e8)
-    r -= hi * 1e8
-    mid = np.floor(r / 1e4)
-    groups = np.array([hi, mid, r - mid * 1e4], dtype=np.intp)
-    digits = digit_table.take(groups.T).view(np.uint8)
-    hi, mid, lo = trailing.take(groups)
-    zeros = lo + (groups[2] == 0) * (mid + (groups[1] == 0) * hi)
-    rows = np.frombuffer(bytearray(b"-0.00000000000e+000\n" * len(r)),
-                         dtype=np.uint8).reshape(-1, 20)
-    rows[:, 1] = digits[:, 0]
-    rows[:, 3:14] = digits[:, 1:]
-    rows[:, 15] = np.where(e < 0, ord("-"), ord("+"))
-    rows[:, 16:19] = digit_table.take(np.abs(e)[:, None]).view(np.uint8)[:, 1:]
-    keep = keep_table.take(12 - zeros, axis=0)
-    keep[:, 0] = neg
-    keep[:, 16] = rows[:, 16] != ord("0")
-    return fast, str(rows[keep], "ascii")
+    # An exact factor (|e| <= 11) rounds d once, never across a half, so a
+    # d on a half-integer goes by the sign of the product's error (Dekker,
+    # split by 2**27 + 1).  An inexact one leaves d within 2.2e-4 of exact
+    # (two roundings below 1e12), and a d within 1e-3 of a half goes back.
+    exact = np.abs(b - 308) <= 11
+    near = np.abs(d - r)
+    half = np.flatnonzero((near == 0.5) & exact)
+    u, v, p = a[half], pow10.take(b[half]), d[half]
+    uh, vh = [w * 134217729.0 - (w * 134217729.0 - w) for w in (u, v)]
+    err = (uh * vh - p) + uh * (v - vh) + (u - uh) * vh + (u - uh) * (v - vh)
+    r[half] = np.where(err == 0.0, r[half], p + np.copysign(0.5, err))
+    fast &= (r >= 1e11) & (r < 1e12) & (exact | (near < 0.499))
+    slow = np.flatnonzero(~fast)
+    r[slow] = 1e11
+    # three 4-digit groups of r, and |e|; r is an integer below 2**53, so
+    # the floor of a quotient is exact
+    q8, q4 = np.floor(r / 1e8), np.floor(r / 1e4)
+    groups = np.array([q8, q4 - q8 * 1e4, r - q4 * 1e4, np.abs(b - 308)],
+                      dtype=np.intp)
+    source = np.empty((len(x), 6), dtype=np.uint32)
+    source[:, :4] = digits.take(groups).T
+    source[:, 4:] = np.frombuffer(f"-.e+{sep}\0\0\0".encode(), np.uint32)
+    z = trailing.take(groups[:3])  # r's trailing zeros, group by group
+    key = z[2] + (groups[2] == 0) * (z[1] + (groups[1] == 0) * z[0])
+    key += kinds.take(b) + 240 * np.signbit(x)
+    key[slow] = 0
+    back = [("%.12g" % v + sep).encode() for v in x[slow].tolist()]
+    width = max([lengths.take(key).max()] + [len(line) for line in back])
+    index = templates[:, :width].take(key, axis=0)
+    index += np.arange(0, 24 * len(x), 24)[:, None]
+    slots = source.view(np.uint8).ravel().take(index)
+    slots[slow] = np.array(back, f"S{width}").view(np.uint8).reshape(-1, width)
+    return slots, slow
 
 
 def _write_csv(path, header: str, columns) -> None:
     """Write equal-length columns under a header line, 12 significant digits
     per value; the one CSV format of every pumpsim data file.
 
-    The bytes are those of ``np.savetxt(fmt="%.12g", delimiter=",")``.  Rows
-    are written a block at a time.  Within a block the first column (a
-    trace's time) is formatted by digit arithmetic (``_exponent_lines``);
-    the values it cannot prove, such as zero, non-finite, fixed-notation
-    values and ties, go to ``%.12g``.  The rest of a row is formatted once
-    per run of consecutive rows whose remaining values are bit-identical (a
-    trace's stall-skipped steps repeat ``n``, ``q`` and ``p``), then joined
-    between the first-column strings of the run.
-    """
-    first, *rest = [np.asarray(c, dtype=float) for c in columns]
-    suffix = ",%.12g" * len(rest) + "\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(header + "\n")
-        for a in range(0, len(first), _CSV_BLOCK_ROWS):
-            lead = first[a:a + _CSV_BLOCK_ROWS]
-            block = [c[a:a + _CSV_BLOCK_ROWS] for c in rest]
-            # a row starts a run unless its values have the bits of the row
-            # above; -0.0 == 0.0, but the two format differently
-            new = np.zeros(len(lead), dtype=bool)
-            new[0] = True
-            for c in block:
-                bits = c.view(np.int64)
-                new[1:] |= bits[1:] != bits[:-1]
-            values = np.array([c[new] for c in block]).ravel(order="F")
-            tails = ((suffix * int(new.sum())) % tuple(values.tolist())
-                     ).splitlines(True)
-            fast, text = _exponent_lines(lead)
-            heads = text.splitlines()
-            if not fast.all():
-                slow = lead[~fast]
-                merged = np.empty(len(lead), dtype=object)
-                merged[fast] = heads
-                merged[~fast] = (("%.12g\n" * len(slow))
-                                 % tuple(slow.tolist())).splitlines()
-                heads = merged.tolist()
-            starts = np.flatnonzero(new).tolist()
-            ends = starts[1:] + [len(lead)]
-            fh.write("".join([tail.join(heads[s:e]) + tail
-                              for s, e, tail in zip(starts, ends, tails)]))
+    The bytes are those of ``np.savetxt(fmt="%.12g", delimiter=",")``.  Each
+    block of rows formats (``_format_slots``) its first column, a trace's
+    time, once per row, and the rest once per run of rows whose remaining
+    values are bit-identical (stall-skipped steps repeat ``n, q, p``)."""
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    seps = [","] * (len(columns) - 1) + ["\n"]
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
+        for a in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+            lead, *block = [c[a:a + _CSV_BLOCK_ROWS] for c in columns]
+            rows = [_format_slots(lead, seps[0])[0]]
+            if block:
+                # a row starts a run unless its values have the bits of the
+                # row above; -0.0 == 0.0, but the two format differently
+                bits = np.array(block).view(np.int64)
+                new = np.ones(len(lead), dtype=bool)
+                new[1:] = (bits[:, 1:] != bits[:, :-1]).any(axis=0)
+                run = np.cumsum(new) - 1
+                rows += [_format_slots(c[new], sep)[0].take(run, axis=0)
+                         for c, sep in zip(block, seps[1:])]
+            fh.write(np.hstack(rows).tobytes().translate(None, b"\0"))
 
 
 def _derivatives_ok(state: LaserState, i_dc: float, r_opt: float,
@@ -466,7 +466,9 @@ def _advance(n: float, q: float, runs, params: LaserParams, dt: float,
     drive edge is two one-step runs with the same ``k``.  With
     ``out = (out_n, out_q, first, stride)`` the state at the start of grid
     step ``first + j*stride``, and after the last run, is stored at index
-    ``j``.  Negative excursions are clamped to zero and counted.
+    ``j``.  Negative excursions are clamped to zero and counted.  A state
+    that becomes non-finite, or a stage outside the gain's domain, raises
+    ``SimulationError`` with the end time of the failing step.
 
     Two exact shortcuts skip steps without changing a bit of the result,
     since one step depends only on the state, ``h`` and ``src``.  A step
@@ -509,92 +511,104 @@ def _advance(n: float, q: float, runs, params: LaserParams, dt: float,
     # step, clamps so far) of its latest run
     seen = {}
     stops = []  # per run: (step where integration stopped, n, q, clamps)
-    for run, (k0, k_end, h, src) in enumerate(runs):
-        half = 0.5 * h
-        steps += k_end - k0
-        k = k0
-        while k < k_end:
-            # a run of several steps starts on the grid, so each of its
-            # samples is its own state (a split step's is its first piece's)
-            if k_end - k0 > 1:
-                # bits, not values: -0.0 == 0.0, but they print apart
-                key = _CHECKPOINT_KEY(n, q, h, src, k % stride)
-                hit = seen.get(key)
-                seen[key] = (run, k, clamps)
-                if hit is not None and hit[0] < run:
-                    _, k_from, clamps_from = hit
-                    k_stop, n_stop, q_stop, clamps_stop = stops[hit[0]]
-                    k_new = k + k_stop - k_from
-                    if k_from < k_stop and k_new <= k_end:
-                        j_new = _replay_samples(out, j, k, k_new, k_from)
-                        if j_new is not None:
-                            j = j_new
+    k = 0
+    try:
+        for run, (k0, k_end, h, src) in enumerate(runs):
+            half = 0.5 * h
+            steps += k_end - k0
+            k = k0
+            while k < k_end:
+                # a run of several steps starts on the grid, so each of its
+                # samples is its own state (a split step's is its first
+                # piece's)
+                if k_end - k0 > 1:
+                    # bits, not values: -0.0 == 0.0, but they print apart
+                    key = _CHECKPOINT_KEY(n, q, h, src, k % stride)
+                    hit = seen.get(key)
+                    seen[key] = (run, k, clamps)
+                    if hit is not None and hit[0] < run:
+                        _, k_from, clamps_from = hit
+                        k_stop, n_stop, q_stop, clamps_stop = stops[hit[0]]
+                        k_new = k + k_stop - k_from
+                        if k_from < k_stop and k_new <= k_end:
+                            j_new = _replay_samples(out, j, k, k_new, k_from)
+                            if j_new is not None:
+                                j = j_new
+                                rec = first + j * stride
+                                n, q = n_stop, q_stop
+                                clamps += clamps_stop - clamps_from
+                                steps -= k_new - k
+                                k = k_new
+                                continue
+                for k in range(k, min(k + _CHECKPOINT_STEPS, k_end)):
+                    if k == rec:
+                        out_n[j] = n
+                        out_q[j] = q
+                        j += 1
+                        rec += stride
+
+                    g = (n - n_0) / denom / sqrt(1.0 + two_gq * q)
+                    k1n = src - n / tau_e - q * g / gtp
+                    k1q = (g - 1.0) * q / tau_ph + c_sp * n / tau_e
+                    na = n + half * k1n
+                    qa = q + half * k1q
+                    g = (na - n_0) / denom / sqrt(1.0 + two_gq * qa)
+                    k2n = src - na / tau_e - qa * g / gtp
+                    k2q = (g - 1.0) * qa / tau_ph + c_sp * na / tau_e
+                    nb = n + half * k2n
+                    qb = q + half * k2q
+                    g = (nb - n_0) / denom / sqrt(1.0 + two_gq * qb)
+                    k3n = src - nb / tau_e - qb * g / gtp
+                    k3q = (g - 1.0) * qb / tau_ph + c_sp * nb / tau_e
+                    nc = n + h * k3n
+                    qc = q + h * k3q
+                    g = (nc - n_0) / denom / sqrt(1.0 + two_gq * qc)
+                    k4n = src - nc / tau_e - qc * g / gtp
+                    k4q = (g - 1.0) * qc / tau_ph + c_sp * nc / tau_e
+
+                    n1 = n + h * (k1n + 2.0 * k2n + 2.0 * k3n + k4n) / 6.0
+                    q1 = q + h * (k1q + 2.0 * k2q + 2.0 * k3q + k4q) / 6.0
+                    if n1 == n and q1 == q and n != 0.0 and q != 0.0:
+                        # Step k maps the nonzero state (n, q) onto itself bit
+                        # for bit.  The step map depends only on the state, h
+                        # and src, so every later step of this run does too:
+                        # jump to the end of the run and fill the samples by
+                        # slice.
+                        steps -= k_end - k - 1
+                        if out_n is not None:
+                            j_end = max(j, -((first - k_end) // stride))
+                            out_n[j:j_end] = n
+                            out_q[j:j_end] = q
+                            j = j_end
                             rec = first + j * stride
-                            n, q = n_stop, q_stop
-                            clamps += clamps_stop - clamps_from
-                            steps -= k_new - k
-                            k = k_new
-                            continue
-            for k in range(k, min(k + _CHECKPOINT_STEPS, k_end)):
-                if k == rec:
-                    out_n[j] = n
-                    out_q[j] = q
-                    j += 1
-                    rec += stride
-
-                g = (n - n_0) / denom / sqrt(1.0 + two_gq * q)
-                k1n = src - n / tau_e - q * g / gtp
-                k1q = (g - 1.0) * q / tau_ph + c_sp * n / tau_e
-                na = n + half * k1n
-                qa = q + half * k1q
-                g = (na - n_0) / denom / sqrt(1.0 + two_gq * qa)
-                k2n = src - na / tau_e - qa * g / gtp
-                k2q = (g - 1.0) * qa / tau_ph + c_sp * na / tau_e
-                nb = n + half * k2n
-                qb = q + half * k2q
-                g = (nb - n_0) / denom / sqrt(1.0 + two_gq * qb)
-                k3n = src - nb / tau_e - qb * g / gtp
-                k3q = (g - 1.0) * qb / tau_ph + c_sp * nb / tau_e
-                nc = n + h * k3n
-                qc = q + h * k3q
-                g = (nc - n_0) / denom / sqrt(1.0 + two_gq * qc)
-                k4n = src - nc / tau_e - qc * g / gtp
-                k4q = (g - 1.0) * qc / tau_ph + c_sp * nc / tau_e
-
-                n1 = n + h * (k1n + 2.0 * k2n + 2.0 * k3n + k4n) / 6.0
-                q1 = q + h * (k1q + 2.0 * k2q + 2.0 * k3q + k4q) / 6.0
-                if n1 == n and q1 == q and n != 0.0 and q != 0.0:
-                    # Step k maps the nonzero state (n, q) onto itself bit
-                    # for bit.  The step map depends only on the state, h
-                    # and src, so every later step of this run does too:
-                    # jump to the end of the run and fill the samples by
-                    # slice.
-                    steps -= k_end - k - 1
-                    if out_n is not None:
-                        j_end = max(j, -((first - k_end) // stride))
-                        out_n[j:j_end] = n
-                        out_q[j:j_end] = q
-                        j = j_end
-                        rec = first + j * stride
-                    break
-                if not (isfinite(n1) and isfinite(q1)):
-                    raise SimulationError(
-                        f"state became non-finite at t={(k + 1) * dt:.6e} s",
-                        t_failure=(k + 1) * dt,
-                    )
-                if n1 < 0.0:
-                    n1 = 0.0
-                    clamps += 1
-                if q1 < 0.0:
-                    q1 = 0.0
-                    clamps += 1
-                n = n1
-                q = q1
-            else:
-                k += 1
-                continue
-            break  # stalled at step k
-        stops.append((k, n, q, clamps))
+                        break
+                    if not (isfinite(n1) and isfinite(q1)):
+                        raise SimulationError(
+                            "state became non-finite at "
+                            f"t={(k + 1) * dt:.6e} s",
+                            t_failure=(k + 1) * dt,
+                        )
+                    if n1 < 0.0:
+                        n1 = 0.0
+                        clamps += 1
+                    if q1 < 0.0:
+                        q1 = 0.0
+                        clamps += 1
+                    n = n1
+                    q = q1
+                else:
+                    k += 1
+                    continue
+                break  # stalled at step k
+            stops.append((k, n, q, clamps))
+    except ValueError as exc:
+        # math.sqrt of a stage state with 1 + 2*gamma_q*q < 0, where the gain
+        # has no value; caught here, not per step, to keep the loop as it is
+        raise SimulationError(
+            f"an RK4 stage left the gain's domain (1 + 2*gamma_q*q < 0) in "
+            f"the step to t={(k + 1) * dt:.6e} s ({exc})",
+            t_failure=(k + 1) * dt,
+        ) from exc
     if rec == k_end:
         out_n[j] = n
         out_q[j] = q

@@ -21,7 +21,8 @@ class ConvergenceError(NumericalError):
 
 
 class SimulationError(NumericalError):
-    """Time integration produced a non-finite state; carries the blow-up time."""
+    """Time integration produced a non-finite state or left the gain's
+    domain; carries the time of the failure."""
 
     def __init__(self, message: str, t_failure: float | None = None):
         super().__init__(message)

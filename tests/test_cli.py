@@ -163,6 +163,25 @@ class TestSimulate:
         assert code == 1
         assert "laser.tau_ph_ps" in err
 
+    def test_stage_outside_gain_domain_exits_2(self, capsys, tmp_path):
+        """A 10 ps carrier lifetime under a 10 kA pulse drives an RK4
+        stage's photon number below -1/(2*gamma_q), where the gain's square
+        root has no value: a numerical failure at a named time, not a
+        refused input."""
+        doc = scenario_dict(load_scenario("default"))
+        doc["laser"]["tau_e_ns"] = 0.01
+        doc["drive"].update(i_bias_ma=520.0, i_pulse_ma=1.04e7,
+                            pulse_width_ns=0.018,
+                            rep_rate_ghz=11.111111111111)
+        doc["numerics"].update(dt_ps=0.3, warmup_ns=0.0, t_total_ns=1.8)
+        path = tmp_path / "domain.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        code, _, err = run(capsys, "simulate", "--scenario", str(path),
+                           "--out", str(tmp_path / "x.csv"))
+        assert code == 2
+        assert "gain's domain" in err
+        assert "t=2.400000e-12 s" in err
+
 
 class TestCurves:
     def test_lcurve_recovers_eta(self, capsys, tmp_path):

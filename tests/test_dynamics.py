@@ -1065,6 +1065,10 @@ EDGE_VALUES = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324,
 # exact ties at the 12th digit: %.12g rounds them half to even
 # (2.288818359375e-05 prints as 2.28881835938e-05)
 TIES = [3 * 2.0 ** -17, 12345678901250000.0, 1234567890.125]
+# values just off a tie whose scaled digits round onto it: %.12g rounds
+# them away from it, up for the first two and down for the last two
+NEAR_TIES = [32.01162994575, 17.70842504295, 0.0001770842504295,
+             31.31294559365]
 # one value of each kind that the digit arithmetic hands back to %.12g
 HANDED_BACK = {
     "zero": 0.0,
@@ -1074,9 +1078,7 @@ HANDED_BACK = {
     "inf": math.inf,
     "-inf": -math.inf,
     "below 1e-297": 9.999999999996e-298,
-    "fixed notation, small": 1.5e-4,
-    "fixed notation, large": -123456789012.0,
-    "tie": 3 * 2.0 ** -17,
+    "tie under an inexact factor": 12345678901250000.0,
     "rounds up to the next power of ten": 9.9999999999996e-06,
 }
 
@@ -1088,11 +1090,25 @@ def ulps(x, k):
     return float(x)
 
 
-# powers of ten and their neighbours, where a log10 can be off by one and a
-# value can round up to the next power at 12 digits
+signs = st.sampled_from([1.0, -1.0])
+
+# powers of ten and their neighbours, over the whole double range: where a
+# log10 can be off by one and a value can round up to the next power at 12
+# digits
 near_powers_of_ten = st.builds(
     lambda p, k, sign: sign * ulps(float(f"1e{p}"), k),
-    st.integers(-300, 300), st.integers(-4, 4), st.sampled_from([1.0, -1.0]))
+    st.integers(-323, 308), st.integers(-4, 4), signs)
+
+# values that %.12g prints in fixed notation, 1e-4 <= |x| < 1e12, at every
+# exponent: 12-digit integers with 0-11 trailing zeros, scaled down, and
+# arbitrary doubles of each decade
+fixed_notation = st.one_of(
+    st.builds(lambda e, digits, zeros, sign:
+              sign * float(digits - digits % 10 ** zeros) / 10.0 ** (11 - e),
+              st.integers(-4, 11), st.integers(10 ** 11, 10 ** 12 - 1),
+              st.integers(0, 11), signs),
+    st.builds(lambda e, m, sign: sign * m * 10.0 ** e, st.integers(-4, 11),
+              st.floats(1.0, 10.0, exclude_max=True), signs))
 
 
 @st.composite
@@ -1124,6 +1140,11 @@ def run_columns(draw):
     as_list = draw(st.lists(st.booleans(), min_size=width, max_size=width))
     return [c if lst else np.array(c, dtype=float)
             for c, lst in zip(columns, as_list)]
+
+
+def slot_text(slots):
+    """The text of ``_format_slots``' rows, nuls dropped."""
+    return slots.tobytes().translate(None, b"\0").decode()
 
 
 @pytest.fixture(scope="module")
@@ -1173,6 +1194,8 @@ class TestWriteCsv:
            repeats=st.integers(1, 5), block=st.integers(1, 9))
     @example(first=np.array(TIES), repeats=1, block=9)
     @example(first=np.array(list(HANDED_BACK.values())), repeats=2, block=4)
+    @example(first=np.array([1.5e-4, -123456789012.0] + NEAR_TIES), repeats=2,
+             block=4)
     @example(first=np.array([1e-100, -1e-123, 1e200, -2e-308]), repeats=3,
              block=2)
     # a time column past 1e-4 s is all fixed notation
@@ -1193,9 +1216,41 @@ class TestWriteCsv:
     def test_simulate_times_take_the_digit_path(self, base_trace):
         """No time of the default trace goes to %.12g, and each kind of
         value that the digit arithmetic cannot prove does."""
-        fast, text = dynamics._exponent_lines(base_trace.t)
-        assert fast.all()
-        assert text == "".join(["%.12g\n" % t for t in base_trace.t.tolist()])
-        fast, text = dynamics._exponent_lines(
-            np.array(list(HANDED_BACK.values())))
-        assert not fast.any() and text == ""
+        slots, back = dynamics._format_slots(base_trace.t, "\n")
+        assert back.size == 0
+        assert slot_text(slots) == "".join(
+            ["%.12g\n" % t for t in base_trace.t.tolist()])
+        values = np.array(list(HANDED_BACK.values()))
+        slots, back = dynamics._format_slots(values, "\n")
+        assert back.tolist() == list(range(len(values)))
+        assert slot_text(slots) == "".join(
+            ["%.12g\n" % v for v in values.tolist()])
+
+    def test_trace_values_take_the_digit_path(self, base_trace):
+        """Nothing a simulation writes goes to %.12g: not the default
+        trace's n, q and p, nor a time column in fixed notation (past
+        1e-4 s)."""
+        times = 1e-4 + (333334 + np.arange(40)) * 3e-13
+        for column in base_trace.n, base_trace.q, base_trace.p, times:
+            slots, back = dynamics._format_slots(column, ",")
+            assert back.size == 0
+            assert slot_text(slots) == "".join(
+                ["%.12g," % v for v in column.tolist()])
+
+    @given(values=st.lists(st.one_of(
+        fixed_notation, near_powers_of_ten, st.floats(),
+        st.sampled_from(TIES + NEAR_TIES + list(HANDED_BACK.values())).flatmap(
+            lambda v: st.sampled_from([v, -v]))), min_size=1, max_size=40),
+        sep=st.sampled_from([",", "\n"]))
+    @example(values=TIES + [-v for v in TIES], sep=",")
+    @example(values=NEAR_TIES + [-v for v in NEAR_TIES], sep="\n")
+    @example(values=list(HANDED_BACK.values()), sep="\n")
+    @example(values=[1.5e-4, -123456789012.0, 1e-4, 99999999999.95,
+                     999999999999.5, 1e12, -0.000999999999999], sep=",")
+    def test_format_slots_match_printf(self, values, sep):
+        """Each row is ``"%.12g" % v`` and the separator, left-aligned and
+        nul-padded, whatever the value's notation, exponent and sign."""
+        slots, _ = dynamics._format_slots(np.array(values, dtype=float), sep)
+        assert slots.dtype == np.uint8 and slots.shape[0] == len(values)
+        assert [bytes(row).rstrip(b"\0").decode() for row in slots] == [
+            "%.12g" % v + sep for v in values]
