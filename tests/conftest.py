@@ -4,6 +4,7 @@ import pytest
 from hypothesis import settings
 
 import pumpsim as ps
+from pumpsim import dynamics
 
 # HYPOTHESIS_PROFILE=ci draws the same examples on every run, so a failure
 # seen in CI reproduces locally under the same profile.
@@ -49,3 +50,19 @@ def pumped_config(default_scenario):
 @pytest.fixture(scope="session")
 def pumped_trace(pumped_config):
     return ps.simulate(pumped_config)
+
+
+@pytest.fixture
+def kernel(request, monkeypatch):
+    """The chunk function of the RK4 loop that a test runs under: the one
+    ``dynamics._kernel`` loads (``_rk4.c``, where a C compiler builds it),
+    or, parametrized indirectly with ``"python"``, the Python loop
+    ``dynamics._chunk`` that the compiled kernel is held to and falls back
+    to.  The swap holds for the whole test, so hypothesis tests that use it
+    suppress the function-scoped fixture health check."""
+    if getattr(request, "param", "compiled") == "python":
+        chunk = dynamics._chunk
+    else:
+        chunk = dynamics._kernel()
+    monkeypatch.setattr(dynamics, "_kernel", lambda: chunk)
+    return chunk

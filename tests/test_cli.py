@@ -111,7 +111,8 @@ class TestSimulate:
         ("0", "e71cf9de25d79f8cc343a363266d1151d3e2c5cdf0ac8208fe5a76057371f94f"),
         ("1.6", "a3b0b0984450b10d829a726ec6fb71b6026a31a1998b832da991d82b52f47ee7"),
     ])
-    def test_default_trace_digest(self, capsys, tmp_path, pump_mw, digest):
+    def test_default_trace_digest(self, capsys, tmp_path, kernel, pump_mw,
+                                  digest):
         """The bytes of the default trace, pinned: a change to the integrator
         or to the CSV writer that moves one byte fails here."""
         out = tmp_path / "trace.csv"
@@ -163,7 +164,8 @@ class TestSimulate:
         assert code == 1
         assert "laser.tau_ph_ps" in err
 
-    def test_stage_outside_gain_domain_exits_2(self, capsys, tmp_path):
+    def test_stage_outside_gain_domain_exits_2(self, capsys, tmp_path,
+                                               kernel):
         """A 10 ps carrier lifetime under a 10 kA pulse drives an RK4
         stage's photon number below -1/(2*gamma_q), where the gain's square
         root has no value: a numerical failure at a named time, not a
@@ -181,6 +183,16 @@ class TestSimulate:
         assert code == 2
         assert "gain's domain" in err
         assert "t=2.400000e-12 s" in err
+
+
+@pytest.mark.parametrize("kernel", ["python"], indirect=True)
+class TestSimulatePythonLoop:
+    """The trace digests and the domain exit again, under the Python loop
+    that the compiled kernel falls back to."""
+
+    test_default_trace_digest = TestSimulate.test_default_trace_digest
+    test_stage_outside_gain_domain_exits_2 = (
+        TestSimulate.test_stage_outside_gain_domain_exits_2)
 
 
 class TestCurves:

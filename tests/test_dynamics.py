@@ -1,8 +1,11 @@
 """Drive waveform, steady states, and the fixed-step integrator."""
 
 import math
+import os
 import re
+import shutil
 import sys
+import tempfile
 import tracemalloc
 import types
 from unittest import mock
@@ -10,7 +13,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import (HealthCheck, assume, example, given, settings,
+                        strategies as st)
 
 import pumpsim as ps
 from pumpsim import dynamics
@@ -462,7 +466,7 @@ class TestSimulate:
         trace = ps.simulate(config)
         assert trace.sample_spacing == pytest.approx(5e-13, rel=1e-9)
 
-    def test_one_step_matches_model_derivatives(self, params, drive):
+    def test_one_step_matches_model_derivatives(self, params, drive, kernel):
         """The inlined loop must reproduce model.derivatives bit for bit."""
         dt = 1e-13
         config = ps.SimConfig(params=params, drive=drive,
@@ -510,7 +514,7 @@ class TestSimulate:
         assert rel_q.max() <= 1e-9
         assert not np.array_equal(a.q, b.q)  # pumping actually did something
 
-    def test_blowup_raises_with_time(self):
+    def test_blowup_raises_with_time(self, kernel):
         # Physical drives self-limit through carrier depletion and clamping,
         # so only an absurd current reaches a non-finite state; this pins the
         # detector and the reported failure time.
@@ -726,28 +730,25 @@ def reference_simulate(config):
 
 
 @pytest.fixture
-def schedule(monkeypatch):
+def schedule(monkeypatch, kernel):
     """The drive runs of every simulate call, (stalled step, end of run,
     step count) of every stall skip, and (first step, end) of every replayed
-    span.
+    span, under each chunk function (``kernel``).
 
-    An integrated step ends with two finite checks; a stalled step breaks out
-    of its run before them.  A replayed span is copied, not integrated: it
-    passes through ``_replay_samples``, which the fixture wraps to count
-    it.  So the checks made between two runs count the steps integrated in
-    the first, and a run whose integrated and replayed steps fall short of
-    its length was skipped from the stalled step to its end."""
-    seen = types.SimpleNamespace(runs=[], skips=[], replays=[], checks=0)
+    A chunk call integrates the steps from the ``k`` it is given to the
+    ``k`` it returns, which is the stalled step when one stalls: the fixture
+    wraps the chunk function to count them.  A replayed span is copied, not
+    integrated: it passes through ``_replay_samples``, which the fixture
+    wraps to count it.  So a run whose integrated and replayed steps fall
+    short of its length was skipped from the stalled step to its end."""
+    seen = types.SimpleNamespace(runs=[], skips=[], replays=[], steps=0)
 
-    def isfinite(x):
-        seen.checks += 1
-        return math.isfinite(x)
+    def counted(n, q, k, *args):
+        result = kernel(n, q, k, *args)
+        seen.steps += result[3] - k
+        return result
 
-    counted = types.SimpleNamespace(
-        **{name: getattr(math, name) for name in dir(math)
-           if not name.startswith("_")})
-    counted.isfinite = isfinite
-    monkeypatch.setattr(dynamics, "math", counted)
+    monkeypatch.setattr(dynamics, "_kernel", lambda: counted)
     replay = dynamics._replay_samples
 
     def replayed(out, j, k, k_new, k_from):
@@ -763,9 +764,9 @@ def schedule(monkeypatch):
         for run in runs(n_steps, *args):
             k, k_end = run[:2]
             seen.runs.append(run)
-            before = (seen.checks, len(seen.replays))
+            before = (seen.steps, len(seen.replays))
             yield run
-            stalled = k + (seen.checks - before[0]) // 2 + sum(
+            stalled = k + seen.steps - before[0] + sum(
                 b - a for a, b in seen.replays[before[1]:])
             if stalled < k_end:
                 seen.skips.append((stalled, k_end, n_steps))
@@ -843,7 +844,8 @@ def fast_config(tau_e, steps_per_period, duty, pulse, p_pump, warm, periods,
 
 
 class TestReplay:
-    @settings(deadline=None)
+    @settings(deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
         tau_e=st.sampled_from([10e-12, 20e-12]),
         whole=st.integers(40, 400),
@@ -865,9 +867,9 @@ class TestReplay:
              p_pump=0.5, warm=0.5, periods=12, stride=2, checkpoint=16)
     @example(tau_e=20e-12, whole=300, third=False, duty=0.2, pulse=1e4,
              p_pump=0.0, warm=0.0, periods=20, stride=1, checkpoint=1024)
-    def test_bit_identical_to_reference(self, tau_e, whole, third, duty,
-                                        pulse, p_pump, warm, periods, stride,
-                                        checkpoint):
+    def test_bit_identical_to_reference(self, kernel, tau_e, whole, third,
+                                        duty, pulse, p_pump, warm, periods,
+                                        stride, checkpoint):
         """Replays, stall skips and checkpoints anywhere in a run leave every
         sample and the clamp count as the plain loop has them, at strides
         that do not divide the period and warmups that end mid-period."""
@@ -901,7 +903,8 @@ class TestReplay:
 
 
 class TestDriveRuns:
-    @settings(deadline=None)
+    @settings(deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
         dt=st.floats(0.05e-12, 0.3e-12),
         log_rate=st.floats(9.0, 12.3),
@@ -913,9 +916,9 @@ class TestDriveRuns:
         p_pump=st.floats(0.0, 2e-3),
         whole=st.booleans(),
     )
-    def test_bit_identical_to_reference(self, params, drive, dt, log_rate,
-                                        duty, pulsed, steps, warm, stride,
-                                        p_pump, whole):
+    def test_bit_identical_to_reference(self, params, drive, kernel, dt,
+                                        log_rate, duty, pulsed, steps, warm,
+                                        stride, p_pump, whole):
         # periods down to 1.7 steps put several edges inside one step; a
         # whole number of steps per period repeats the schedule exactly
         rate = 10.0 ** log_rate
@@ -960,7 +963,8 @@ class TestDriveRuns:
             assert math.fsum(h for kk, h in subs if kk == k) == pytest.approx(
                 dt, rel=1e-12)
 
-    @settings(deadline=None)
+    @settings(deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
         n=st.floats(0.0, 2e8),
         q=st.floats(0.0, 1e6),
@@ -968,8 +972,8 @@ class TestDriveRuns:
         r_opt=st.floats(0.0, 1e17),
         h=st.floats(1e-16, 1e-13),
     )
-    def test_kernel_step_matches_model_derivatives(self, params, n, q, i_now,
-                                                   r_opt, h):
+    def test_kernel_step_matches_model_derivatives(self, params, kernel, n,
+                                                   q, i_now, r_opt, h):
         """One kernel step against classical RK4 built from
         model.derivatives, whose first stage is derivatives at the state."""
         src = i_now / ELEMENTARY_CHARGE + r_opt
@@ -992,6 +996,96 @@ class TestDriveRuns:
                                                params, h)
         assert abs(got_n - want_n) <= math.ulp(want_n)
         assert abs(got_q - want_q) <= math.ulp(want_q)
+
+
+@pytest.fixture
+def reload_kernel():
+    """Drops the loaded chunk function before and after the test, so that
+    ``_kernel`` builds and probes again."""
+    dynamics._kernel.cache_clear()
+    yield
+    dynamics._kernel.cache_clear()
+
+
+class TestPythonLoop:
+    """The bit-identity, stall, replay and failure tests of the RK4 loop
+    again, under the Python loop ``dynamics._chunk``; where they are
+    defined they run under the compiled kernel."""
+
+    pytestmark = pytest.mark.parametrize("kernel", ["python"], indirect=True)
+    test_one_step_matches_model_derivatives = (
+        TestSimulate.test_one_step_matches_model_derivatives)
+    test_blowup_raises_with_time = TestSimulate.test_blowup_raises_with_time
+    test_flat_drive = TestStallSkip.test_flat_drive
+    test_stall_across_warmup_at_stride_7 = (
+        TestStallSkip.test_stall_across_warmup_at_stride_7)
+    test_run_ends_inside_stall = TestStallSkip.test_run_ends_inside_stall
+    test_pumped_default_never_stalls = (
+        TestStallSkip.test_pumped_default_never_stalls)
+    test_replay_bit_identical_to_reference = (
+        TestReplay.test_bit_identical_to_reference)
+    test_lowduty_shape_replays = TestReplay.test_lowduty_shape_replays
+    test_drive_runs_bit_identical_to_reference = (
+        TestDriveRuns.test_bit_identical_to_reference)
+    test_kernel_step_matches_model_derivatives = (
+        TestDriveRuns.test_kernel_step_matches_model_derivatives)
+
+
+@pytest.mark.parametrize("kernel", ["compiled", "python"], indirect=True)
+class TestKernel:
+    def test_stage_on_the_gain_domain_edge(self, kernel):
+        """A stage with ``1 + 2*gamma_q*q`` exactly 0 has a zero square root,
+        where the gain has no value: it fails as a stage below 0 does."""
+        params = make_params(n_th=5.6e7, gamma_q=0.10108017018206122)
+        with pytest.raises(ps.SimulationError) as err:
+            dynamics._advance(0.0, 5.0, [(0, 1, 3e-13, 1e16)], params, 3e-13)
+        assert "1 + 2*gamma_q*q <= 0" in str(err.value)
+        assert "t=3.000000e-13 s" in str(err.value)
+        assert err.value.t_failure == 3e-13
+
+    def test_samples_past_the_output_raise(self, params, kernel):
+        out_n, out_q = np.zeros(3), np.zeros(3)
+        with pytest.raises(IndexError):
+            dynamics._advance(6.6e7, 1e3, [(0, 10, 1e-13, 1e17)], params,
+                              1e-13, (out_n, out_q, 0, 1))
+        assert out_n[0] == 6.6e7 and out_q[2] > out_q[1] > out_q[0] == 1e3
+
+
+class TestKernelLoading:
+    def test_compiled_kernel_loads_where_cc_runs(self):
+        assert (dynamics._kernel() is dynamics._chunk) == (
+            shutil.which("cc") is None)
+
+    def test_kernel_failing_the_probe_is_not_used(self, monkeypatch,
+                                                  reload_kernel):
+        def one_ulp_off(*args):
+            status, n, *rest = dynamics._chunk(*args)
+            return (status, math.nextafter(n, math.inf), *rest)
+
+        monkeypatch.setattr(dynamics, "_compile", lambda: one_ulp_off)
+        assert dynamics._kernel() is dynamics._chunk
+
+    def test_python_loop_runs_without_a_compiler(self, monkeypatch, tmp_path,
+                                                 reload_kernel, base_config,
+                                                 base_trace):
+        monkeypatch.setenv("PATH", str(tmp_path))
+        assert dynamics._kernel() is dynamics._chunk
+        trace = ps.simulate(base_config)
+        for name in ("n", "q", "p"):
+            assert np.array_equal(getattr(trace, name),
+                                  getattr(base_trace, name)), name
+
+    def test_build_directory_is_removed(self, monkeypatch):
+        made = []
+        mkdtemp = tempfile.mkdtemp
+
+        def recorded(*args, **kwargs):
+            made.append(mkdtemp(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(tempfile, "mkdtemp", recorded)
+        dynamics._compile()
+        assert len(made) == 1 and not os.path.exists(made[0])
 
 
 def simulated_times(dt, t_total, warmup, stride):
