@@ -1,0 +1,163 @@
+"""The compiled loops of ``pumpsim.dynamics``: ``_rk4.c`` built by the system
+C compiler and loaded by ctypes behind the signatures of the Python code it
+stands in for, and the probe of its row writer.  ``dynamics._compile``
+imports this module on first use, and ``dynamics._library`` probes what it
+returns before anything uses it.  Its code lives apart from ``dynamics``
+because each process compiles pumpsim's sources where no bytecode cache is
+written, and a command that never loads the library should not pay for it.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import io
+import math
+import os
+import shutil
+import subprocess
+import tempfile
+
+import numpy as np
+
+_ROWS_DONE, _ROWS_BACK, _ROWS_FULL = range(3)  # pumpsim_format_rows statuses
+_VALUE_BYTES = 32  # buffer bytes per value, _rk4.c's VALUE_BYTES
+
+
+def build(pow10: np.ndarray):
+    """``(chunk, write_rows)``: ``pumpsim_rk4_chunk`` behind
+    ``dynamics._chunk``'s signature and ``pumpsim_format_rows`` behind
+    ``dynamics._write_rows``', or None where ``cc`` is missing or fails or
+    the library does not load.  ``pow10`` is ``dynamics._pow10()``, the
+    writer's scale factors.
+
+    The library is built into a private temporary directory, deleted once
+    it is loaded, so there is no cache to go stale.  Contraction into fused
+    multiply-adds stays off and ``-ffast-math`` is not given, so that each
+    operation rounds as Python's does."""
+    source = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                          "_rk4.c")
+    directory = tempfile.mkdtemp(prefix="pumpsim-rk4-")
+    try:
+        library = os.path.join(directory, "_rk4.so")
+        # -O1: both loops ran as fast as at -O2, which took 50-70 ms more
+        # to build
+        subprocess.run(["cc", "-O1", "-fPIC", "-shared", "-ffp-contract=off",
+                        "-o", library, source, "-lm"],
+                       stdin=subprocess.DEVNULL, capture_output=True,
+                       check=True, timeout=120)
+        library = ctypes.CDLL(library)
+        kernel = library.pumpsim_rk4_chunk
+        format_rows = library.pumpsim_format_rows
+    except (OSError, AttributeError, subprocess.SubprocessError):
+        return None
+    finally:
+        shutil.rmtree(directory, ignore_errors=True)
+    doubles = ctypes.POINTER(ctypes.c_double)
+    int64s = ctypes.POINTER(ctypes.c_int64)
+    kernel.argtypes = [doubles, int64s, ctypes.c_int64, ctypes.c_double,
+                       ctypes.c_double, doubles, doubles, doubles,
+                       ctypes.c_int64, ctypes.c_int64]
+    kernel.restype = ctypes.c_int
+    format_rows.argtypes = [ctypes.POINTER(ctypes.c_void_p), ctypes.c_int64,
+                            ctypes.c_int64, doubles, int64s,
+                            ctypes.POINTER(ctypes.c_char), ctypes.c_int64]
+    format_rows.restype = ctypes.c_int
+    state_type = ctypes.c_double * 2
+    index_type = ctypes.c_int64 * 4
+    coef_type = ctypes.c_double * 7
+
+    def address(a):
+        if not (isinstance(a, np.ndarray) and a.dtype == np.float64
+                and a.ndim == 1 and a.flags.c_contiguous
+                and a.flags.writeable):
+            raise TypeError("samples must be writeable contiguous 1-d "
+                            "float64 arrays")
+        return a.ctypes.data_as(doubles)  # holds a, as long as it is held
+
+    def bind(coef, out_n, out_q, stride):
+        # what stays fixed through an _advance call, converted once
+        coef = coef_type(*coef)
+        if out_n is None:
+            pointers, size = (None, None), 0
+        else:
+            pointers, size = (address(out_n), address(out_q)), min(
+                len(out_n), len(out_q))
+        state, index = state_type(), index_type()
+
+        def step(n, q, k, k_stop, h, src, rec, j, clamps):
+            state[0], state[1] = n, q
+            index[0], index[1], index[2], index[3] = k, rec, j, clamps
+            status = kernel(state, index, k_stop, h, src, coef, *pointers,
+                            size, stride)
+            return (status, state[0], state[1], *index)
+
+        return step
+
+    def chunk(n, q, k, k_stop, h, src, rec, j, clamps, coef, out_n, out_q,
+              stride):
+        return bind(coef, out_n, out_q, stride)(n, q, k, k_stop, h, src,
+                                                rec, j, clamps)
+
+    chunk.bind = bind
+    pow10 = pow10.ctypes.data_as(doubles)
+
+    def write_rows(fh, columns, block):
+        n_cols, n_rows = len(columns), len(columns[0])
+        columns = [np.ascontiguousarray(c, dtype=np.float64) for c in columns]
+        if any(c.shape != (n_rows,) for c in columns):
+            raise ValueError("columns must be 1-d and of equal length")
+        pointers = (ctypes.c_void_p * n_cols)(*[c.ctypes.data
+                                                for c in columns])
+        cap = max(block, 1) * n_cols * _VALUE_BYTES
+        buf = ctypes.create_string_buffer(cap)
+        view = memoryview(buf).cast("B")
+        # row, col, pos, tail, prev, prev_len (_rk4.c)
+        cursor = (ctypes.c_int64 * 6)(0, 0, 0, 0, -1, 0)
+        while True:
+            status = format_rows(pointers, n_cols, n_rows, pow10, cursor,
+                                 buf, cap)
+            row, col, pos = cursor[0], cursor[1], cursor[2]
+            if status == _ROWS_BACK:
+                text = ("%.12g" % columns[col].item(row)
+                        + ("\n" if col + 1 == n_cols else ",")).encode()
+                view[pos:pos + len(text)] = text
+                cursor[1], cursor[2] = col + 1, pos + len(text)
+                continue
+            fh.write(view[:pos])
+            if status == _ROWS_DONE:
+                return
+            cursor[2] = 0  # _ROWS_FULL: the buffer is written out
+
+    return chunk, write_rows
+
+
+def probe_rows(write_rows) -> bool:
+    """Whether ``write_rows`` writes ``"%.12g" % v`` and its separator for
+    every value of a table of 3 columns, 1 and 2 rows per block.  The first
+    column holds, in both signs, values in fixed and exponent notation with
+    2- and 3-digit exponents, exact ties, near-ties whose scaled digits
+    round onto a tie, and one of each kind of value that the digit
+    arithmetic hands back.  The others come in runs, so that some rows
+    repeat the one above, across a block's end too, and one row differs
+    from the one above only in the sign of a zero."""
+    back = [0.0, 2.5e-310, math.nan, math.inf, 9.999999999996e-298,
+            # ties under an inexact factor, two a decade past the exact ones
+            12345678901250000.0, 1719998637485.0, 5.990338549635e-12,
+            9.9999999999996e-06]  # its digits round up to 1e12
+    lead = [1.5e-4, 123456789012.0, 0.000999999999999, 99999999999.95,
+            999999999999.5, 1e12, 6.02214076e23, 1e-100, 3.5e-250, 1e200,
+            2.0 ** 52, 1.0 / 3.0,
+            # ties, printed half to even, and near-ties, printed away
+            3 * 2.0 ** -17, 1234567890.125, 32.01162994575, 17.70842504295,
+            0.0001770842504295, 31.31294559365] + back
+    lead += [-v for v in lead]
+    back = [w for v in back for w in (v, -v)]
+    columns = [lead, [back[k // 3 % len(back)] for k in range(len(lead))],
+               [lead[k // 2] for k in range(len(lead))]]
+    want = "".join("%.12g,%.12g,%.12g\n" % row for row in zip(*columns))
+    for block in (1, 2):
+        fh = io.BytesIO()
+        write_rows(fh, [np.array(c) for c in columns], block)
+        if fh.getvalue() != want.encode():
+            return False
+    return True

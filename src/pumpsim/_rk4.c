@@ -1,11 +1,12 @@
-/* The RK4 step loop of pumpsim.dynamics._advance, compiled.
+/* The compiled loops of pumpsim.dynamics: the RK4 step loop of _advance and
+   the row loop of _write_csv, built into one library by pumpsim._native
+   with the system cc.
 
    pumpsim_rk4_chunk is pumpsim.dynamics._chunk in C: the same operations on
    the same operands in the same order, so that, built without contraction
    into fused multiply-adds (-ffp-contract=off) and without -ffast-math, every
-   result rounds as the Python loop's does.  dynamics._kernel builds it with
-   the system cc and uses it only after it matched _chunk bit for bit on a
-   probe.
+   result rounds as the Python loop's does.  dynamics._library uses it only
+   after it matched _chunk bit for bit on a probe.
 
    state:  n, q in and out
    index:  k, rec, j, clamps in and out
@@ -16,10 +17,20 @@
    by stride.  Returns 0 after step k_stop - 1 with k = k_stop, or stops at
    step k with its status: 1 the step maps the nonzero state onto itself, 2
    its result is not finite, 3 a stage has 1 + 2*gamma_q*q <= 0, 4 its
-   sample index j is outside [0, n_out). */
+   sample index j is outside [0, n_out).
 
+   pumpsim_format_rows writes the CSV rows of dynamics._write_csv by the
+   digit arithmetic of dynamics._format_slots, and stops at each value that
+   it cannot prove, for the caller to write with "%.12g".  dynamics._library
+   uses it only after its rows matched "%.12g" byte for byte on a probe;
+   where the build or the probe fails, _format_slots writes every table.  A
+   table shorter than one block of rows does not build the library, and
+   uses it only where it is loaded already. */
+
+#include <float.h>
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
 
 enum { DONE, STALL, NON_FINITE, DOMAIN, BOUNDS };
 
@@ -105,5 +116,195 @@ int pumpsim_rk4_chunk(double *state, int64_t *index, int64_t k_stop,
     index[1] = rec;
     index[2] = j;
     index[3] = clamps;
+    return status;
+}
+
+enum { ROWS_DONE, ROWS_BACK, ROWS_FULL };
+
+/* bytes a row reserves per value: "%.12g" of a double is at most 19 bytes
+   ("-1.23456789012e-308") and a separator follows it, but format_value
+   copies its digits 12 at a time, past the end of the text, up to 26
+   bytes; pumpsim._native sizes the buffer with the same figure */
+#define VALUE_BYTES 32
+
+static const char PAIRS[] =  /* "00" to "99" */
+    "0001020304050607080910111213141516171819"
+    "2021222324252627282930313233343536373839"
+    "4041424344454647484950515253545556575859"
+    "6061626364656667686970717273747576777879"
+    "8081828384858687888990919293949596979899";
+
+/* The "%.12g" text of x and sep at out; returns its length, or 0 where
+   x is handed back: zero, subnormal or non-finite, below 1e-297, a tie
+   under an inexact factor, or an r that is not 12 digits.
+
+   With e = floor(log10|x|), r = rint(d) of d = |x|*10**(11 - e) is the
+   12-digit integer that "%.12g" rounds to, ties aside.  pow10[e + 308] is
+   10**(11 - e), 0 past the double range.  e comes from the binary
+   exponent b of x, as floor(b*log10(2)) (78913/2**18 gives it exactly for
+   every b of a normal double) plus 1 where |x| >= 10**(e + 1) as pow10
+   rounds it.  Where that rounding puts e one too high, r = 1e11 is the
+   digits that "%.12g" rounds x to.  An exact factor (|e| <= 11) rounds d
+   once, never across a half, so a d on a half-integer goes by the sign of
+   the product's error (Dekker, split by 2**27 + 1).  An inexact one leaves
+   d within 2.2e-4 of exact (two roundings below 1e12), and a d within
+   1e-3 of a half goes back. */
+static int format_value(double x, char sep, const double *pow10, char *out)
+{
+    const double a = fabs(x);
+    double d, r, near;
+    uint64_t bits;
+    int e, exact, digits;
+    int64_t m, hi, lo;
+    char dig[24], *p = out;
+
+    if (!isfinite(a) || a < DBL_MIN)
+        return 0;
+    memcpy(&bits, &a, sizeof bits);
+    /* the offset keeps the shifted number nonnegative */
+    e = (int)((((int64_t)(bits >> 52) - 1023) * 78913 + (512 << 18)) >> 18)
+        - 512;
+    if (e < -298)
+        return 0;
+    e += a >= pow10[318 - e];  /* 10**(e + 1) */
+    d = a * pow10[e + 308];
+    r = rint(d);
+    exact = e >= -11 && e <= 11;
+    near = fabs(d - r);
+    if (near == 0.5 && exact) {
+        const double v = pow10[e + 308];
+        const double uh = a * 134217729.0 - (a * 134217729.0 - a);
+        const double vh = v * 134217729.0 - (v * 134217729.0 - v);
+        const double err = (uh * vh - d) + uh * (v - vh) + (a - uh) * vh
+                           + (a - uh) * (v - vh);
+        if (err != 0.0)
+            r = d + copysign(0.5, err);
+    }
+    if (!(r >= 1e11 && r < 1e12 && (exact || near < 0.499)))
+        return 0;
+
+    /* the 12 digits of r, two at a time from two halves of six */
+    m = (int64_t)r;
+    hi = m / 1000000;
+    lo = m % 1000000;
+    memcpy(dig, PAIRS + 2 * (hi / 10000), 2);
+    memcpy(dig + 2, PAIRS + 2 * (hi / 100 % 100), 2);
+    memcpy(dig + 4, PAIRS + 2 * (hi % 100), 2);
+    memcpy(dig + 6, PAIRS + 2 * (lo / 10000), 2);
+    memcpy(dig + 8, PAIRS + 2 * (lo / 100 % 100), 2);
+    memcpy(dig + 10, PAIRS + 2 * (lo % 100), 2);
+    memset(dig + 12, '0', 12);
+    for (digits = 12; digits > 1 && dig[digits - 1] == '0'; digits--)
+        ;
+    if (signbit(x))
+        *p++ = '-';
+    if (e >= 0 && e < 12) {  /* ddd.ddd, or ddd without a fraction */
+        memcpy(p, dig, 12);
+        p += e + 1;
+        if (digits > e + 1) {
+            *p = '.';
+            memcpy(p + 1, dig + e + 1, 12);
+            p += digits - e;
+        }
+    } else if (e >= -4 && e < 0) {  /* 0.000ddd */
+        memcpy(p, "0.000", 5);
+        p += 1 - e;
+        memcpy(p, dig, 12);
+        p += digits;
+    } else {  /* d.ddde+XX, with 2 or 3 exponent digits */
+        const int u = e < 0 ? -e : e;
+        *p = dig[0];
+        p[1] = '.';
+        memcpy(p + 2, dig + 1, 12);
+        p += digits > 1 ? digits + 1 : 1;
+        *p++ = 'e';
+        *p++ = e < 0 ? '-' : '+';
+        if (u > 99)
+            *p++ = (char)('0' + u / 100);
+        memcpy(p, PAIRS + 2 * (u % 100), 2);
+        p += 2;
+    }
+    *p++ = sep;
+    return (int)(p - out);
+}
+
+/* Whether columns 1 to n_cols - 1 of row have the bits of the row above:
+   bits, not values, since -0.0 == 0.0 but the two print apart. */
+static int same_tail(const double *const *columns, int64_t n_cols,
+                     int64_t row)
+{
+    int64_t c;
+    for (c = 1; c < n_cols; c++)
+        if (memcmp(&columns[c][row], &columns[c][row - 1],
+                   sizeof(double)) != 0)
+            return 0;
+    return 1;
+}
+
+/* Rows of the n_cols columns of n_rows values, each value followed by ','
+   or, at the end of a row, '\n', written into buf of cap bytes.
+
+   cursor: row, col, pos, tail, prev, prev_len in and out: the next value
+   to write and the length of buf used; where the current row's tail (its
+   columns from 1 on) starts; where the previous row's tail starts in buf
+   (-1 if it is not there) and its length.  A row whose tail has the bits
+   of the row above copies that row's text.  Returns ROWS_DONE after the
+   last row, ROWS_FULL at the start of a row that might not fit (the
+   caller writes out buf[:pos] and calls again with pos = 0; prev is
+   already -1), or ROWS_BACK at a value that format_value hands back (the
+   caller writes its text at pos, adds its length to pos and 1 to col, and
+   calls again). */
+int pumpsim_format_rows(const double *const *columns, int64_t n_cols,
+                        int64_t n_rows, const double *pow10, int64_t *cursor,
+                        char *buf, int64_t cap)
+{
+    int64_t row = cursor[0], col = cursor[1], pos = cursor[2];
+    int64_t tail = cursor[3], prev = cursor[4], prev_len = cursor[5];
+    int status;
+
+    for (;;) {
+        int length;
+        if (col == n_cols) {
+            prev = tail;
+            prev_len = pos - tail;
+            row += 1;
+            col = 0;
+        }
+        if (col == 0) {
+            if (row >= n_rows) {
+                status = ROWS_DONE;
+                break;
+            }
+            if (cap - pos < n_cols * VALUE_BYTES) {
+                prev = -1;
+                status = ROWS_FULL;
+                break;
+            }
+        } else if (col == 1) {
+            tail = pos;
+            if (prev >= 0 && same_tail(columns, n_cols, row)) {
+                memcpy(buf + pos, buf + prev, prev_len);
+                pos += prev_len;
+                col = n_cols;
+                continue;
+            }
+        }
+        length = format_value(columns[col][row],
+                              col + 1 < n_cols ? ',' : '\n', pow10,
+                              buf + pos);
+        if (length == 0) {
+            status = ROWS_BACK;
+            break;
+        }
+        pos += length;
+        col += 1;
+    }
+
+    cursor[0] = row;
+    cursor[1] = col;
+    cursor[2] = pos;
+    cursor[3] = tail;
+    cursor[4] = prev;
+    cursor[5] = prev_len;
     return status;
 }

@@ -1,4 +1,5 @@
-"""Time integration of the pumped rate equations over a drive waveform.
+"""Time integration of the pumped rate equations over a drive waveform, and
+the CSV writer of every pumpsim data file.
 
 The integrator is a classical fixed-step 4th-order scheme: deterministic and
 reproducible to the bit.  Its step loop runs as C (``_rk4.c``), built by the
@@ -8,6 +9,11 @@ runs, with the same results, only slower.  It is the only code that
 integrates: this module owns the step grid, the drive schedule on it, and the
 shooting solve for the periodic state that sweeps and fits measure.  Steady
 states are found algebraically, by one root find over the photon number.
+
+The same library writes CSV rows, by digit arithmetic that gives the bytes
+of ``%.12g``, and is used for it only after it matched ``%.12g`` byte for
+byte on a probe; without it numpy does the same arithmetic, to the same
+bytes.  A table shorter than one block of rows never builds the library.
 """
 
 from __future__ import annotations
@@ -15,7 +21,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import os
 import struct
 import sys
 from dataclasses import dataclass, field
@@ -129,18 +134,26 @@ class SimTrace:
 
 
 @functools.cache
+def _pow10() -> np.ndarray:
+    """``10**(11 - e)`` by ``b = e + 308``, 0 past the double range: the
+    factor that scales a value of decimal exponent ``e`` to 12 digits, in
+    both row writers."""
+    return np.array([float(f"1e{11 - k}") if k > -298 else 0.0
+                     for k in range(-308, 309)])
+
+
+@functools.cache
 def _format_tables():
-    """``_format_slots``' tables, built on the first CSV write: by ``b = e +
-    308``, ``pow10[b] = 10**(11 - e)`` (0 past the double range) and 12 times
+    """``_format_slots``' tables, built on its first call: by ``b = e +
+    308``, ``pow10[b] = 10**(11 - e)`` (``_pow10``) and 12 times
     the notation ``kinds[b]`` (``e + 4`` if fixed, else 16, +2 if ``e < 0``,
     +1 if ``|e| > 99``); by 4-digit group, its ASCII ``digits`` and its
     ``trailing`` zeros; by key ``240*sign + kind + zeros``, the ``templates``
     of the line's bytes in a source row (digits ``1``-``C`` of ``r``, ``0HTU``
     of ``|e|``, ``-.e+``, the separator ``,``) and their ``lengths``."""
-    e = range(-308, 309)
-    pow10 = np.array([float(f"1e{11 - k}") if k > -298 else 0.0 for k in e])
     kinds = 12 * np.array([k + 4 if -4 <= k < 12 else
-                           16 + 2 * (k < 0) + (abs(k) > 99) for k in e])
+                           16 + 2 * (k < 0) + (abs(k) > 99)
+                           for k in range(-308, 309)])
     # "0000" .. "9999" in order, as ASCII bytes
     chars = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4,
                                  indexing="ij"), axis=-1).reshape(10000, 4)
@@ -157,8 +170,8 @@ def _format_tables():
         lines.append((sign + line + ",").lstrip("_"))
     templates = np.array([["123456789ABC0HTU-.e+,\0".index(c)
                            for c in line.ljust(20, "\0")] for line in lines])
-    return (pow10, kinds, chars.view(np.uint32).ravel(), trailing, templates,
-            np.array([len(line) for line in lines]))
+    return (_pow10(), kinds, chars.view(np.uint32).ravel(), trailing,
+            templates, np.array([len(line) for line in lines]))
 
 
 def _format_slots(x: np.ndarray, sep: str) -> tuple[np.ndarray, np.ndarray]:
@@ -220,27 +233,42 @@ def _write_csv(path, header: str, columns) -> None:
     """Write equal-length columns under a header line, 12 significant digits
     per value; the one CSV format of every pumpsim data file.
 
-    The bytes are those of ``np.savetxt(fmt="%.12g", delimiter=",")``.  Each
-    block of rows formats (``_format_slots``) its first column, a trace's
-    time, once per row, and the rest once per run of rows whose remaining
-    values are bit-identical (stall-skipped steps repeat ``n, q, p``)."""
+    The bytes are those of ``np.savetxt(fmt="%.12g", delimiter=",")``.  The
+    rows are written by ``_writer``: ``_rk4.c``'s ``pumpsim_format_rows``
+    where it built and passed its probe, else ``_write_rows``.  A table
+    shorter than one block (``_CSV_BLOCK_ROWS``) builds nothing: it takes
+    the compiled writer only where that is loaded already, so a command
+    that never integrates never runs the compiler.  Either writer formats
+    the first column, a trace's time, once per row, and the rest once per
+    run of rows whose remaining values are bit-identical (stall-skipped
+    steps repeat ``n, q, p``), and holds at most one block of rows."""
     columns = [np.asarray(c, dtype=float) for c in columns]
-    seps = [","] * (len(columns) - 1) + ["\n"]
+    write_rows = _writer(len(columns[0]) >= _CSV_BLOCK_ROWS)
     with open(path, "wb") as fh:
         fh.write(header.encode() + b"\n")
-        for a in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
-            lead, *block = [c[a:a + _CSV_BLOCK_ROWS] for c in columns]
-            rows = [_format_slots(lead, seps[0])[0]]
-            if block:
-                # a row starts a run unless its values have the bits of the
-                # row above; -0.0 == 0.0, but the two format differently
-                bits = np.array(block).view(np.int64)
-                new = np.ones(len(lead), dtype=bool)
-                new[1:] = (bits[:, 1:] != bits[:, :-1]).any(axis=0)
-                run = np.cumsum(new) - 1
-                rows += [_format_slots(c[new], sep)[0].take(run, axis=0)
-                         for c, sep in zip(block, seps[1:])]
-            fh.write(np.hstack(rows).tobytes().translate(None, b"\0"))
+        write_rows(fh, columns, _CSV_BLOCK_ROWS)
+
+
+def _write_rows(fh, columns, block: int) -> None:
+    """Write the CSV rows of equal-length float columns to ``fh``, ``block``
+    rows at a time, by ``_format_slots``: each block formats its first
+    column once per row, and the rest once per run of rows whose remaining
+    values are bit-identical.  The writer where the compiled one does not
+    build, and its reference."""
+    seps = [","] * (len(columns) - 1) + ["\n"]
+    for a in range(0, len(columns[0]), block):
+        lead, *rest = [c[a:a + block] for c in columns]
+        rows = [_format_slots(lead, seps[0])[0]]
+        if rest:
+            # a row starts a run unless its values have the bits of the
+            # row above; -0.0 == 0.0, but the two format differently
+            bits = np.array(rest).view(np.int64)
+            new = np.ones(len(lead), dtype=bool)
+            new[1:] = (bits[:, 1:] != bits[:, :-1]).any(axis=0)
+            run = np.cumsum(new) - 1
+            rows += [_format_slots(c[new], sep)[0].take(run, axis=0)
+                     for c, sep in zip(rest, seps[1:])]
+        fh.write(np.hstack(rows).tobytes().translate(None, b"\0"))
 
 
 def _derivatives_ok(state: LaserState, i_dc: float, r_opt: float,
@@ -489,18 +517,19 @@ def _advance(n: float, q: float, runs, params: LaserParams, dt: float,
 
     The steps between checkpoints are integrated by the chunk function of
     ``_kernel``: the compiled ``_rk4.c``, or the Python loop ``_chunk`` it
-    is held to bit for bit.
+    is held to bit for bit, with the arguments fixed for the whole call
+    bound once (``_bind``).
     """
     coef = (params.tau_e, params.tau_ph, params.gamma_conf * params.tau_ph,
             params.n_0, params.n_th - params.n_0, params.c_sp,
             2.0 * params.gamma_q)
-    chunk = _kernel()
 
     if out is None:
         out_n = out_q = None
         first, stride = -1, 1
     else:
         out_n, out_q, first, stride = out
+    step = _bind(_kernel(), coef, out_n, out_q, stride)
     rec = first  # grid step of sample j; -1 never matches
     j = 0
     clamps = 0
@@ -535,9 +564,9 @@ def _advance(n: float, q: float, runs, params: LaserParams, dt: float,
                             steps -= k_new - k
                             k = k_new
                             continue
-            status, n, q, k, rec, j, clamps = chunk(
+            status, n, q, k, rec, j, clamps = step(
                 n, q, k, min(k + _CHECKPOINT_STEPS, k_end), h, src, rec, j,
-                clamps, coef, out_n, out_q, stride)
+                clamps)
             if status == _DONE:
                 continue
             if status == _STALL:
@@ -648,77 +677,58 @@ def _chunk(n: float, q: float, k: int, k_stop: int, h: float, src: float,
     return _DONE, n, q, k_stop, rec, j, clamps
 
 
-@functools.cache
+def _bind(chunk, coef, out_n, out_q, stride: int):
+    """``chunk`` with the arguments that ``_advance`` holds fixed bound, as
+    ``step(n, q, k, k_stop, h, src, rec, j, clamps)``: the compiled kernel's
+    ``bind`` converts them to C once, not once per chunk; any other chunk
+    function is called with them."""
+    bind = getattr(chunk, "bind", None)
+    if bind is not None:
+        return bind(coef, out_n, out_q, stride)
+    return lambda *args: chunk(*args, coef, out_n, out_q, stride)
+
+
 def _kernel():
-    """The chunk function of ``_advance``: ``_rk4.c`` built by the system
-    ``cc`` (``_compile``) when it builds, loads and matches ``_chunk`` bit
-    for bit on ``_probe``, else ``_chunk``.  Built once per process, on the
-    first call, so importing pumpsim compiles nothing."""
+    """The chunk function of ``_advance``: ``_rk4.c``'s or ``_chunk``
+    (``_library``)."""
+    return _library()[0]
+
+
+def _writer(build: bool = True):
+    """The row writer of ``_write_csv``: ``_rk4.c``'s or ``_write_rows``
+    (``_library``).  With ``build`` false it loads nothing: it is
+    ``_write_rows`` unless the library is loaded already."""
+    if build or _library.cache_info().currsize:
+        return _library()[1]
+    return _write_rows
+
+
+@functools.cache
+def _library():
+    """``(chunk function, row writer)``: those of ``_rk4.c``, built by the
+    system ``cc`` (``_compile``), each where it builds, loads and matches
+    its reference on its probe (``_chunk`` bit for bit on ``_probe``,
+    ``%.12g`` byte for byte on ``_native.probe_rows``), else ``_chunk`` and
+    ``_write_rows``.  Built once per process, on the first call, so
+    importing pumpsim compiles nothing, and one build serves both."""
     compiled = _compile()
-    if compiled is not None and _probe(compiled) == _probe(_chunk):
-        return compiled
-    return _chunk
+    if compiled is None:
+        return _chunk, _write_rows
+    from ._native import probe_rows
+
+    chunk, write_rows = compiled
+    return (chunk if _probe(chunk) == _probe(_chunk) else _chunk,
+            write_rows if probe_rows(write_rows) else _write_rows)
 
 
 def _compile():
-    """``_rk4.c``'s ``pumpsim_rk4_chunk`` behind ``_chunk``'s signature, or
-    None where ``cc`` is missing or fails or the library does not load.
+    """``_rk4.c``'s chunk function behind ``_chunk``'s signature and row
+    writer behind ``_write_rows``', or None where ``cc`` is missing or fails
+    or the library does not load (``_native.build``, imported on first
+    use)."""
+    from . import _native
 
-    The library is built into a private temporary directory, deleted once
-    it is loaded, so there is no cache to go stale.  Contraction into fused
-    multiply-adds stays off and ``-ffast-math`` is not given, so that each
-    operation rounds as Python's does."""
-    import ctypes
-    import shutil
-    import subprocess
-    import tempfile
-
-    source = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                          "_rk4.c")
-    build = tempfile.mkdtemp(prefix="pumpsim-rk4-")
-    try:
-        library = os.path.join(build, "_rk4.so")
-        subprocess.run(["cc", "-O2", "-fPIC", "-shared", "-ffp-contract=off",
-                        "-o", library, source, "-lm"],
-                       stdin=subprocess.DEVNULL, capture_output=True,
-                       check=True, timeout=120)
-        kernel = ctypes.CDLL(library).pumpsim_rk4_chunk
-    except (OSError, subprocess.SubprocessError):
-        return None
-    finally:
-        shutil.rmtree(build, ignore_errors=True)
-    doubles = ctypes.POINTER(ctypes.c_double)
-    kernel.argtypes = [doubles, ctypes.POINTER(ctypes.c_int64),
-                       ctypes.c_int64, ctypes.c_double, ctypes.c_double,
-                       doubles, ctypes.c_void_p, ctypes.c_void_p,
-                       ctypes.c_int64, ctypes.c_int64]
-    kernel.restype = ctypes.c_int
-    state_type = ctypes.c_double * 2
-    index_type = ctypes.c_int64 * 4
-    coef_type = ctypes.c_double * 7
-
-    def address(a) -> int:
-        if not (isinstance(a, np.ndarray) and a.dtype == np.float64
-                and a.ndim == 1 and a.flags.c_contiguous
-                and a.flags.writeable):
-            raise TypeError("samples must be writeable contiguous 1-d "
-                            "float64 arrays")
-        return a.ctypes.data
-
-    def chunk(n, q, k, k_stop, h, src, rec, j, clamps, coef, out_n, out_q,
-              stride):
-        state = state_type(n, q)
-        index = index_type(k, rec, j, clamps)
-        if out_n is None:
-            pointers, size = (None, None), 0
-        else:
-            pointers, size = (address(out_n), address(out_q)), min(
-                len(out_n), len(out_q))
-        status = kernel(state, index, k_stop, h, src, coef_type(*coef),
-                        *pointers, size, stride)
-        return (status, state[0], state[1], *index)
-
-    return chunk
+    return _native.build(_pow10())
 
 
 def _probe(chunk) -> list:

@@ -66,3 +66,20 @@ def kernel(request, monkeypatch):
         chunk = dynamics._kernel()
     monkeypatch.setattr(dynamics, "_kernel", lambda: chunk)
     return chunk
+
+
+@pytest.fixture
+def writer(request, monkeypatch):
+    """The row writer of the CSV files that a test writes: the one
+    ``dynamics._writer`` loads (``_rk4.c``'s, where a C compiler builds
+    it), or, parametrized indirectly with ``"numpy"``, the digit arithmetic
+    of ``dynamics._format_slots`` in ``dynamics._write_rows``, that the
+    compiled writer is held to and falls back to.  Tables of every size use
+    it, and the swap holds for the whole test, so hypothesis tests that use
+    it suppress the function-scoped fixture health check."""
+    if getattr(request, "param", "compiled") == "numpy":
+        write_rows = dynamics._write_rows
+    else:
+        write_rows = dynamics._writer()
+    monkeypatch.setattr(dynamics, "_writer", lambda build=True: write_rows)
+    return write_rows

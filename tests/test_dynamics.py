@@ -1,9 +1,11 @@
 """Drive waveform, steady states, and the fixed-step integrator."""
 
+import io
 import math
 import os
 import re
 import shutil
+import subprocess
 import sys
 import tempfile
 import tracemalloc
@@ -17,7 +19,7 @@ from hypothesis import (HealthCheck, assume, example, given, settings,
                         strategies as st)
 
 import pumpsim as ps
-from pumpsim import dynamics
+from pumpsim import cli, dynamics
 from pumpsim.errors import ConvergenceError
 from pumpsim.model import ELEMENTARY_CHARGE
 
@@ -1000,11 +1002,11 @@ class TestDriveRuns:
 
 @pytest.fixture
 def reload_kernel():
-    """Drops the loaded chunk function before and after the test, so that
-    ``_kernel`` builds and probes again."""
-    dynamics._kernel.cache_clear()
+    """Drops the loaded library before and after the test, so that
+    ``_kernel`` and ``_writer`` build and probe again."""
+    dynamics._library.cache_clear()
     yield
-    dynamics._kernel.cache_clear()
+    dynamics._library.cache_clear()
 
 
 class TestPythonLoop:
@@ -1062,7 +1064,8 @@ class TestKernelLoading:
             status, n, *rest = dynamics._chunk(*args)
             return (status, math.nextafter(n, math.inf), *rest)
 
-        monkeypatch.setattr(dynamics, "_compile", lambda: one_ulp_off)
+        monkeypatch.setattr(dynamics, "_compile",
+                            lambda: (one_ulp_off, dynamics._write_rows))
         assert dynamics._kernel() is dynamics._chunk
 
     def test_python_loop_runs_without_a_compiler(self, monkeypatch, tmp_path,
@@ -1248,7 +1251,7 @@ def csv_dir(tmp_path_factory):
 
 class TestWriteCsv:
     @pytest.mark.parametrize("rows", [0, 1, 3, 4, 5])
-    def test_bytes_match_savetxt(self, tmp_path, monkeypatch, rows):
+    def test_bytes_match_savetxt(self, tmp_path, monkeypatch, writer, rows):
         monkeypatch.setattr(dynamics, "_CSV_BLOCK_ROWS", 4)
         values = np.array([0.0, 5e-324, 1e-300, 1e300, 3.0, 2.0 ** 52,
                            123456789012.0, 0.123456789012, 6.02214076e23,
@@ -1260,7 +1263,7 @@ class TestWriteCsv:
         want = savetxt_bytes(tmp_path / "want.csv", "t_s,n,q,p_w", columns)
         assert got.read_bytes() == want
 
-    def test_run_across_three_blocks(self, tmp_path, monkeypatch):
+    def test_run_across_three_blocks(self, tmp_path, monkeypatch, writer):
         """Rows 2-11 repeat one (n, q, p) through blocks 0, 1 and 2; every
         one of them is written, each with its own time."""
         monkeypatch.setattr(dynamics, "_CSV_BLOCK_ROWS", 4)
@@ -1273,10 +1276,11 @@ class TestWriteCsv:
         assert got.read_bytes() == want
         assert got.read_text().count(",3,6,1.48219693752e-323\n") == 10
 
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(columns=run_columns(), block=st.integers(1, 9))
     @example(columns=[[1.0, 2.0, 3.0], [0.0, -0.0, 0.0]], block=9)
     @example(columns=[np.array([0.0, -0.0, -0.0, 0.0])], block=3)
-    def test_runs_match_savetxt(self, csv_dir, columns, block):
+    def test_runs_match_savetxt(self, csv_dir, writer, columns, block):
         header = ",".join(f"c{k}" for k in range(len(columns)))
         got = csv_dir / "got.csv"
         with mock.patch.object(dynamics, "_CSV_BLOCK_ROWS", block):
@@ -1284,6 +1288,7 @@ class TestWriteCsv:
         assert got.read_bytes() == savetxt_bytes(csv_dir / "want.csv", header,
                                                  columns)
 
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(first=st.one_of(sample_times(), first_values),
            repeats=st.integers(1, 5), block=st.integers(1, 9))
     @example(first=np.array(TIES), repeats=1, block=9)
@@ -1295,8 +1300,8 @@ class TestWriteCsv:
     # a time column past 1e-4 s is all fixed notation
     @example(first=1e-4 + (333334 + np.arange(40)) * 3e-13, repeats=2,
              block=9)
-    def test_first_column_matches_savetxt(self, csv_dir, first, repeats,
-                                          block):
+    def test_first_column_matches_savetxt(self, csv_dir, writer, first,
+                                          repeats, block):
         """Times, powers of ten give or take 4 ulps, ties, 3-digit exponents
         and every hand-back case in the first column, with the other column
         in runs of ``repeats`` rows."""
@@ -1348,3 +1353,107 @@ class TestWriteCsv:
         assert slots.dtype == np.uint8 and slots.shape[0] == len(values)
         assert [bytes(row).rstrip(b"\0").decode() for row in slots] == [
             "%.12g" % v + sep for v in values]
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(values=st.lists(st.one_of(
+        st.floats(),
+        st.sampled_from(TIES + NEAR_TIES + list(HANDED_BACK.values())).flatmap(
+            lambda v: st.sampled_from([v, -v]))), min_size=1, max_size=40),
+        repeats=st.integers(1, 5), block=st.integers(1, 9))
+    # 9 rows to a 2-row buffer: the run of 12 equal second values crosses
+    # a flush
+    @example(values=[0.1 * k for k in range(1, 13)], repeats=12, block=2)
+    @example(values=list(HANDED_BACK.values()) * 2, repeats=9, block=1)
+    def test_writer_rows_match_printf(self, writer, values, repeats, block):
+        """Each value is ``"%.12g" % v`` and its separator, ``,`` in the
+        first column and a newline in the second, whose values come in runs
+        of ``repeats`` rows; whatever the value, the run, or the buffer's
+        flushes (``block`` rows)."""
+        columns = [values, [values[k // repeats] for k in range(len(values))]]
+        fh = io.BytesIO()
+        writer(fh, [np.array(c, dtype=float) for c in columns], block)
+        assert fh.getvalue().decode() == "".join(
+            "%.12g" % a + "," + "%.12g" % b + "\n" for a, b in zip(*columns))
+
+
+class TestNumpyWriter:
+    """The CSV writer tests again, under the numpy writer
+    ``dynamics._write_rows``; where they are defined they run under the
+    compiled writer."""
+
+    pytestmark = pytest.mark.parametrize("writer", ["numpy"], indirect=True)
+    test_bytes_match_savetxt = TestWriteCsv.test_bytes_match_savetxt
+    test_run_across_three_blocks = TestWriteCsv.test_run_across_three_blocks
+    test_runs_match_savetxt = TestWriteCsv.test_runs_match_savetxt
+    test_first_column_matches_savetxt = (
+        TestWriteCsv.test_first_column_matches_savetxt)
+
+
+class TestWriterLoading:
+    def test_compiled_writer_loads_where_cc_runs(self):
+        assert (dynamics._writer() is dynamics._write_rows) == (
+            shutil.which("cc") is None)
+
+    def test_writer_failing_the_probe_is_not_used(self, monkeypatch,
+                                                  reload_kernel):
+        def one_byte_off(fh, columns, block):
+            rows = io.BytesIO()
+            dynamics._write_rows(rows, columns, block)
+            text = bytearray(rows.getvalue())
+            text[0] += 1
+            fh.write(text)
+
+        monkeypatch.setattr(dynamics, "_compile",
+                            lambda: (dynamics._chunk, one_byte_off))
+        assert dynamics._writer() is dynamics._write_rows
+
+    def test_numpy_writer_runs_without_a_compiler(self, monkeypatch, tmp_path,
+                                                  reload_kernel, base_trace):
+        compiled = tmp_path / "compiled.csv"
+        dynamics._writer()  # loads the compiled writer where cc builds it
+        base_trace.to_csv(compiled)
+        dynamics._library.cache_clear()
+        monkeypatch.setenv("PATH", str(tmp_path))
+        assert dynamics._writer() is dynamics._write_rows
+        fallback = tmp_path / "fallback.csv"
+        base_trace.to_csv(fallback)
+        assert fallback.read_bytes() == compiled.read_bytes()
+
+    def test_one_build_serves_kernel_and_writer(self, monkeypatch,
+                                                reload_kernel):
+        """The kernel and the writer come from one ``cc`` run, whose build
+        directory is gone once the library is loaded."""
+        made, commands = [], []
+        mkdtemp, run = tempfile.mkdtemp, subprocess.run
+
+        def recorded_mkdtemp(*args, **kwargs):
+            made.append(mkdtemp(*args, **kwargs))
+            return made[-1]
+
+        def recorded_run(command, *args, **kwargs):
+            commands.append(command[0])
+            return run(command, *args, **kwargs)
+
+        monkeypatch.setattr(tempfile, "mkdtemp", recorded_mkdtemp)
+        monkeypatch.setattr(subprocess, "run", recorded_run)
+        chunk, write_rows = dynamics._kernel(), dynamics._writer()
+        assert commands == ["cc"]
+        assert len(made) == 1 and not os.path.exists(made[0])
+        compiled = shutil.which("cc") is not None
+        assert (chunk is not dynamics._chunk) == compiled
+        assert (write_rows is not dynamics._write_rows) == compiled
+
+    def test_tables_below_one_block_build_nothing(self, monkeypatch,
+                                                  reload_kernel, tmp_path):
+        """A table shorter than one block, such as an L-I curve, is written
+        without a build; one of a block or more builds the library."""
+        builds = []
+        monkeypatch.setattr(dynamics, "_compile", lambda: builds.append(1))
+        for command in ("lcurve", "dqe"):
+            assert cli.main([command, "--out",
+                             str(tmp_path / f"{command}.csv")]) == 0
+        monkeypatch.setattr(dynamics, "_CSV_BLOCK_ROWS", 4)
+        dynamics._write_csv(tmp_path / "short.csv", "a", [np.arange(3.0)])
+        assert builds == []
+        dynamics._write_csv(tmp_path / "block.csv", "a", [np.arange(4.0)])
+        assert builds == [1]
