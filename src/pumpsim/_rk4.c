@@ -229,15 +229,20 @@ static int format_value(double x, char sep, const double *pow10, char *out)
 }
 
 /* Whether columns 1 to n_cols - 1 of row have the bits of the row above:
-   bits, not values, since -0.0 == 0.0 but the two print apart. */
+   bits, not values, since -0.0 == 0.0 but the two print apart.  Each value
+   is read as a uint64_t through memcpy, which cc compiles to one load, not
+   a call to memcmp. */
 static int same_tail(const double *const *columns, int64_t n_cols,
                      int64_t row)
 {
     int64_t c;
-    for (c = 1; c < n_cols; c++)
-        if (memcmp(&columns[c][row], &columns[c][row - 1],
-                   sizeof(double)) != 0)
+    uint64_t a, b;
+    for (c = 1; c < n_cols; c++) {
+        memcpy(&a, &columns[c][row], sizeof a);
+        memcpy(&b, &columns[c][row - 1], sizeof b);
+        if (a != b)
             return 0;
+    }
     return 1;
 }
 

@@ -49,6 +49,7 @@ __all__ = [
 
 _BRENTQ_RTOL = 4.0 * sys.float_info.epsilon
 _CSV_BLOCK_ROWS = 8192  # rows formatted per write
+_TIME_BLOCK = 65536  # samples per block of SimTrace's time checks
 
 
 @dataclass(frozen=True)
@@ -94,7 +95,8 @@ class SimTrace:
     """Uniformly sampled carrier number, photon number and output power.
 
     ``clamp_count`` reports how many tiny negative excursions the integrator
-    zeroed; it should be 0 at sane step sizes.
+    zeroed; it should be 0 at sane step sizes.  The times must increase
+    strictly and lie on their line, checked ``_TIME_BLOCK`` at a time.
     """
 
     t: np.ndarray
@@ -107,16 +109,30 @@ class SimTrace:
         if not (len(self.t) == len(self.n) == len(self.q) == len(self.p)):
             raise ValueError("trace arrays must have equal length")
         t = self.t
-        if len(t) >= 2:
-            if (t[1:] <= t[:-1]).any():
-                raise ValueError("trace times must be strictly increasing")
+        last = len(t) - 1
+        # blocks of samples that share their ends, so each pair is in one
+        starts = range(0, last, _TIME_BLOCK)
+        if any((b[1:] <= b[:-1]).any()
+               for b in (t[a:a + _TIME_BLOCK + 1] for a in starts)):
+            raise ValueError("trace times must be strictly increasing")
+        if last > 0:
             # Samples k*dt lie on the line through the ends, to 3 ulps of
-            # max|t| for one sign: the rounding of k*dt and of the line.
-            off = np.linspace(t[0], t[-1], len(t))
-            off -= t
+            # max|t| for one sign: the rounding of k*dt and of the line,
+            # np.linspace(t[0], t[-1], len(t)) as numpy builds it.
+            step = (t[-1] - t[0]) / last
             bound = 8.0 * np.spacing(max(abs(t[0]), abs(t[-1])))
-            if not np.abs(off, out=off).max() <= bound:  # NaN fails too
-                raise ValueError("trace times must be uniformly spaced")
+            for a in starts:
+                block = t[a:a + _TIME_BLOCK + 1]
+                off = np.arange(a, a + len(block), dtype=float)
+                off *= step
+                off += t[0]
+                if a + len(block) > last:
+                    off[-1] = t[-1]
+                off -= block
+                worst = np.abs(off, out=off).max()
+                del off  # before the next block's is made
+                if not worst <= bound:  # NaN fails too
+                    raise ValueError("trace times must be uniformly spaced")
         for name in ("n", "q", "p"):
             if getattr(self, name).min(initial=0.0) < 0.0:
                 raise ValueError(f"trace {name} must be nonnegative")
@@ -451,7 +467,8 @@ def simulate(config: SimConfig) -> SimTrace:
     The initial state is the steady state at the bias current with pumping
     already on.  Output samples run from the end of the warmup interval to
     ``t_total`` at a spacing of ``dt * sample_stride``.  Identical configs
-    produce bit-identical traces.
+    produce bit-identical traces.  The trace costs its four arrays, 32
+    bytes a sample, and the validation's block: ``t`` is built in place.
 
     Steps that provably repeat are not integrated (``_advance``): a run
     that stalls on a fixed point jumps to its end, and a run that reaches
@@ -477,8 +494,14 @@ def simulate(config: SimConfig) -> SimTrace:
     runs = _drive_runs(n_steps, dt, drive, r_opt)
     _, _, clamps, _ = _advance(init.n, init.q, runs, params, dt,
                                (out_n, out_q, warm_steps, stride))
+    # (warm_steps + stride*j)*dt in place: every step count is below 2**53,
+    # so exact in a double, and only the product with dt rounds
+    t = np.arange(n_out, dtype=float)
+    t *= stride
+    t += warm_steps
+    t *= dt
     return SimTrace(
-        t=(warm_steps + stride * np.arange(n_out)) * dt,
+        t=t,
         n=out_n,
         q=out_q,
         p=photon_to_power(out_q, params),

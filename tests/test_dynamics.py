@@ -417,6 +417,12 @@ class TestSimConfigValidation:
         assert config.warmup == pytest.approx(20.0 / slow.rep_rate)
 
 
+# (dt, w, s, samples) of simulate's sample times (w + s*k)*dt: a step of
+# 1e-15 to 1e-11 s, first sample step w, stride s
+time_grids = st.tuples(st.floats(1e-15, 1e-11), st.integers(0, 10 ** 9),
+                       st.integers(1, 100), st.integers(1, 40))
+
+
 class TestSimulate:
     def test_gain_switched_pulsing(self, base_trace):
         peak = base_trace.p.max()
@@ -460,6 +466,37 @@ class TestSimulate:
         assert np.array_equal(a.n, b.n)
         assert np.array_equal(a.q, b.q)
         assert np.array_equal(a.p, b.p)
+
+    @settings(deadline=None)
+    @given(grid=time_grids)
+    def test_time_column_is_exact(self, grid):
+        dt, w, s, samples = grid
+        # the warmup ends half a step before step w, the run a quarter of a
+        # step past the last sample
+        config = ps.SimConfig(
+            params=make_params(tau_ph=1e-10),
+            drive=ps.DriveWaveform(i_bias=6e-3, i_pulse=0.0, pulse_width=0.0,
+                                   rep_rate=1e9),
+            pump=ps.PumpScenario(0.0), dt=dt, warmup=max(w - 0.5, 0.0) * dt,
+            t_total=(w + s * (samples - 1) + 0.25) * dt, sample_stride=s)
+
+        def no_steps(n, q, runs, params, dt, out):
+            out[0][:] = out[1][:] = 0.0
+            return n, q, 0, 0
+
+        with mock.patch.object(dynamics, "_advance", no_steps):
+            t = ps.simulate(config).t
+        assert t.tobytes() == ((w + s * np.arange(samples)) * dt).tobytes()
+
+    @pytest.mark.parametrize("samples", [200_000, 1_000_000])
+    def test_allocates_its_arrays_and_one_block(self, params, drive, samples):
+        config = ps.SimConfig(params=params, drive=drive,
+                              pump=ps.PumpScenario(0.0),
+                              t_total=(samples - 1) * 1e-13, dt=1e-13)
+        ps.simulate(config)  # the kernel's build and first-call allocations
+        # t, n, q and p, 8 bytes a sample each, and no full-length temporary
+        assert peak_bytes(lambda: ps.simulate(config)) <= (
+            32 * samples + ONE_TIME_BLOCK)
 
     def test_sample_stride_decimates(self, params, drive):
         config = ps.SimConfig(params=params, drive=drive,
@@ -548,6 +585,46 @@ class TestSimulate:
         assert np.allclose(loaded[:, 3], trace.p, rtol=1e-9)
 
 
+def peak_bytes(f):
+    """The peak of memory that ``tracemalloc`` sees while ``f()`` runs."""
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# one block of SimTrace's time checks: its line of float samples and the
+# booleans of its comparisons, 9 bytes a sample
+ONE_TIME_BLOCK = 9 * (dynamics._TIME_BLOCK + 1)
+
+
+def whole_array_verdict(t):
+    """The message of SimTrace's time checks as they were made over the
+    whole array at once, against a full-length np.linspace; None if ``t``
+    passes."""
+    if len(t) >= 2:
+        if (t[1:] <= t[:-1]).any():
+            return "trace times must be strictly increasing"
+        off = np.linspace(t[0], t[-1], len(t))
+        off -= t
+        bound = 8.0 * np.spacing(max(abs(t[0]), abs(t[-1])))
+        if not np.abs(off, out=off).max() <= bound:
+            return "trace times must be uniformly spaced"
+    return None
+
+
+def trace_verdict(t):
+    """The message with which SimTrace rejects times ``t``, or None."""
+    zeros = np.zeros(len(t))
+    try:
+        ps.SimTrace(t=t, n=zeros, q=zeros, p=zeros)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
 class TestTraceValidation:
     def test_rejects_ragged_arrays(self):
         with pytest.raises(ValueError):
@@ -586,24 +663,54 @@ class TestTraceValidation:
         assert len(ps.simulate(config).t) == 20001
 
     def test_spacing_check_allocates_no_more_than_first_differences(self):
-        t = np.arange(200_000) * 1e-13
-        zeros = np.zeros(len(t))
+        def check(samples):
+            t = np.arange(samples) * 1e-13
+            zeros = np.zeros(samples)
+            return lambda: ps.SimTrace(t=t, n=zeros, q=zeros, p=zeros)
 
-        def peak(f):
-            tracemalloc.start()
-            try:
-                f()
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+        check(3)()  # first-call allocations of numpy and the interpreter
+        small, large = peak_bytes(check(200_000)), peak_bytes(check(2_000_000))
+        # one block, whatever the length: 1.8M more samples would add
+        # 14.4 MB for each full-length temporary
+        assert small <= ONE_TIME_BLOCK
+        assert abs(large - small) <= 1024
 
-        def first_differences():
-            steps = np.diff(t)
-            return np.allclose(steps, steps[0], rtol=1e-9, atol=0.0)
-
-        assert first_differences()
-        assert peak(lambda: ps.SimTrace(t=t, n=zeros, q=zeros, p=zeros)) <= (
-            peak(first_differences))
+    @pytest.mark.parametrize("samples", [
+        2, dynamics._TIME_BLOCK, dynamics._TIME_BLOCK + 1,
+        dynamics._TIME_BLOCK + 2, 2 * dynamics._TIME_BLOCK + 100])
+    @pytest.mark.parametrize("fault", ["nan", "repeat", "swap", "ulps"])
+    def test_blocked_checks_match_whole_array_checks(self, samples, fault):
+        grid = (333_334 + np.arange(samples)) * 0.3e-12  # 0.3 ps from 100 ns
+        block, last = dynamics._TIME_BLOCK, samples - 1
+        # each end, each side of every block boundary, inside the second
+        # block, and the final block, partial at 2 blocks + 100
+        at = {0, 1, last - 1, last, block + 50}
+        at |= {b + d for b in range(block, last, block) for d in (-1, 0, 1)}
+        verdicts = set()
+        for i in sorted(j for j in at if 0 <= j <= last):
+            cases = {
+                "nan": [{i: math.nan}],
+                "repeat": [{i: grid[i - 1]}] if i > 0 else [],
+                "swap": [{i: grid[i + 1], i + 1: grid[i]}] if i < last else [],
+                # off the line, inside the bound and past it
+                "ulps": [{i: ulps(grid[i], k)}
+                         for k in (-40, -6, 1, 3, 6, 40)],
+            }[fault]
+            for changes in cases:
+                t = grid.copy()
+                for j, value in changes.items():
+                    t[j] = value
+                want = whole_array_verdict(t)
+                assert trace_verdict(t) == want, changes
+                verdicts.add(want)
+        assert trace_verdict(grid) is whole_array_verdict(grid) is None
+        unordered = "trace times must be strictly increasing"
+        uneven = "trace times must be uniformly spaced"
+        # two samples always lie on their line
+        assert verdicts == {"nan": {uneven}, "repeat": {unordered},
+                            "swap": {unordered},
+                            "ulps": {None, uneven} if samples > 2 else {None},
+                            }[fault]
 
     def test_rejects_negative_values(self):
         with pytest.raises(ValueError):
@@ -1210,12 +1317,9 @@ fixed_notation = st.one_of(
 
 @st.composite
 def sample_times(draw):
-    """Times as simulate makes them, ``(w + s*k)*dt``: first sample step
-    ``w``, stride ``s`` and a step of 1e-15 to 1e-11 s."""
-    dt = draw(st.floats(1e-15, 1e-11))
-    w = draw(st.integers(0, 10 ** 9))
-    s = draw(st.integers(1, 100))
-    return (w + s * np.arange(draw(st.integers(1, 40)))) * dt
+    """Times as simulate makes them, ``(w + s*k)*dt`` (``time_grids``)."""
+    dt, w, s, samples = draw(time_grids)
+    return (w + s * np.arange(samples)) * dt
 
 
 first_values = st.lists(st.one_of(
