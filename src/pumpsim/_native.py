@@ -23,12 +23,19 @@ _ROWS_DONE, _ROWS_BACK, _ROWS_FULL = range(3)  # pumpsim_format_rows statuses
 _VALUE_BYTES = 32  # buffer bytes per value, _rk4.c's VALUE_BYTES
 
 
-def build(pow10: np.ndarray):
+def _pow10() -> np.ndarray:
+    """``10**(11 - e)`` by ``b = e + 308``, 0 past the double range: the
+    factor that scales a value of decimal exponent ``e`` to 12 digits in
+    ``pumpsim_format_rows``."""
+    return np.array([float(f"1e{11 - k}") if k > -298 else 0.0
+                     for k in range(-308, 309)])
+
+
+def build():
     """``(chunk, write_rows)``: ``pumpsim_rk4_chunk`` behind
-    ``dynamics._chunk``'s signature and ``pumpsim_format_rows`` behind
-    ``dynamics._write_rows``', or None where ``cc`` is missing or fails or
-    the library does not load.  ``pow10`` is ``dynamics._pow10()``, the
-    writer's scale factors.
+    ``dynamics._chunk``'s signature and ``pumpsim_format_rows``, digit
+    arithmetic held to ``%.12g``, behind ``dynamics._write_rows``', or None
+    where ``cc`` is missing or fails or the library does not load.
 
     The library is built into a private temporary directory, deleted once
     it is loaded, so there is no cache to go stale.  Contraction into fused
@@ -99,13 +106,11 @@ def build(pow10: np.ndarray):
                                                 rec, j, clamps)
 
     chunk.bind = bind
-    pow10 = pow10.ctypes.data_as(doubles)
+    pow10 = _pow10().ctypes.data_as(doubles)  # holds the array
 
     def write_rows(fh, columns, block):
         n_cols, n_rows = len(columns), len(columns[0])
         columns = [np.ascontiguousarray(c, dtype=np.float64) for c in columns]
-        if any(c.shape != (n_rows,) for c in columns):
-            raise ValueError("columns must be 1-d and of equal length")
         pointers = (ctypes.c_void_p * n_cols)(*[c.ctypes.data
                                                 for c in columns])
         cap = max(block, 1) * n_cols * _VALUE_BYTES

@@ -19,13 +19,13 @@
    its result is not finite, 3 a stage has 1 + 2*gamma_q*q <= 0, 4 its
    sample index j is outside [0, n_out).
 
-   pumpsim_format_rows writes the CSV rows of dynamics._write_csv by the
-   digit arithmetic of dynamics._format_slots, and stops at each value that
+   pumpsim_format_rows writes the CSV rows of dynamics._write_csv by digit
+   arithmetic that gives the bytes of "%.12g", and stops at each value that
    it cannot prove, for the caller to write with "%.12g".  dynamics._library
    uses it only after its rows matched "%.12g" byte for byte on a probe;
-   where the build or the probe fails, _format_slots writes every table.  A
-   table shorter than one block of rows does not build the library, and
-   uses it only where it is loaded already. */
+   where the build or the probe fails, dynamics._write_rows formats every
+   value with "%.12g".  A table shorter than one block of rows does not
+   build the library, and uses it only where it is loaded already. */
 
 #include <float.h>
 #include <math.h>

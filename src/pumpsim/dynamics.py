@@ -12,8 +12,9 @@ states are found algebraically, by one root find over the photon number.
 
 The same library writes CSV rows, by digit arithmetic that gives the bytes
 of ``%.12g``, and is used for it only after it matched ``%.12g`` byte for
-byte on a probe; without it numpy does the same arithmetic, to the same
-bytes.  A table shorter than one block of rows never builds the library.
+byte on a probe; without it each value is formatted by ``%.12g`` itself, to
+the same bytes.  A table shorter than one block of rows never builds the
+library.
 """
 
 from __future__ import annotations
@@ -149,102 +150,6 @@ class SimTrace:
         _write_csv(path, "t_s,n,q,p_w", [self.t, self.n, self.q, self.p])
 
 
-@functools.cache
-def _pow10() -> np.ndarray:
-    """``10**(11 - e)`` by ``b = e + 308``, 0 past the double range: the
-    factor that scales a value of decimal exponent ``e`` to 12 digits, in
-    both row writers."""
-    return np.array([float(f"1e{11 - k}") if k > -298 else 0.0
-                     for k in range(-308, 309)])
-
-
-@functools.cache
-def _format_tables():
-    """``_format_slots``' tables, built on its first call: by ``b = e +
-    308``, ``pow10[b] = 10**(11 - e)`` (``_pow10``) and 12 times
-    the notation ``kinds[b]`` (``e + 4`` if fixed, else 16, +2 if ``e < 0``,
-    +1 if ``|e| > 99``); by 4-digit group, its ASCII ``digits`` and its
-    ``trailing`` zeros; by key ``240*sign + kind + zeros``, the ``templates``
-    of the line's bytes in a source row (digits ``1``-``C`` of ``r``, ``0HTU``
-    of ``|e|``, ``-.e+``, the separator ``,``) and their ``lengths``."""
-    kinds = 12 * np.array([k + 4 if -4 <= k < 12 else
-                           16 + 2 * (k < 0) + (abs(k) > 99)
-                           for k in range(-308, 309)])
-    # "0000" .. "9999" in order, as ASCII bytes
-    chars = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4,
-                                 indexing="ij"), axis=-1).reshape(10000, 4)
-    trailing = (chars[:, ::-1] == ord("0")).cumprod(axis=1).sum(axis=1)
-    lines = []
-    for sign, kind, zeros in itertools.product("_-", range(20), range(12)):
-        # the digits after 4 - kind zeros if e < 0: kind - 3 of them (or one)
-        # before the point, then the rest up to the last nonzero digit
-        lead, point = max(4 - kind, 0), max(kind - 3, 1) if kind < 16 else 1
-        d = "0" * lead + "123456789ABC"
-        line = (d[:point] + "." + d[point:lead + 12 - zeros]).rstrip(".")
-        if kind >= 16:  # e+TU, e-TU, e+HTU or e-HTU
-            line += "e" + "+-"[kind > 17] + "HTU"[1 - kind % 2:]
-        lines.append((sign + line + ",").lstrip("_"))
-    templates = np.array([["123456789ABC0HTU-.e+,\0".index(c)
-                           for c in line.ljust(20, "\0")] for line in lines])
-    return (_pow10(), kinds, chars.view(np.uint32).ravel(), trailing,
-            templates, np.array([len(line) for line in lines]))
-
-
-def _format_slots(x: np.ndarray, sep: str) -> tuple[np.ndarray, np.ndarray]:
-    """The ``%.12g`` text of each value of ``x`` and ``sep``, one per row of
-    a uint8 array, left-aligned and nul-padded; and the indices of the
-    values handed back to ``%.12g``: zero, subnormal and non-finite values,
-    values below 1e-297, ties under an inexact factor, and an ``r`` that is
-    not 12 digits (a ``log10`` off by one, or a round up to 1e12).
-
-    With ``e = floor(log10|x|)``, ``r = rint(d)`` of ``d = |x|*10**(11 - e)``
-    is the 12-digit integer that ``%.12g`` rounds to, ties aside.  A row
-    gathers from its value's source row the template of its sign, notation
-    and trailing zeros (``_format_tables``).
-    """
-    pow10, kinds, digits, trailing, templates, lengths = _format_tables()
-    fast = np.isfinite(x)
-    a = np.where(fast, np.abs(x), 1.0)
-    # zero and subnormals take b = 0, whose factor is 0
-    b = np.floor(np.log10(np.maximum(a, sys.float_info.min))).astype(np.intp)
-    b += 308
-    d = a * pow10.take(b)
-    r = np.rint(d)
-    # An exact factor (|e| <= 11) rounds d once, never across a half, so a
-    # d on a half-integer goes by the sign of the product's error (Dekker,
-    # split by 2**27 + 1).  An inexact one leaves d within 2.2e-4 of exact
-    # (two roundings below 1e12), and a d within 1e-3 of a half goes back.
-    exact = np.abs(b - 308) <= 11
-    near = np.abs(d - r)
-    half = np.flatnonzero((near == 0.5) & exact)
-    u, v, p = a[half], pow10.take(b[half]), d[half]
-    uh, vh = [w * 134217729.0 - (w * 134217729.0 - w) for w in (u, v)]
-    err = (uh * vh - p) + uh * (v - vh) + (u - uh) * vh + (u - uh) * (v - vh)
-    r[half] = np.where(err == 0.0, r[half], p + np.copysign(0.5, err))
-    fast &= (r >= 1e11) & (r < 1e12) & (exact | (near < 0.499))
-    slow = np.flatnonzero(~fast)
-    r[slow] = 1e11
-    # three 4-digit groups of r, and |e|; r is an integer below 2**53, so
-    # the floor of a quotient is exact
-    q8, q4 = np.floor(r / 1e8), np.floor(r / 1e4)
-    groups = np.array([q8, q4 - q8 * 1e4, r - q4 * 1e4, np.abs(b - 308)],
-                      dtype=np.intp)
-    source = np.empty((len(x), 6), dtype=np.uint32)
-    source[:, :4] = digits.take(groups).T
-    source[:, 4:] = np.frombuffer(f"-.e+{sep}\0\0\0".encode(), np.uint32)
-    z = trailing.take(groups[:3])  # r's trailing zeros, group by group
-    key = z[2] + (groups[2] == 0) * (z[1] + (groups[1] == 0) * z[0])
-    key += kinds.take(b) + 240 * np.signbit(x)
-    key[slow] = 0
-    back = [("%.12g" % v + sep).encode() for v in x[slow].tolist()]
-    width = max([lengths.take(key).max()] + [len(line) for line in back])
-    index = templates[:, :width].take(key, axis=0)
-    index += np.arange(0, 24 * len(x), 24)[:, None]
-    slots = source.view(np.uint8).ravel().take(index)
-    slots[slow] = np.array(back, f"S{width}").view(np.uint8).reshape(-1, width)
-    return slots, slow
-
-
 def _write_csv(path, header: str, columns) -> None:
     """Write equal-length columns under a header line, 12 significant digits
     per value; the one CSV format of every pumpsim data file.
@@ -254,11 +159,11 @@ def _write_csv(path, header: str, columns) -> None:
     where it built and passed its probe, else ``_write_rows``.  A table
     shorter than one block (``_CSV_BLOCK_ROWS``) builds nothing: it takes
     the compiled writer only where that is loaded already, so a command
-    that never integrates never runs the compiler.  Either writer formats
-    the first column, a trace's time, once per row, and the rest once per
-    run of rows whose remaining values are bit-identical (stall-skipped
-    steps repeat ``n, q, p``), and holds at most one block of rows."""
+    that never integrates never runs the compiler.  Either writer holds at
+    most one block of rows."""
     columns = [np.asarray(c, dtype=float) for c in columns]
+    if any(c.ndim != 1 or len(c) != len(columns[0]) for c in columns):
+        raise ValueError("columns must be 1-d and of equal length")
     write_rows = _writer(len(columns[0]) >= _CSV_BLOCK_ROWS)
     with open(path, "wb") as fh:
         fh.write(header.encode() + b"\n")
@@ -267,24 +172,13 @@ def _write_csv(path, header: str, columns) -> None:
 
 def _write_rows(fh, columns, block: int) -> None:
     """Write the CSV rows of equal-length float columns to ``fh``, ``block``
-    rows at a time, by ``_format_slots``: each block formats its first
-    column once per row, and the rest once per run of rows whose remaining
-    values are bit-identical.  The writer where the compiled one does not
-    build, and its reference."""
-    seps = [","] * (len(columns) - 1) + ["\n"]
+    rows at a time, each value by ``%.12g``: the writer where the compiled
+    one does not build."""
+    row = ",".join(["%.12g"] * len(columns)) + "\n"
     for a in range(0, len(columns[0]), block):
-        lead, *rest = [c[a:a + block] for c in columns]
-        rows = [_format_slots(lead, seps[0])[0]]
-        if rest:
-            # a row starts a run unless its values have the bits of the
-            # row above; -0.0 == 0.0, but the two format differently
-            bits = np.array(rest).view(np.int64)
-            new = np.ones(len(lead), dtype=bool)
-            new[1:] = (bits[:, 1:] != bits[:, :-1]).any(axis=0)
-            run = np.cumsum(new) - 1
-            rows += [_format_slots(c[new], sep)[0].take(run, axis=0)
-                     for c, sep in zip(rest, seps[1:])]
-        fh.write(np.hstack(rows).tobytes().translate(None, b"\0"))
+        # one % per block: the row format repeated, over the values by row
+        values = np.column_stack([c[a:a + block] for c in columns])
+        fh.write((row * len(values) % tuple(values.ravel().tolist())).encode())
 
 
 def _derivatives_ok(state: LaserState, i_dc: float, r_opt: float,
@@ -718,9 +612,10 @@ def _kernel():
 
 
 def _writer(build: bool = True):
-    """The row writer of ``_write_csv``: ``_rk4.c``'s or ``_write_rows``
-    (``_library``).  With ``build`` false it loads nothing: it is
-    ``_write_rows`` unless the library is loaded already."""
+    """The row writer of ``_write_csv``: ``_rk4.c``'s digit arithmetic or
+    ``_write_rows``' ``%.12g`` per value (``_library``).  With ``build``
+    false it loads nothing: it is ``_write_rows`` unless the library is
+    loaded already."""
     if build or _library.cache_info().currsize:
         return _library()[1]
     return _write_rows
@@ -732,8 +627,9 @@ def _library():
     system ``cc`` (``_compile``), each where it builds, loads and matches
     its reference on its probe (``_chunk`` bit for bit on ``_probe``,
     ``%.12g`` byte for byte on ``_native.probe_rows``), else ``_chunk`` and
-    ``_write_rows``.  Built once per process, on the first call, so
-    importing pumpsim compiles nothing, and one build serves both."""
+    ``_write_rows``, which formats by ``%.12g`` itself.  Built once per
+    process, on the first call, so importing pumpsim compiles nothing, and
+    one build serves both."""
     compiled = _compile()
     if compiled is None:
         return _chunk, _write_rows
@@ -751,7 +647,7 @@ def _compile():
     use)."""
     from . import _native
 
-    return _native.build(_pow10())
+    return _native.build()
 
 
 def _probe(chunk) -> list:

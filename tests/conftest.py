@@ -72,12 +72,12 @@ def kernel(request, monkeypatch):
 def writer(request, monkeypatch):
     """The row writer of the CSV files that a test writes: the one
     ``dynamics._writer`` loads (``_rk4.c``'s, where a C compiler builds
-    it), or, parametrized indirectly with ``"numpy"``, the digit arithmetic
-    of ``dynamics._format_slots`` in ``dynamics._write_rows``, that the
-    compiled writer is held to and falls back to.  Tables of every size use
-    it, and the swap holds for the whole test, so hypothesis tests that use
-    it suppress the function-scoped fixture health check."""
-    if getattr(request, "param", "compiled") == "numpy":
+    it), or, parametrized indirectly with ``"printf"``, the ``%.12g`` per
+    value of ``dynamics._write_rows``, that the compiled writer is held to
+    and falls back to.  Tables of every size use it, and the swap holds for
+    the whole test, so hypothesis tests that use it suppress the
+    function-scoped fixture health check."""
+    if getattr(request, "param", "compiled") == "printf":
         write_rows = dynamics._write_rows
     else:
         write_rows = dynamics._writer()

@@ -204,7 +204,7 @@ class TestWriters:
     def test_same_bytes_under_both_writers(self, capsys, tmp_path,
                                            monkeypatch, argv, scenario):
         """Every command writes the same CSV under the compiled writer and
-        under the numpy writer it falls back to, on both builtin scenarios
+        under the ``%.12g`` writer it falls back to, on both builtin scenarios
         (the experiment trace at 250 MHz over 25 ns past a 4 ns warmup:
         250,001 rows)."""
         if argv == ["simulate"] and scenario == "experiment":

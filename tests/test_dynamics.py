@@ -1343,11 +1343,6 @@ def run_columns(draw):
             for c, lst in zip(columns, as_list)]
 
 
-def slot_text(slots):
-    """The text of ``_format_slots``' rows, nuls dropped."""
-    return slots.tobytes().translate(None, b"\0").decode()
-
-
 @pytest.fixture(scope="module")
 def csv_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("csv")
@@ -1416,51 +1411,23 @@ class TestWriteCsv:
         assert got.read_bytes() == savetxt_bytes(csv_dir / "want.csv",
                                                  "t_s,n", columns)
 
-    def test_simulate_times_take_the_digit_path(self, base_trace):
-        """No time of the default trace goes to %.12g, and each kind of
-        value that the digit arithmetic cannot prove does."""
-        slots, back = dynamics._format_slots(base_trace.t, "\n")
-        assert back.size == 0
-        assert slot_text(slots) == "".join(
-            ["%.12g\n" % t for t in base_trace.t.tolist()])
-        values = np.array(list(HANDED_BACK.values()))
-        slots, back = dynamics._format_slots(values, "\n")
-        assert back.tolist() == list(range(len(values)))
-        assert slot_text(slots) == "".join(
-            ["%.12g\n" % v for v in values.tolist()])
-
-    def test_trace_values_take_the_digit_path(self, base_trace):
-        """Nothing a simulation writes goes to %.12g: not the default
-        trace's n, q and p, nor a time column in fixed notation (past
-        1e-4 s)."""
-        times = 1e-4 + (333334 + np.arange(40)) * 3e-13
-        for column in base_trace.n, base_trace.q, base_trace.p, times:
-            slots, back = dynamics._format_slots(column, ",")
-            assert back.size == 0
-            assert slot_text(slots) == "".join(
-                ["%.12g," % v for v in column.tolist()])
-
-    @given(values=st.lists(st.one_of(
-        fixed_notation, near_powers_of_ten, st.floats(),
-        st.sampled_from(TIES + NEAR_TIES + list(HANDED_BACK.values())).flatmap(
-            lambda v: st.sampled_from([v, -v]))), min_size=1, max_size=40),
-        sep=st.sampled_from([",", "\n"]))
-    @example(values=TIES + [-v for v in TIES], sep=",")
-    @example(values=NEAR_TIES + [-v for v in NEAR_TIES], sep="\n")
-    @example(values=list(HANDED_BACK.values()), sep="\n")
-    @example(values=[1.5e-4, -123456789012.0, 1e-4, 99999999999.95,
-                     999999999999.5, 1e12, -0.000999999999999], sep=",")
-    def test_format_slots_match_printf(self, values, sep):
-        """Each row is ``"%.12g" % v`` and the separator, left-aligned and
-        nul-padded, whatever the value's notation, exponent and sign."""
-        slots, _ = dynamics._format_slots(np.array(values, dtype=float), sep)
-        assert slots.dtype == np.uint8 and slots.shape[0] == len(values)
-        assert [bytes(row).rstrip(b"\0").decode() for row in slots] == [
-            "%.12g" % v + sep for v in values]
+    @pytest.mark.parametrize("columns", [
+        [np.arange(3.0), np.arange(2.0)],
+        [np.arange(2.0), np.arange(3.0)],
+        [np.arange(2.0), np.ones((2, 1))],
+        [np.float64(1.0)],
+    ], ids=["shorter", "longer", "2-d", "0-d"])
+    def test_rejects_columns_of_other_shapes(self, tmp_path, writer, columns):
+        """Columns that are not 1-d, or not all as long as the first, raise
+        before a file is opened, whichever writer would write them."""
+        out = tmp_path / "out.csv"
+        with pytest.raises(ValueError, match="1-d and of equal length"):
+            dynamics._write_csv(out, "a,b", columns)
+        assert not out.exists()
 
     @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(values=st.lists(st.one_of(
-        st.floats(),
+        fixed_notation, near_powers_of_ten, st.floats(),
         st.sampled_from(TIES + NEAR_TIES + list(HANDED_BACK.values())).flatmap(
             lambda v: st.sampled_from([v, -v]))), min_size=1, max_size=40),
         repeats=st.integers(1, 5), block=st.integers(1, 9))
@@ -1468,11 +1435,17 @@ class TestWriteCsv:
     # a flush
     @example(values=[0.1 * k for k in range(1, 13)], repeats=12, block=2)
     @example(values=list(HANDED_BACK.values()) * 2, repeats=9, block=1)
+    @example(values=TIES + [-v for v in TIES], repeats=1, block=9)
+    @example(values=NEAR_TIES + [-v for v in NEAR_TIES], repeats=2, block=3)
+    @example(values=list(HANDED_BACK.values()), repeats=1, block=4)
+    @example(values=[1.5e-4, -123456789012.0, 1e-4, 99999999999.95,
+                     999999999999.5, 1e12, -0.000999999999999], repeats=1,
+             block=9)
     def test_writer_rows_match_printf(self, writer, values, repeats, block):
         """Each value is ``"%.12g" % v`` and its separator, ``,`` in the
         first column and a newline in the second, whose values come in runs
-        of ``repeats`` rows; whatever the value, the run, or the buffer's
-        flushes (``block`` rows)."""
+        of ``repeats`` rows; whatever the value's notation, exponent and
+        sign, the run, or the buffer's flushes (``block`` rows)."""
         columns = [values, [values[k // repeats] for k in range(len(values))]]
         fh = io.BytesIO()
         writer(fh, [np.array(c, dtype=float) for c in columns], block)
@@ -1480,17 +1453,20 @@ class TestWriteCsv:
             "%.12g" % a + "," + "%.12g" % b + "\n" for a, b in zip(*columns))
 
 
-class TestNumpyWriter:
-    """The CSV writer tests again, under the numpy writer
+class TestPrintfWriter:
+    """The CSV writer tests again, under the ``%.12g`` writer
     ``dynamics._write_rows``; where they are defined they run under the
     compiled writer."""
 
-    pytestmark = pytest.mark.parametrize("writer", ["numpy"], indirect=True)
+    pytestmark = pytest.mark.parametrize("writer", ["printf"], indirect=True)
     test_bytes_match_savetxt = TestWriteCsv.test_bytes_match_savetxt
     test_run_across_three_blocks = TestWriteCsv.test_run_across_three_blocks
     test_runs_match_savetxt = TestWriteCsv.test_runs_match_savetxt
     test_first_column_matches_savetxt = (
         TestWriteCsv.test_first_column_matches_savetxt)
+    test_writer_rows_match_printf = TestWriteCsv.test_writer_rows_match_printf
+    test_rejects_columns_of_other_shapes = (
+        TestWriteCsv.test_rejects_columns_of_other_shapes)
 
 
 class TestWriterLoading:
