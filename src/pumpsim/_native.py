@@ -20,6 +20,7 @@ import tempfile
 import numpy as np
 
 _ROWS_DONE, _ROWS_BACK, _ROWS_FULL = range(3)  # pumpsim_format_rows statuses
+_BOUNDS = 4  # the status of pumpsim_rk4_lanes' refusal, dynamics._BOUNDS
 _VALUE_BYTES = 32  # buffer bytes per value, _rk4.c's VALUE_BYTES
 
 
@@ -36,6 +37,9 @@ def build():
     ``dynamics._chunk``'s signature and ``pumpsim_format_rows``, digit
     arithmetic held to ``%.12g``, behind ``dynamics._write_rows``', or None
     where ``cc`` is missing or fails or the library does not load.
+    ``chunk.lanes`` is ``pumpsim_rk4_lanes``, the lane loop of
+    ``_periodic._periodic_states``: ``lanes(coef, n, q, halted, out_q)``
+    binds the lanes' arrays and returns ``step(k, k_stop, rec, h, src)``.
 
     The library is built into a private temporary directory, deleted once
     it is loaded, so there is no cache to go stale.  Contraction into fused
@@ -54,6 +58,7 @@ def build():
                        check=True, timeout=120)
         library = ctypes.CDLL(library)
         kernel = library.pumpsim_rk4_chunk
+        lane_kernel = library.pumpsim_rk4_lanes
         format_rows = library.pumpsim_format_rows
     except (OSError, AttributeError, subprocess.SubprocessError):
         return None
@@ -65,6 +70,11 @@ def build():
                        ctypes.c_double, doubles, doubles, doubles,
                        ctypes.c_int64, ctypes.c_int64]
     kernel.restype = ctypes.c_int
+    lane_kernel.argtypes = [doubles, doubles, int64s, ctypes.c_int64,
+                            ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+                            ctypes.c_double, doubles, doubles, doubles,
+                            ctypes.c_int64]
+    lane_kernel.restype = ctypes.c_int
     format_rows.argtypes = [ctypes.POINTER(ctypes.c_void_p), ctypes.c_int64,
                             ctypes.c_int64, doubles, int64s,
                             ctypes.POINTER(ctypes.c_char), ctypes.c_int64]
@@ -73,13 +83,13 @@ def build():
     index_type = ctypes.c_int64 * 4
     coef_type = ctypes.c_double * 7
 
-    def address(a):
-        if not (isinstance(a, np.ndarray) and a.dtype == np.float64
-                and a.ndim == 1 and a.flags.c_contiguous
+    def address(a, dtype=np.float64, ndim=1, pointer=doubles):
+        if not (isinstance(a, np.ndarray) and a.dtype == dtype
+                and a.ndim == ndim and a.flags.c_contiguous
                 and a.flags.writeable):
-            raise TypeError("samples must be writeable contiguous 1-d "
-                            "float64 arrays")
-        return a.ctypes.data_as(doubles)  # holds a, as long as it is held
+            raise TypeError(f"arrays must be writeable contiguous {ndim}-d "
+                            f"{np.dtype(dtype).name} arrays")
+        return a.ctypes.data_as(pointer)  # holds a, as long as it is held
 
     def bind(coef, out_n, out_q, stride):
         # what stays fixed through an _advance call, converted once
@@ -106,6 +116,29 @@ def build():
                                                 rec, j, clamps)
 
     chunk.bind = bind
+
+    def lanes(coef, n, q, halted, out_q):
+        # what stays fixed through a solve: the lanes' states, their halts
+        # and records, and the coefficients
+        coef = coef_type(*coef)
+        n_lanes, n_out = out_q.shape
+        if not len(n) == len(q) == len(halted) == n_lanes:
+            raise ValueError("one state, halt and record row per lane")
+        fixed = (address(n), address(q), address(halted, np.int64, 1, int64s),
+                 n_lanes)
+        out = (address(out_q, ndim=2), n_out)
+
+        def step(k, k_stop, rec, h, src):
+            if len(src) != n_lanes:
+                raise ValueError("one source per lane")
+            if lane_kernel(*fixed, k, k_stop, rec, h, address(src), coef,
+                           *out) == _BOUNDS:
+                raise IndexError(f"steps {k} to {k_stop} are outside the "
+                                 f"{n_out} samples of the record")
+
+        return step
+
+    chunk.lanes = lanes
     pow10 = _pow10().ctypes.data_as(doubles)  # holds the array
 
     def write_rows(fh, columns, block):

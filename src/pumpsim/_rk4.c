@@ -1,13 +1,17 @@
-/* The compiled loops of pumpsim.dynamics: the RK4 step loop of _advance and
-   the row loop of _write_csv, built into one library by pumpsim._native
-   with the system cc.
+/* The compiled loops of pumpsim.dynamics: the RK4 step loops of _advance and
+   of the shooting solves, and the row loop of _write_csv, built into one
+   library by pumpsim._native with the system cc.
 
-   pumpsim_rk4_chunk is pumpsim.dynamics._chunk in C: the same operations on
-   the same operands in the same order, so that, built without contraction
-   into fused multiply-adds (-ffp-contract=off) and without -ffast-math, every
-   result rounds as the Python loop's does.  dynamics._library uses it only
-   after it matched _chunk bit for bit on a probe.
+   rk4_step is one step of pumpsim.dynamics._chunk in C: the same operations
+   on the same operands in the same order, so that, built without
+   contraction into fused multiply-adds (-ffp-contract=off) and without
+   -ffast-math, every result rounds as the Python loop's does.  Both step
+   loops call it, so the stage arithmetic is written once in C.  Forcing it
+   inline ran no faster and took about 15 ms more to build.
+   dynamics._library uses each loop only after it matched _chunk bit for bit
+   on a probe.
 
+   pumpsim_rk4_chunk is the loop of _chunk.
    state:  n, q in and out
    index:  k, rec, j, clamps in and out
    coef:   tau_e, tau_ph, gamma_conf*tau_ph, n_0, n_th - n_0, c_sp,
@@ -18,6 +22,10 @@
    step k with its status: 1 the step maps the nonzero state onto itself, 2
    its result is not finite, 3 a stage has 1 + 2*gamma_q*q <= 0, 4 its
    sample index j is outside [0, n_out).
+
+   pumpsim_rk4_lanes steps independent states, the lanes of
+   _periodic._periodic_states, side by side through one run of the drive, so
+   that one lane's divide-and-sqrt chain does not leave the divider idle.
 
    pumpsim_format_rows writes the CSV rows of dynamics._write_csv by digit
    arithmetic that gives the bytes of "%.12g", and stops at each value that
@@ -34,22 +42,91 @@
 
 enum { DONE, STALL, NON_FINITE, DOMAIN, BOUNDS };
 
+struct coefs {
+    double tau_e, tau_ph, gtp, n_0, denom, c_sp, two_gq;
+};
+
+static struct coefs load_coefs(const double *coef)
+{
+    struct coefs c = {coef[0], coef[1], coef[2], coef[3], coef[4], coef[5],
+                      coef[6]};
+    return c;
+}
+
+/* One step from (*n, *q) of length h, half = 0.5*h, under the source src.
+   Returns DONE with the clamped result in *n, *q and each clamp added to
+   *clamps, or leaves them and returns STALL (the result is the nonzero
+   state itself), NON_FINITE or DOMAIN. */
+static inline int rk4_step(double *n_io, double *q_io, int64_t *clamps,
+                           double h, double half, double src,
+                           const struct coefs *c)
+{
+    const double n = *n_io, q = *q_io;
+    double s, g, k1n, k1q, k2n, k2q, k3n, k3q, k4n, k4q;
+    double na, qa, nb, qb, nc, qc, n1, q1;
+
+    s = 1.0 + c->two_gq * q;
+    if (s <= 0.0)
+        return DOMAIN;
+    g = (n - c->n_0) / c->denom / sqrt(s);
+    k1n = src - n / c->tau_e - q * g / c->gtp;
+    k1q = (g - 1.0) * q / c->tau_ph + c->c_sp * n / c->tau_e;
+    na = n + half * k1n;
+    qa = q + half * k1q;
+    s = 1.0 + c->two_gq * qa;
+    if (s <= 0.0)
+        return DOMAIN;
+    g = (na - c->n_0) / c->denom / sqrt(s);
+    k2n = src - na / c->tau_e - qa * g / c->gtp;
+    k2q = (g - 1.0) * qa / c->tau_ph + c->c_sp * na / c->tau_e;
+    nb = n + half * k2n;
+    qb = q + half * k2q;
+    s = 1.0 + c->two_gq * qb;
+    if (s <= 0.0)
+        return DOMAIN;
+    g = (nb - c->n_0) / c->denom / sqrt(s);
+    k3n = src - nb / c->tau_e - qb * g / c->gtp;
+    k3q = (g - 1.0) * qb / c->tau_ph + c->c_sp * nb / c->tau_e;
+    nc = n + h * k3n;
+    qc = q + h * k3q;
+    s = 1.0 + c->two_gq * qc;
+    if (s <= 0.0)
+        return DOMAIN;
+    g = (nc - c->n_0) / c->denom / sqrt(s);
+    k4n = src - nc / c->tau_e - qc * g / c->gtp;
+    k4q = (g - 1.0) * qc / c->tau_ph + c->c_sp * nc / c->tau_e;
+
+    n1 = n + h * (k1n + 2.0 * k2n + 2.0 * k3n + k4n) / 6.0;
+    q1 = q + h * (k1q + 2.0 * k2q + 2.0 * k3q + k4q) / 6.0;
+    if (n1 == n && q1 == q && n != 0.0 && q != 0.0)
+        return STALL;
+    if (!(isfinite(n1) && isfinite(q1)))
+        return NON_FINITE;
+    if (n1 < 0.0) {
+        n1 = 0.0;
+        *clamps += 1;
+    }
+    if (q1 < 0.0) {
+        q1 = 0.0;
+        *clamps += 1;
+    }
+    *n_io = n1;
+    *q_io = q1;
+    return DONE;
+}
+
 int pumpsim_rk4_chunk(double *state, int64_t *index, int64_t k_stop,
                       double h, double src, const double *coef,
                       double *out_n, double *out_q, int64_t n_out,
                       int64_t stride)
 {
-    const double tau_e = coef[0], tau_ph = coef[1], gtp = coef[2];
-    const double n_0 = coef[3], denom = coef[4], c_sp = coef[5];
-    const double two_gq = coef[6];
+    const struct coefs c = load_coefs(coef);
     const double half = 0.5 * h;
     double n = state[0], q = state[1];
     int64_t k = index[0], rec = index[1], j = index[2], clamps = index[3];
     int status = DONE;
 
     for (; k < k_stop; k++) {
-        double s, g, k1n, k1q, k2n, k2q, k3n, k3q, k4n, k4q;
-        double na, qa, nb, qb, nc, qc, n1, q1;
         if (k == rec) {
             if (j < 0 || j >= n_out) {
                 status = BOUNDS;
@@ -60,54 +137,9 @@ int pumpsim_rk4_chunk(double *state, int64_t *index, int64_t k_stop,
             j += 1;
             rec += stride;
         }
-
-        s = 1.0 + two_gq * q;
-        if (s <= 0.0) { status = DOMAIN; break; }
-        g = (n - n_0) / denom / sqrt(s);
-        k1n = src - n / tau_e - q * g / gtp;
-        k1q = (g - 1.0) * q / tau_ph + c_sp * n / tau_e;
-        na = n + half * k1n;
-        qa = q + half * k1q;
-        s = 1.0 + two_gq * qa;
-        if (s <= 0.0) { status = DOMAIN; break; }
-        g = (na - n_0) / denom / sqrt(s);
-        k2n = src - na / tau_e - qa * g / gtp;
-        k2q = (g - 1.0) * qa / tau_ph + c_sp * na / tau_e;
-        nb = n + half * k2n;
-        qb = q + half * k2q;
-        s = 1.0 + two_gq * qb;
-        if (s <= 0.0) { status = DOMAIN; break; }
-        g = (nb - n_0) / denom / sqrt(s);
-        k3n = src - nb / tau_e - qb * g / gtp;
-        k3q = (g - 1.0) * qb / tau_ph + c_sp * nb / tau_e;
-        nc = n + h * k3n;
-        qc = q + h * k3q;
-        s = 1.0 + two_gq * qc;
-        if (s <= 0.0) { status = DOMAIN; break; }
-        g = (nc - n_0) / denom / sqrt(s);
-        k4n = src - nc / tau_e - qc * g / gtp;
-        k4q = (g - 1.0) * qc / tau_ph + c_sp * nc / tau_e;
-
-        n1 = n + h * (k1n + 2.0 * k2n + 2.0 * k3n + k4n) / 6.0;
-        q1 = q + h * (k1q + 2.0 * k2q + 2.0 * k3q + k4q) / 6.0;
-        if (n1 == n && q1 == q && n != 0.0 && q != 0.0) {
-            status = STALL;
+        status = rk4_step(&n, &q, &clamps, h, half, src, &c);
+        if (status != DONE)
             break;
-        }
-        if (!(isfinite(n1) && isfinite(q1))) {
-            status = NON_FINITE;
-            break;
-        }
-        if (n1 < 0.0) {
-            n1 = 0.0;
-            clamps += 1;
-        }
-        if (q1 < 0.0) {
-            q1 = 0.0;
-            clamps += 1;
-        }
-        n = n1;
-        q = q1;
     }
 
     state[0] = n;
@@ -117,6 +149,55 @@ int pumpsim_rk4_chunk(double *state, int64_t *index, int64_t k_stop,
     index[2] = j;
     index[3] = clamps;
     return status;
+}
+
+/* The lanes' states n[l], q[l] in and out, over steps k to k_stop - 1 of
+   length h, lane l under the source src[l].  q[l] at the start of each step
+   k >= rec is stored in out_q[l*n_out + k].  A lane whose halted[l] is
+   nonzero is not stepped.  A lane whose step has no finite result or leaves
+   the gain's domain gets NON_FINITE or DOMAIN there, and keeps the state at
+   the start of that step.  A lane whose step maps its state onto itself
+   keeps it, and its q is stored, to the end of the call, as stepping it
+   would: halted with STALL meanwhile, it is released at the end.  The
+   clamps are not counted.  Returns BOUNDS, having stepped nothing, unless
+   0 <= k and k_stop <= n_out, else DONE. */
+int pumpsim_rk4_lanes(double *n, double *q, int64_t *halted, int64_t lanes,
+                      int64_t k, int64_t k_stop, int64_t rec, double h,
+                      const double *src, const double *coef, double *out_q,
+                      int64_t n_out)
+{
+    const struct coefs c = load_coefs(coef);
+    const double half = 0.5 * h;
+    int64_t l, i, clamps = 0, active = 0;
+
+    if (k < 0 || k_stop > n_out)
+        return BOUNDS;
+    for (l = 0; l < lanes; l++)
+        active += !halted[l];
+    for (; k < k_stop && active; k++)
+        for (l = 0; l < lanes; l++) {
+            double n_l = n[l], q_l = q[l];
+            int status;
+            if (halted[l])
+                continue;
+            if (k >= rec)
+                out_q[l * n_out + k] = q_l;
+            status = rk4_step(&n_l, &q_l, &clamps, h, half, src[l], &c);
+            if (status == DONE) {
+                n[l] = n_l;
+                q[l] = q_l;
+                continue;
+            }
+            halted[l] = status;
+            active -= 1;
+            if (status == STALL)
+                for (i = k + 1 > rec ? k + 1 : rec; i < k_stop; i++)
+                    out_q[l * n_out + i] = q_l;
+        }
+    for (l = 0; l < lanes; l++)
+        if (halted[l] == STALL)
+            halted[l] = 0;
+    return DONE;
 }
 
 enum { ROWS_DONE, ROWS_BACK, ROWS_FULL };

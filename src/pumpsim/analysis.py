@@ -3,7 +3,7 @@ quantum efficiency, per-pulse energy metrics, pump-power sweeps, and the
 calibration of the unknown pumping efficiency against a measured target.
 
 Nothing here integrates: sweeps and fits measure one period of the periodic
-state that ``dynamics`` solves for, and the pulse metrics measure traces.
+state that ``_periodic`` solves for, and the pulse metrics measure traces.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .dynamics import (
     SimTrace,
     _brentq,
     _complete_period_bounds,
-    _periodic_state,
     _write_csv,
     steady_state,
 )
@@ -236,31 +235,42 @@ class _Periodic(NamedTuple):
 
 
 def _periodic_metrics(base: SimConfig, r_opt: float) -> _Periodic:
-    """Pulse energy and average power of the periodic state under the pump
-    rate ``r_opt`` (1/s).
+    """``_periodic_metrics_at`` under the one pump rate ``r_opt``."""
+    return _periodic_metrics_at(base, [r_opt])[0]
 
-    ``dynamics._periodic_state`` solves for the state and records one period
-    of it on ``base``'s step; that period is measured like one period of
-    ``pulse_metrics``.  ``base``'s pump, warmup, ``t_total`` and
-    ``sample_stride`` play no part.
+
+def _periodic_metrics_at(base: SimConfig, rates) -> list[_Periodic]:
+    """Pulse energy and average power of the periodic state under each pump
+    rate of ``rates`` (1/s), in order.
+
+    ``_periodic._periodic_states`` (imported on first use) solves for the
+    states in lockstep and records one period of each on ``base``'s step;
+    that period is measured like one period of ``pulse_metrics``.
+    ``base``'s pump, warmup, ``t_total`` and ``sample_stride`` play no part.
     """
-    h, q, residual, periods = _periodic_state(base.params, base.drive,
-                                              base.dt, r_opt)
-    p = photon_to_power(q, base.params)
-    energy, _, _ = _period_pulse(p, h)
-    return _Periodic(float(energy), float(p[:-1].mean()), residual, periods)
+    from ._periodic import _periodic_states
+
+    measured = []
+    for h, q, residual, periods in _periodic_states(base.params, base.drive,
+                                                    base.dt, rates):
+        p = photon_to_power(q, base.params)
+        energy, _, _ = _period_pulse(p, h)
+        measured.append(_Periodic(float(energy), float(p[:-1].mean()),
+                                  residual, periods))
+    return measured
 
 
 def pump_sweep(base: SimConfig, powers, jobs: int = 1) -> list[SweepRow]:
     """Measure the periodic state at each pump power and normalize against
     the unpumped one.
 
-    Rows are independent shooting solves (``_periodic_metrics``) on the
-    baseline's step, so discretization bias cancels in the ratios; the
-    config's warmup, ``t_total`` and ``sample_stride`` play no part.  Each
-    pump rate is solved once, the unpumped one included, so a zero-pump row
-    divides the unpumped measurement by itself and reads exactly 1.
-    ``jobs`` > 1 distributes the solves over a process pool; ordering
+    Rows are independent shooting solves on the baseline's step, so
+    discretization bias cancels in the ratios; the config's warmup,
+    ``t_total`` and ``sample_stride`` play no part.  Each pump rate is
+    solved once, the unpumped one included, so a zero-pump row divides the
+    unpumped measurement by itself and reads exactly 1.  The solves go in
+    lockstep (``_periodic_metrics_at``), the unpumped one first.  ``jobs``
+    > 1 distributes the pumped solves over a process pool instead; ordering
     follows the input.
     """
     powers = [float(p) for p in powers]
@@ -271,16 +281,17 @@ def pump_sweep(base: SimConfig, powers, jobs: int = 1) -> list[SweepRow]:
 
     rates = [pump_rate(PumpScenario(p, base.pump.eps_opt), base.params)
              for p in powers]
-    measured = {0.0: _periodic_metrics(base, 0.0)}  # pump rate -> metrics
-    todo = [r for r in dict.fromkeys(rates) if r not in measured]
+    todo = [r for r in dict.fromkeys(rates) if r != 0.0]
     if jobs > 1 and len(todo) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
+        measured = {0.0: _periodic_metrics(base, 0.0)}  # pump rate -> metrics
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             measured.update(zip(todo, pool.map(
                 _periodic_metrics, itertools.repeat(base), todo)))
     else:
-        measured.update((r, _periodic_metrics(base, r)) for r in todo)
+        measured = dict(zip([0.0] + todo,
+                            _periodic_metrics_at(base, [0.0] + todo)))
 
     unpumped = measured[0.0]
     return [SweepRow(
@@ -305,7 +316,9 @@ def fit_eps_opt(base: SimConfig, target_p_pump: float,
     Brent's bracketed root find over eps_opt on [0, 1] (``dynamics._brentq``)
     solves for the point where the normalized pulse energy of the periodic
     state at ``target_p_pump`` (``_periodic_metrics``) equals
-    ``target_ratio``.  It stops when the bracket is narrower than
+    ``target_ratio``.  The unpumped solve and the one at eps_opt 1, the
+    first evaluation, go in lockstep (``_periodic_metrics_at``); each Brent
+    step is one solve.  It stops when the bracket is narrower than
     ``_EPS_RTOL`` relative to its better end, the width of 1e-4 in log10 at
     every scale of eps_opt.  At eps_opt 0 nothing is pumped, so the ratio
     there is the baseline over itself, exactly 1, below every valid target,
@@ -324,13 +337,18 @@ def fit_eps_opt(base: SimConfig, target_p_pump: float,
         raise ValueError(
             f"target_p_pump must be finite and positive, got {target_p_pump}")
 
-    e_base = _periodic_metrics(base, 0.0).pulse_energy
-    cache = {0.0: 1.0}  # eps_opt -> ratio; eps_opt 0 pumps nothing
+    def rate(eps: float) -> float:
+        return pump_rate(PumpScenario(target_p_pump, eps), base.params)
+
+    unpumped, top = _periodic_metrics_at(base, [0.0, rate(_EPS_HI)])
+    e_base = unpumped.pulse_energy
+    # eps_opt -> ratio; eps_opt 0 pumps nothing
+    cache = {0.0: 1.0, _EPS_HI: top.pulse_energy / e_base}
 
     def excess(eps: float) -> float:
         if eps not in cache:
-            r_opt = pump_rate(PumpScenario(target_p_pump, eps), base.params)
-            cache[eps] = _periodic_metrics(base, r_opt).pulse_energy / e_base
+            energy = _periodic_metrics(base, rate(eps)).pulse_energy
+            cache[eps] = energy / e_base
         return cache[eps] - target_ratio
 
     if excess(_EPS_HI) < 0.0:

@@ -6,9 +6,11 @@ reproducible to the bit.  Its step loop runs as C (``_rk4.c``), built by the
 system C compiler on the first integration in a process and used only after
 it matched the Python loop bit for bit; without a compiler the Python loop
 runs, with the same results, only slower.  It is the only code that
-integrates: this module owns the step grid, the drive schedule on it, and the
-shooting solve for the periodic state that sweeps and fits measure.  Steady
-states are found algebraically, by one root find over the photon number.
+integrates: this module owns the step grid and the drive schedule on it, and
+``_periodic`` solves on them for the periodic states that sweeps and fits
+measure, stepping several solves side by side through the library's lane
+loop, held to the Python loop bit for bit as well.  Steady states are found
+algebraically, by one root find over the photon number.
 
 The same library writes CSV rows, by digit arithmetic that gives the bytes
 of ``%.12g``, and is used for it only after it matched ``%.12g`` byte for
@@ -437,10 +439,7 @@ def _advance(n: float, q: float, runs, params: LaserParams, dt: float,
     is held to bit for bit, with the arguments fixed for the whole call
     bound once (``_bind``).
     """
-    coef = (params.tau_e, params.tau_ph, params.gamma_conf * params.tau_ph,
-            params.n_0, params.n_th - params.n_0, params.c_sp,
-            2.0 * params.gamma_q)
-
+    coef = _coefficients(params)
     if out is None:
         out_n = out_q = None
         first, stride = -1, 1
@@ -518,6 +517,13 @@ def _advance(n: float, q: float, runs, params: LaserParams, dt: float,
 
 
 _DONE, _STALL, _NON_FINITE, _DOMAIN, _BOUNDS = range(5)  # chunk statuses
+
+
+def _coefficients(params: LaserParams) -> tuple:
+    """The ``coef`` of ``_chunk`` and of the lane loop, from ``params``."""
+    return (params.tau_e, params.tau_ph, params.gamma_conf * params.tau_ph,
+            params.n_0, params.n_th - params.n_0, params.c_sp,
+            2.0 * params.gamma_q)
 
 
 def _chunk(n: float, q: float, k: int, k_stop: int, h: float, src: float,
@@ -611,67 +617,112 @@ def _kernel():
     return _library()[0]
 
 
+def _lanes():
+    """The lane loop of ``_periodic._lockstep``: ``_rk4.c``'s, or None where
+    it does not load or match (``_library``)."""
+    return _library()[1]
+
+
 def _writer(build: bool = True):
     """The row writer of ``_write_csv``: ``_rk4.c``'s digit arithmetic or
     ``_write_rows``' ``%.12g`` per value (``_library``).  With ``build``
     false it loads nothing: it is ``_write_rows`` unless the library is
     loaded already."""
     if build or _library.cache_info().currsize:
-        return _library()[1]
+        return _library()[2]
     return _write_rows
 
 
 @functools.cache
 def _library():
-    """``(chunk function, row writer)``: those of ``_rk4.c``, built by the
-    system ``cc`` (``_compile``), each where it builds, loads and matches
-    its reference on its probe (``_chunk`` bit for bit on ``_probe``,
-    ``%.12g`` byte for byte on ``_native.probe_rows``), else ``_chunk`` and
-    ``_write_rows``, which formats by ``%.12g`` itself.  Built once per
-    process, on the first call, so importing pumpsim compiles nothing, and
-    one build serves both."""
+    """``(chunk function, lane loop, row writer)``: those of ``_rk4.c``,
+    built by the system ``cc`` (``_compile``), each where it builds, loads
+    and matches its reference on its probe (``_chunk`` bit for bit on
+    ``_probe``, and on ``_lanes_match`` for the lane loop ``chunk.lanes`` of
+    a chunk function that passed; ``%.12g`` byte for byte on
+    ``_native.probe_rows``), else ``_chunk``, None and ``_write_rows``, which
+    formats by ``%.12g`` itself.  Built once per process, on the first call,
+    so importing pumpsim compiles nothing, and one build serves all three."""
     compiled = _compile()
     if compiled is None:
-        return _chunk, _write_rows
+        return _chunk, None, _write_rows
     from ._native import probe_rows
 
     chunk, write_rows = compiled
-    return (chunk if _probe(chunk) == _probe(_chunk) else _chunk,
+    if _probe(chunk) != _probe(_chunk):
+        chunk = _chunk
+    lanes = getattr(chunk, "lanes", None)
+    return (chunk, lanes if lanes and _lanes_match(lanes) else None,
             write_rows if probe_rows(write_rows) else _write_rows)
 
 
 def _compile():
-    """``_rk4.c``'s chunk function behind ``_chunk``'s signature and row
-    writer behind ``_write_rows``', or None where ``cc`` is missing or fails
-    or the library does not load (``_native.build``, imported on first
-    use)."""
+    """``_rk4.c``'s chunk function behind ``_chunk``'s signature, with its
+    lane loop as ``chunk.lanes``, and row writer behind ``_write_rows``', or
+    None where ``cc`` is missing or fails or the library does not load
+    (``_native.build``, imported on first use)."""
     from . import _native
 
     return _native.build()
 
 
+# The probes' device, ``default``'s; their states: 35 from dark to far above
+# threshold, and a fixed point of the first run, on which its steps stall;
+# and their runs (first step, end, current): 10 steps of 0.3 ps under its
+# 26 mA pulse, then 10 at its 6 mA bias.
+_PROBE_COEF = (1e-9, 3e-12, 0.12 * 3e-12, 5.5e7, 6.5e7 - 5.5e7, 1e-5, 2e-6)
+_PROBE_STATES = list(itertools.product(
+    (0.0, 1e4, 1e6, 3e7, 5.5e7, 6.5e7, 8e7), (0.0, 1e-3, 1.0, 1e3, 1e5))) + [
+    (float.fromhex("0x1.f2861e5bf831fp+25"),
+     float.fromhex("0x1.10a65a45d530ap+15"))]
+_PROBE_RUNS = ((0, 10, 26e-3), (10, 20, 6e-3))
+_PROBE_H = 3e-13
+
+
 def _probe(chunk) -> list:
     """The returns of ``chunk``, with the bits of its state, and its samples
-    over steps of 0.3 ps of the ``default`` device: 10 under its 26 mA
-    pulse, then 10 at its 6 mA bias, storing every third state from step
-    1, from each of 35 states from dark to far above threshold.  One step's
-    result rarely shows a change in rounding, since the state absorbs the
-    low bits of its increment; across these states, fusing the kernel's
-    multiply-adds, or reordering any one of six operations tried, changes
-    some of these bits."""
-    coef = (1e-9, 3e-12, 0.12 * 3e-12, 5.5e7, 6.5e7 - 5.5e7, 1e-5, 2e-6)
+    over ``_PROBE_RUNS``, storing every third state from step 1, from each
+    of ``_PROBE_STATES``.  One step's result rarely shows a change in
+    rounding, since the state absorbs the low bits of its increment; across
+    these states, fusing the kernel's multiply-adds, or reordering any one
+    of six operations tried, changes some of these bits."""
     returned = []
-    for n, q in itertools.product((0.0, 1e4, 1e6, 3e7, 5.5e7, 6.5e7, 8e7),
-                                  (0.0, 1e-3, 1.0, 1e3, 1e5)):
+    for n, q in _PROBE_STATES:
         out_n, out_q = np.zeros(7), np.zeros(7)
         rec, j, clamps = 1, 0, 0
-        for k, k_stop, i in ((0, 10, 26e-3), (10, 20, 6e-3)):
+        for k, k_stop, i in _PROBE_RUNS:
             status, n, q, k, rec, j, clamps = chunk(
-                n, q, k, k_stop, 3e-13, i / ELEMENTARY_CHARGE, rec, j,
-                clamps, coef, out_n, out_q, 3)
+                n, q, k, k_stop, _PROBE_H, i / ELEMENTARY_CHARGE, rec, j,
+                clamps, _PROBE_COEF, out_n, out_q, 3)
             returned.append((status, k, rec, j, clamps, n.hex(), q.hex()))
         returned.append((out_n.tobytes(), out_q.tobytes()))
     return returned
+
+
+def _lanes_match(lanes) -> bool:
+    """Whether the lane loop ``lanes`` steps the ``_PROBE_STATES`` side by
+    side over ``_PROBE_RUNS`` to the bits that ``_chunk`` gives each one
+    alone, a stalled one keeping its state to the end of its run: the
+    photon number at the start of every step and the state after the last
+    step, with no lane halted."""
+    n, q = (np.array(v) for v in zip(*_PROBE_STATES))
+    halted = np.zeros(len(n), dtype=np.int64)
+    got = np.zeros((len(n), _PROBE_RUNS[-1][1] + 1))
+    want = np.zeros_like(got)
+    step = lanes(_PROBE_COEF, n, q, halted, got)
+    for k, k_stop, i in _PROBE_RUNS:
+        step(k, k_stop, k, _PROBE_H, np.full(len(n), i / ELEMENTARY_CHARGE))
+    scratch = np.zeros(got.shape[1])
+    for lane, x in enumerate(_PROBE_STATES):
+        for k, k_stop, i in _PROBE_RUNS:
+            status, *x, k_at, _, _, _ = _chunk(
+                *x, k, k_stop, _PROBE_H, i / ELEMENTARY_CHARGE, k, k, 0,
+                _PROBE_COEF, scratch, want[lane], 1)
+            if status == _STALL:
+                want[lane, k_at + 1:k_stop] = x[1]
+        if (n[lane].hex(), q[lane].hex()) != (x[0].hex(), x[1].hex()):
+            return False
+    return not halted.any() and got.tobytes() == want.tobytes()
 
 
 _CHECKPOINT_STEPS = 1024  # steps between a run's replay checkpoints
@@ -781,93 +832,6 @@ def _pieces(a: tuple[int, float], b: tuple[int, float], dt: float,
         yield (ka, kb, dt, src)
     if fb:
         yield (kb, kb + 1, fb * dt, src)
-
-
-_PERIODIC_RTOL = 1e-12  # bound on the period-to-period residual of (n, q)
-_RECORD_RTOL = 1e-9  # residual below which the next period is recorded
-_ANDERSON_PERIODS = 40  # periods of accelerated iteration
-_PLAIN_PERIODS = 200  # further plain periods before giving up
-
-
-def _periodic_state(params: LaserParams, drive: DriveWaveform, dt: float,
-                    r_opt: float) -> tuple[float, np.ndarray, float, int]:
-    """One period of the periodic state under the pump rate ``r_opt`` (1/s);
-    returns ``(h, q, residual, periods)``: the step, the photon number at
-    the ``m + 1`` grid points ``0, h, ..., m*h = period``, the residual
-    ``max_i |F(x)_i - x_i| / scale_i`` at the recorded start, and the
-    periods integrated before the recorded one.
-
-    Shooting on the period map ``F``: the state at one period start to the
-    state at the next, integrated by ``_advance``.  The step is ``dt`` when
-    it divides the period, else ``period/ceil(period/dt)``.  From the bias
-    steady state, two plain periods ``x <- F(x)`` are followed by Anderson
-    acceleration with memory 2 (Anderson 1965; Walker & Ni 2011) on the
-    physical state ``x = (n, q)`` until the relative residual is at most
-    ``_PERIODIC_RTOL``; ``scale`` is the state after the first period (a
-    zero component counts as 1) and enters only the residual.  After
-    ``_ANDERSON_PERIODS`` periods plain iteration takes over;
-    ``_PLAIN_PERIODS`` periods later ``ConvergenceError`` carries the
-    residual.  The state is two Python floats throughout.  Once a residual
-    is at most ``_RECORD_RTOL``, the next period is integrated with
-    recording, and if it passes, it is the recorded period; otherwise, and
-    when the first period passes, the converged start is integrated once
-    more to record it.  Either way the record starts from the two floats of
-    the converged start, so where it is made changes none of its bits, and
-    ``periods + 1`` periods are integrated in all.
-    """
-    m, frac = _split(drive.period / dt)
-    h = dt
-    if frac:  # shrink the step to a whole number of steps per period
-        m += 1
-        h = drive.period / m
-    runs = list(_drive_runs(m, h, drive, r_opt))
-    record = (np.empty(m + 1), np.empty(m + 1), 0, 1)
-
-    init = steady_state(params, drive.i_bias, r_opt)
-    x = (float(init.n), float(init.q))
-    g = _advance(x[0], x[1], runs, params, h)[:2]
-    scale = tuple(v if v > 0.0 else 1.0 for v in g)
-    periods = 1
-    recorded = False  # whether the period from x to g was recorded
-    fs, gs = [], []  # the last three residuals F(x) - x and images F(x)
-    while True:
-        f = (g[0] - x[0], g[1] - x[1])
-        residual = max(abs(f[0]) / scale[0], abs(f[1]) / scale[1])
-        if residual <= _PERIODIC_RTOL:
-            break
-        if periods >= _ANDERSON_PERIODS + _PLAIN_PERIODS:
-            raise ConvergenceError(
-                f"periodic state did not converge in {periods} periods "
-                f"(residual {residual:.3e}, bound {_PERIODIC_RTOL:g})",
-                residual=residual,
-            )
-        fs, gs = (fs + [f])[-3:], (gs + [g])[-3:]
-        x = g
-        if len(fs) == 3 and periods < _ANDERSON_PERIODS:
-            # Two residual differences in two dimensions: the least-squares
-            # coefficients solve a 2x2 system, by Cramer's rule.  Scaling a
-            # component scales one row and the right-hand side alike, so
-            # the coefficients need no scaled copy of the state.
-            a, c = fs[1][0] - fs[0][0], fs[1][1] - fs[0][1]
-            b, d = fs[2][0] - fs[1][0], fs[2][1] - fs[1][1]
-            det = a * d - b * c
-            if abs(det) > 1e-12 * (abs(a * d) + abs(b * c)):
-                u = (d * f[0] - b * f[1]) / det
-                v = (a * f[1] - c * f[0]) / det
-                mixed = tuple(g[i] - u * (gs[1][i] - gs[0][i])
-                              - v * (gs[2][i] - gs[1][i]) for i in (0, 1))
-                if all(math.isfinite(y) and y >= 0.0 for y in mixed):
-                    x = mixed
-        recorded = residual <= _RECORD_RTOL
-        g = _advance(x[0], x[1], runs, params, h,
-                     record if recorded else None)[:2]
-        periods += 1
-
-    if recorded:
-        periods -= 1
-    else:
-        _advance(x[0], x[1], runs, params, h, record)
-    return h, record[1], residual, periods
 
 
 def default_warmup(params: LaserParams, drive: DriveWaveform) -> float:

@@ -58,13 +58,16 @@ def kernel(request, monkeypatch):
     ``dynamics._kernel`` loads (``_rk4.c``, where a C compiler builds it),
     or, parametrized indirectly with ``"python"``, the Python loop
     ``dynamics._chunk`` that the compiled kernel is held to and falls back
-    to.  The swap holds for the whole test, so hypothesis tests that use it
-    suppress the function-scoped fixture health check."""
+    to.  The lane loop of the shooting solves goes with it: the one
+    ``dynamics._lanes`` loads, or none, so that each lane is an ``_advance``
+    call.  The swap holds for the whole test, so hypothesis tests that use
+    it suppress the function-scoped fixture health check."""
     if getattr(request, "param", "compiled") == "python":
-        chunk = dynamics._chunk
+        chunk, lanes = dynamics._chunk, None
     else:
-        chunk = dynamics._kernel()
+        chunk, lanes = dynamics._kernel(), dynamics._lanes()
     monkeypatch.setattr(dynamics, "_kernel", lambda: chunk)
+    monkeypatch.setattr(dynamics, "_lanes", lambda: lanes)
     return chunk
 
 

@@ -2,13 +2,14 @@
 
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import pumpsim as ps
-from pumpsim import analysis, dynamics
+from pumpsim import _periodic, analysis, dynamics
 from pumpsim.model import ELEMENTARY_CHARGE
 
 from test_model import make_params
@@ -184,30 +185,54 @@ def _rate(config, p_pump):
     return ps.pump_rate(replace(config.pump, p_pump=p_pump), config.params)
 
 
-class _AdvanceSpy:
-    """Stands in for ``dynamics._advance``: counts its calls, and keeps the
-    arguments of every recording call."""
+class _PeriodSpy:
+    """Wraps ``_periodic._lockstep``, the period map of the shooting solves,
+    on either path, the lane loop or ``_advance``: counts the periods it
+    integrates, lane by lane, and keeps every start it is given and, per
+    ``_periodic_states`` call, the lanes' drive runs, ``params``, the step
+    and each lane's latest start: the start of its recorded period once its
+    solve has converged."""
 
     def __init__(self, monkeypatch):
-        self.advance = dynamics._advance
-        self.calls = 0
-        self.recorded = []
-        monkeypatch.setattr(dynamics, "_advance", self)
+        self.lockstep = _periodic._lockstep
+        self.periods = 0
+        self.starts = []  # (lane, start) of every period integrated
+        self.solves = []  # (schedules, params, h, {lane: latest start})
+        monkeypatch.setattr(_periodic, "_lockstep", self)
 
-    def __call__(self, n, q, runs, params, h, out=None):
-        runs = list(runs)
-        self.calls += 1
-        if out is not None:
-            self.recorded.append((n, q, runs, params, h))
-        return self.advance(n, q, runs, params, h, out)
+    def __call__(self, schedules, params, h, records):
+        period = self.lockstep(schedules, params, h, records)
+        latest = {}
+        self.solves.append((schedules, params, h, latest))
+
+        def counted(starts):
+            self.periods += len(starts)
+            self.starts += starts.items()
+            latest.update(starts)
+            return period(starts)
+
+        return counted
+
+    def recording(self) -> np.ndarray:
+        """The photon numbers of ``_advance`` recording the period from the
+        latest start of the last solve's first lane."""
+        schedules, params, h, latest = self.solves[-1]
+        out_n = np.empty(schedules[0][-1][1] + 1)
+        out_q = np.empty_like(out_n)
+        dynamics._advance(*latest[0], schedules[0], params, h,
+                          (out_n, out_q, 0, 1))
+        return out_q
 
     def spectral_radius(self) -> float:
-        """Of the period map's Jacobian at the last recorded start, by
-        central differences through the real kernel."""
-        n0, q0, runs, params, h = self.recorded[-1]
+        """Of the period map's Jacobian at the latest start of the last
+        solve's first lane, by central differences through the real
+        kernel."""
+        schedules, params, h, latest = self.solves[-1]
+        (n0, q0), runs = latest[0], schedules[0]
 
         def image(x):
-            return np.array(self.advance(x[0], x[1], runs, params, h)[:2])
+            return np.array(dynamics._advance(x[0], x[1], runs, params,
+                                              h)[:2])
 
         columns = []
         for i, x in enumerate((n0, q0)):
@@ -236,7 +261,7 @@ class TestPeriodicMetrics:
                          warmup=warm, t_total=warm + 5.5 * period)
         want = ps.pulse_metrics(ps.simulate(config), scenario.drive)
         got = analysis._periodic_metrics(base, _rate(base, p_pump))
-        assert got.residual <= dynamics._PERIODIC_RTOL
+        assert got.residual <= _periodic._PERIODIC_RTOL
         assert got.pulse_energy == pytest.approx(want.pulse_energy, rel=1e-9)
         assert got.avg_power == pytest.approx(want.avg_power, rel=1e-9)
 
@@ -246,28 +271,28 @@ class TestPeriodicMetrics:
                                             eps_opt, p_pump):
         base = replace(base_config, pump=ps.PumpScenario(0.0, eps_opt))
         got = analysis._periodic_metrics(base, _rate(base, p_pump))
-        assert 0.0 <= got.residual <= dynamics._PERIODIC_RTOL
-        assert 1 <= got.periods <= (dynamics._ANDERSON_PERIODS
-                                    + dynamics._PLAIN_PERIODS)
+        assert 0.0 <= got.residual <= _periodic._PERIODIC_RTOL
+        assert 1 <= got.periods <= (_periodic._ANDERSON_PERIODS
+                                    + _periodic._PLAIN_PERIODS)
         assert 0.0 < got.pulse_energy <= got.avg_power * drive.period
 
     def test_plain_iteration_past_the_acceleration_cap(self, base_config,
                                                        monkeypatch):
         r_opt = _rate(base_config, 1.6e-3)
         accelerated = analysis._periodic_metrics(base_config, r_opt)
-        monkeypatch.setattr(dynamics, "_ANDERSON_PERIODS", 1)
+        monkeypatch.setattr(_periodic, "_ANDERSON_PERIODS", 1)
         plain = analysis._periodic_metrics(base_config, r_opt)
         assert plain.periods > accelerated.periods
-        assert plain.residual <= dynamics._PERIODIC_RTOL
+        assert plain.residual <= _periodic._PERIODIC_RTOL
         assert plain.pulse_energy == pytest.approx(accelerated.pulse_energy,
                                                    rel=1e-9)
 
     def test_period_cap_raises_with_residual(self, base_config, monkeypatch):
-        monkeypatch.setattr(dynamics, "_ANDERSON_PERIODS", 3)
-        monkeypatch.setattr(dynamics, "_PLAIN_PERIODS", 2)
+        monkeypatch.setattr(_periodic, "_ANDERSON_PERIODS", 3)
+        monkeypatch.setattr(_periodic, "_PLAIN_PERIODS", 2)
         with pytest.raises(ps.ConvergenceError) as info:
             analysis._periodic_metrics(base_config, _rate(base_config, 1.6e-3))
-        assert info.value.residual > dynamics._PERIODIC_RTOL
+        assert info.value.residual > _periodic._PERIODIC_RTOL
         assert f"{info.value.residual:.3e}" in str(info.value)
         assert "in 5 periods" in str(info.value)
 
@@ -279,11 +304,12 @@ class TestPeriodicMetrics:
         # have spectral radius below 1, or the laser would not settle on the
         # orbit the sweep and the fit measure (0.30 at most on default over
         # eps_opt 0.05 to 1 and 0 to 2 mW).
-        spy = _AdvanceSpy(monkeypatch)
-        _, q, _, _ = dynamics._periodic_state(
+        spy = _PeriodSpy(monkeypatch)
+        _, q, _, _ = _periodic._periodic_state(
             base_config.params, base_config.drive, base_config.dt,
             _rate(base_config, p_pump))
-        assert len(spy.recorded) == 1
+        assert len(spy.solves) == 1
+        assert spy.recording().tobytes() == q.tobytes()
         assert abs(q[-1] / q[0] - 1.0) <= 1e-10
         assert spy.spectral_radius() < 1.0
 
@@ -294,29 +320,28 @@ class TestPeriodicMetrics:
     ])
     def test_record_matches_a_separate_recording(self, monkeypatch, name,
                                                  dt):
-        # The period that proves convergence is the recorded one; recording
-        # it after the loop instead gives the same bits, one period later.
+        # Every period is recorded, so the one that proves convergence is
+        # the answer, and no period is integrated twice: the solve
+        # integrates periods + 1 distinct starts, and recording the last
+        # one again gives the same bits.
         base = ps.load_scenario(name).sim_config()
         args = (base.params, base.drive, dt or base.dt, _rate(base, 1.6e-3))
-        spy = _AdvanceSpy(monkeypatch)
-        h, q, residual, periods = dynamics._periodic_state(*args)
-        assert spy.calls == periods + 1
-        monkeypatch.setattr(dynamics, "_RECORD_RTOL", -1.0)
-        spy.calls = 0
-        after = dynamics._periodic_state(*args)
-        assert spy.calls == after[3] + 1
-        assert after[3] == periods + 1
-        assert (after[0], after[2]) == (h, residual)
-        assert after[1].tobytes() == q.tobytes()
+        spy = _PeriodSpy(monkeypatch)
+        h, q, residual, periods = _periodic._periodic_state(*args)
+        assert periods == {"default": 10, "experiment": 1}[name]
+        assert spy.periods == len(set(spy.starts)) == periods + 1
+        assert spy.recording().tobytes() == q.tobytes()
+        assert residual <= _periodic._PERIODIC_RTOL
 
     def test_experiment_solve_is_two_periods(self, monkeypatch):
-        # The bias steady state is already periodic to 1e-12; the second
-        # period proves it and is the recorded one.
+        # The bias steady state is periodic to 1e-9; the period from its
+        # image closes exactly, proves convergence, and is the recorded one.
         base = ps.load_scenario("experiment").sim_config()
-        spy = _AdvanceSpy(monkeypatch)
-        _, _, _, periods = dynamics._periodic_state(
+        spy = _PeriodSpy(monkeypatch)
+        _, _, residual, periods = _periodic._periodic_state(
             base.params, base.drive, base.dt, _rate(base, 1.6e-3))
-        assert (spy.calls, periods, len(spy.recorded)) == (2, 1, 1)
+        assert (spy.periods, len(set(spy.starts)), periods) == (2, 2, 1)
+        assert residual == 0.0
 
     def test_step_shrinks_to_divide_the_period(self, base_config):
         # 0.3 ps does not divide 400 ps: 1334 steps of 0.29985 ps instead
@@ -340,17 +365,80 @@ class TestPeriodicMetrics:
             base = replace(base, drive=replace(
                 drive, i_bias=np.float64(drive.i_bias),
                 i_pulse=np.float64(drive.i_pulse)))
-        advance = dynamics._advance
-        seen = set()
-
-        def recorded(n, q, runs, *args):
-            runs = list(runs)
-            seen.update({type(n), type(q)} | {type(r[3]) for r in runs})
-            return advance(n, q, runs, *args)
-
-        monkeypatch.setattr(dynamics, "_advance", recorded)
+        spy = _PeriodSpy(monkeypatch)
         analysis._periodic_metrics(base, _rate(base, 1.6e-3))
-        assert seen == {float}
+        # every lane's start and its source in each run, whichever path
+        # integrates them
+        seen = {type(v) for _, x in spy.starts for v in x}
+        seen |= {type(run[3]) for schedules, *_ in spy.solves
+                 for runs in schedules for run in runs}
+        assert spy.starts and seen == {float}
+
+
+def _alone(params, drive, dt, rates):
+    """Each rate's solve on its own, each period one ``_advance`` call: the
+    serial loop that the lane loop and the lockstep stand in for."""
+    with mock.patch.object(dynamics, "_lanes", lambda: None):
+        return [_periodic._periodic_state(params, drive, dt, r) for r in rates]
+
+
+@pytest.mark.parametrize("kernel", ["compiled", "python"], indirect=True)
+class TestLockstep:
+    @settings(deadline=None, max_examples=10,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(rates=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 2e16),
+                                    st.sampled_from([5e15, 2e16])),
+                          min_size=1, max_size=4),
+           dt=st.sampled_from([0.1e-12, 0.3e-12]))
+    @example(rates=[2e16, 0.0, 5e15, 2e16, 0.0], dt=0.3e-12)
+    # the second rate ends in a two-state cycle 2.3e-13 apart in q, which
+    # misses the bound scaled by the first image, so both raise its error
+    @example(rates=[2e16, 466666666666666.6, 0.0], dt=0.3e-12)
+    def test_matches_one_solve_per_rate(self, params, drive, kernel, rates,
+                                        dt):
+        # the default device at 5 GHz: 667 or 2,000 steps a period; about
+        # 1 rate in 250 of [0, 2e16] /s does not converge there, and then
+        # both raise the first failing rate's exception
+        wave = replace(drive, rep_rate=5e9, pulse_width=0.1e-9)
+
+        def outcome(solve):
+            try:
+                return [(h, q.tobytes(), residual, periods)
+                        for h, q, residual, periods in solve()]
+            except (ps.ConvergenceError, ps.SimulationError) as exc:
+                return type(exc), str(exc)
+
+        got = outcome(lambda: _periodic._periodic_states(params, wave, dt,
+                                                         rates))
+        assert got == outcome(lambda: _alone(params, wave, dt, rates))
+
+    def test_lanes_converge_apart(self, params, drive, kernel):
+        # the example above: its solves stop after 8, 19 and 11 periods
+        wave = replace(drive, rep_rate=5e9, pulse_width=0.1e-9)
+        got = _periodic._periodic_states(params, wave, 0.3e-12,
+                                        [2e16, 0.0, 5e15])
+        assert [periods for *_, periods in got] == [8, 19, 11]
+
+    @pytest.mark.parametrize("rates, error", [
+        ([1e19, 0.0, 1e24], ps.ConvergenceError),
+        ([1e19, 1e24, 0.0], ps.SimulationError),
+    ])
+    def test_first_failing_rate_raises(self, base_config, monkeypatch, kernel,
+                                       rates, error):
+        # 1e19 /s converges in one period, 0 hits the 5-period cap, and 1e24
+        # /s leaves the gain's domain in its first period.  Whichever fails
+        # first in time, the call raises what the serial loop raises: the
+        # exception of the first rate, in order, that fails.
+        monkeypatch.setattr(_periodic, "_ANDERSON_PERIODS", 3)
+        monkeypatch.setattr(_periodic, "_PLAIN_PERIODS", 2)
+        args = (base_config.params, base_config.drive, base_config.dt)
+        with pytest.raises(error) as serial:
+            _alone(*args, rates)
+        with pytest.raises(error) as lockstep:
+            _periodic._periodic_states(*args, rates)
+        assert str(lockstep.value) == str(serial.value)
+        assert ("gain's domain" in str(lockstep.value)) == (
+            error is ps.SimulationError)
 
 
 class TestPumpSweep:
@@ -443,12 +531,12 @@ class TestFitEpsOpt:
         assert result.bracket_lo <= result.eps_opt <= result.bracket_hi
 
     def test_fit_cost_on_default(self, base_config, monkeypatch):
-        # the README example: 7 pumped solves and 69 periods in all
-        spy = _AdvanceSpy(monkeypatch)
+        # the README example: 7 pumped solves and 68 periods in all
+        spy = _PeriodSpy(monkeypatch)
         result = ps.fit_eps_opt(base_config, 1.6e-3, 1.10)
         assert result.residual < 1e-3
         assert result.evaluations <= 7
-        assert spy.calls <= 69
+        assert 0 < spy.periods <= 68
 
     @pytest.mark.parametrize("target", [1.0001, 1.00001, 1.001])
     def test_bracket_is_relative_at_small_eps(self, base_config, target):

@@ -13,7 +13,7 @@ import pytest
 import yaml
 
 import pumpsim
-from pumpsim import analysis, cli, dynamics
+from pumpsim import _periodic, analysis, cli, dynamics
 from pumpsim.cli import main
 from pumpsim.scenario import load_scenario, scenario_dict
 
@@ -338,8 +338,8 @@ class TestSweepAndFit:
     ])
     def test_unconverged_periodic_state_is_numerical_failure(
             self, capsys, tmp_path, monkeypatch, argv):
-        monkeypatch.setattr(dynamics, "_ANDERSON_PERIODS", 2)
-        monkeypatch.setattr(dynamics, "_PLAIN_PERIODS", 1)
+        monkeypatch.setattr(_periodic, "_ANDERSON_PERIODS", 2)
+        monkeypatch.setattr(_periodic, "_PLAIN_PERIODS", 1)
         code, _, err = run(capsys, *argv, "--out", str(tmp_path / "x.csv"))
         assert code == 2
         assert "periodic state did not converge" in err
@@ -397,7 +397,7 @@ class TestNonFinite:
             raise AssertionError("simulation ran on a non-finite input")
 
         monkeypatch.setattr(cli, "simulate", refuse)
-        monkeypatch.setattr(analysis, "_periodic_metrics", refuse)
+        monkeypatch.setattr(analysis, "_periodic_metrics_at", refuse)
 
     @pytest.mark.parametrize("argv, field", [
         (["budget", "--attack-w", "nan"], "attack_power_w"),

@@ -19,7 +19,7 @@ from hypothesis import (HealthCheck, assume, example, given, settings,
                         strategies as st)
 
 import pumpsim as ps
-from pumpsim import cli, dynamics
+from pumpsim import _periodic, cli, dynamics
 from pumpsim.errors import ConvergenceError
 from pumpsim.model import ELEMENTARY_CHARGE
 
@@ -1160,10 +1160,77 @@ class TestKernel:
         assert out_n[0] == 6.6e7 and out_q[2] > out_q[1] > out_q[0] == 1e3
 
 
+def chunk_lanes(coef, n, q, halted, out_q):
+    """A lane loop, lane by lane through ``dynamics._chunk``: the contract
+    of ``_rk4.c``'s."""
+    scratch = np.empty(out_q.shape[1])
+
+    def step(k, k_stop, rec, h, src):
+        for lane in np.flatnonzero(halted == 0):
+            first = max(rec, k)
+            status, n[lane], q[lane], k_at, *_ = dynamics._chunk(
+                n.item(lane), q.item(lane), k, k_stop, h, src.item(lane),
+                first, first, 0, coef, scratch, out_q[lane], 1)
+            if status == dynamics._STALL:  # the state to the end of the run
+                out_q[lane, max(k_at + 1, rec):k_stop] = q[lane]
+            elif status != dynamics._DONE:
+                halted[lane] = status
+
+    return step
+
+
 class TestKernelLoading:
     def test_compiled_kernel_loads_where_cc_runs(self):
         assert (dynamics._kernel() is dynamics._chunk) == (
             shutil.which("cc") is None)
+
+    def test_compiled_lanes_load_where_cc_runs(self):
+        assert (dynamics._lanes() is None) == (shutil.which("cc") is None)
+
+    def test_lanes_failing_the_probe_are_not_used(self, monkeypatch,
+                                                  reload_kernel):
+        def one_lane_off(coef, n, q, halted, out_q):
+            step = chunk_lanes(coef, n, q, halted, out_q)
+
+            def off(*args):
+                step(*args)
+                n[3] = math.nextafter(n[3], math.inf)
+
+            return off
+
+        def chunk(*args):  # passes its probe
+            return dynamics._chunk(*args)
+
+        monkeypatch.setattr(dynamics, "_compile",
+                            lambda: (chunk, dynamics._write_rows))
+        for lanes, used in ((chunk_lanes, True), (one_lane_off, False)):
+            chunk.lanes = lanes
+            dynamics._library.cache_clear()
+            assert dynamics._kernel() is chunk
+            assert (dynamics._lanes() is lanes) == used
+
+    @pytest.mark.parametrize("rates", [[2e16, 0.0, 5e15], [0.0, 1e24]])
+    def test_lane_path_matches_advance(self, params, drive, monkeypatch,
+                                       rates):
+        # the lockstep's lane path under chunk_lanes, so that it runs
+        # without a compiler too; 1e24 /s leaves the gain's domain, and is
+        # integrated again by _advance to raise
+        wave = replace(drive, rep_rate=5e9, pulse_width=0.1e-9)
+
+        def solve():
+            try:
+                solves = _periodic._periodic_states(params, wave, 0.3e-12,
+                                                    rates)
+            except ps.SimulationError as exc:
+                return str(exc)
+            return [(h, q.tobytes(), residual, periods)
+                    for h, q, residual, periods in solves]
+
+        monkeypatch.setattr(dynamics, "_kernel", lambda: dynamics._chunk)
+        monkeypatch.setattr(dynamics, "_lanes", lambda: None)
+        want = solve()
+        monkeypatch.setattr(dynamics, "_lanes", lambda: chunk_lanes)
+        assert solve() == want
 
     def test_kernel_failing_the_probe_is_not_used(self, monkeypatch,
                                                   reload_kernel):
