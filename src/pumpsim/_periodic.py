@@ -22,12 +22,6 @@ _ANDERSON_PERIODS = 40  # periods of accelerated iteration
 _PLAIN_PERIODS = 200  # further plain periods before giving up
 
 
-def _periodic_state(params: LaserParams, drive: DriveWaveform, dt: float,
-                    r_opt: float) -> tuple[float, np.ndarray, float, int]:
-    """``_periodic_states`` under the one pump rate ``r_opt``."""
-    return _periodic_states(params, drive, dt, [r_opt])[0]
-
-
 def _periodic_states(params: LaserParams, drive: DriveWaveform, dt: float,
                      rates) -> list[tuple[float, np.ndarray, float, int]]:
     """One period of the periodic state under each pump rate of ``rates``

@@ -8,7 +8,6 @@ state that ``_periodic`` solves for, and the pulse metrics measure traces.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -269,10 +268,12 @@ def pump_sweep(base: SimConfig, powers, jobs: int = 1) -> list[SweepRow]:
     ``t_total`` and ``sample_stride`` play no part.  Each pump rate is
     solved once, the unpumped one included, so a zero-pump row divides the
     unpumped measurement by itself and reads exactly 1.  The solves go in
-    lockstep (``_periodic_metrics_at``), the unpumped one first.  ``jobs``
-    > 1 distributes the pumped solves over a process pool instead; ordering
-    follows the input.
+    one lockstep call (``_periodic_metrics_at``), the unpumped one first.
+    ``jobs`` accepts only 1; it is kept for callers that pass it, and can
+    go once the benchmark harness stops passing ``jobs=1``.
     """
+    if jobs != 1:
+        raise ValueError(f"jobs must be 1, got {jobs!r}")
     powers = [float(p) for p in powers]
     if not all(math.isfinite(p) and p >= 0.0 for p in powers):
         raise ValueError("pump powers must be finite and nonnegative")
@@ -281,17 +282,8 @@ def pump_sweep(base: SimConfig, powers, jobs: int = 1) -> list[SweepRow]:
 
     rates = [pump_rate(PumpScenario(p, base.pump.eps_opt), base.params)
              for p in powers]
-    todo = [r for r in dict.fromkeys(rates) if r != 0.0]
-    if jobs > 1 and len(todo) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        measured = {0.0: _periodic_metrics(base, 0.0)}  # pump rate -> metrics
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            measured.update(zip(todo, pool.map(
-                _periodic_metrics, itertools.repeat(base), todo)))
-    else:
-        measured = dict(zip([0.0] + todo,
-                            _periodic_metrics_at(base, [0.0] + todo)))
+    todo = [0.0] + [r for r in dict.fromkeys(rates) if r != 0.0]
+    measured = dict(zip(todo, _periodic_metrics_at(base, todo)))
 
     unpumped = measured[0.0]
     return [SweepRow(

@@ -56,18 +56,6 @@ def _float_list(text: str) -> list[float]:
     return values
 
 
-def _positive_int(text: str) -> int:
-    """argparse type: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
 def _parse_current_range(text: str) -> list[float]:
     """'lo:hi:step' in mA to an inclusive list of currents in amperes."""
     parts = text.split(":")
@@ -183,12 +171,11 @@ def cmd_dqe(args) -> int:
 def cmd_sweep(args) -> int:
     scenario = load_scenario(args.scenario)
     powers = [p * 1e-3 for p in args.pump_mw]
-    rows = pump_sweep(scenario, powers, jobs=args.jobs)
+    rows = pump_sweep(scenario, powers)
     write_sweep_csv(rows, args.out)
     _write_sidecar(args.out, "sweep", {
         "scenario": str(args.scenario),
         "pump_mw": [p / 1e-3 for p in powers],
-        "jobs": args.jobs,
     })
     for row in rows:
         print(f"p_pump_w={row.p_pump_w:.12g} "
@@ -285,8 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--pump-mw", type=_float_list, required=True,
                    help="comma-separated pump powers in mW, ascending")
-    p.add_argument("--jobs", type=_positive_int, default=1,
-                   help="worker processes (default: 1)")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("fit", help="calibrate the pumping efficiency to a "

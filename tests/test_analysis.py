@@ -305,9 +305,9 @@ class TestPeriodicMetrics:
         # orbit the sweep and the fit measure (0.30 at most on default over
         # eps_opt 0.05 to 1 and 0 to 2 mW).
         spy = _PeriodSpy(monkeypatch)
-        _, q, _, _ = _periodic._periodic_state(
+        _, q, _, _ = _periodic._periodic_states(
             base_config.params, base_config.drive, base_config.dt,
-            _rate(base_config, p_pump))
+            [_rate(base_config, p_pump)])[0]
         assert len(spy.solves) == 1
         assert spy.recording().tobytes() == q.tobytes()
         assert abs(q[-1] / q[0] - 1.0) <= 1e-10
@@ -325,9 +325,9 @@ class TestPeriodicMetrics:
         # integrates periods + 1 distinct starts, and recording the last
         # one again gives the same bits.
         base = ps.load_scenario(name).sim_config()
-        args = (base.params, base.drive, dt or base.dt, _rate(base, 1.6e-3))
+        args = (base.params, base.drive, dt or base.dt, [_rate(base, 1.6e-3)])
         spy = _PeriodSpy(monkeypatch)
-        h, q, residual, periods = _periodic._periodic_state(*args)
+        h, q, residual, periods = _periodic._periodic_states(*args)[0]
         assert periods == {"default": 10, "experiment": 1}[name]
         assert spy.periods == len(set(spy.starts)) == periods + 1
         assert spy.recording().tobytes() == q.tobytes()
@@ -338,8 +338,8 @@ class TestPeriodicMetrics:
         # image closes exactly, proves convergence, and is the recorded one.
         base = ps.load_scenario("experiment").sim_config()
         spy = _PeriodSpy(monkeypatch)
-        _, _, residual, periods = _periodic._periodic_state(
-            base.params, base.drive, base.dt, _rate(base, 1.6e-3))
+        _, _, residual, periods = _periodic._periodic_states(
+            base.params, base.drive, base.dt, [_rate(base, 1.6e-3)])[0]
         assert (spy.periods, len(set(spy.starts)), periods) == (2, 2, 1)
         assert residual == 0.0
 
@@ -379,7 +379,8 @@ def _alone(params, drive, dt, rates):
     """Each rate's solve on its own, each period one ``_advance`` call: the
     serial loop that the lane loop and the lockstep stand in for."""
     with mock.patch.object(dynamics, "_lanes", lambda: None):
-        return [_periodic._periodic_state(params, drive, dt, r) for r in rates]
+        return [_periodic._periodic_states(params, drive, dt, [r])[0]
+                for r in rates]
 
 
 @pytest.mark.parametrize("kernel", ["compiled", "python"], indirect=True)
@@ -454,11 +455,6 @@ class TestPumpSweep:
         energies = [r.norm_pulse_energy for r in rows]
         assert energies == sorted(energies)
         assert energies[-1] > 1.0
-
-    def test_parallel_matches_serial(self, base_config):
-        serial = ps.pump_sweep(base_config, [0.5e-3, 1.0e-3], jobs=1)
-        parallel = ps.pump_sweep(base_config, [0.5e-3, 1.0e-3], jobs=2)
-        assert serial == parallel
 
     def test_validation(self, base_config):
         with pytest.raises(ValueError):

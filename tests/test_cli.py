@@ -297,7 +297,7 @@ class TestSweepAndFit:
     def test_sweep_rows(self, capsys, tmp_path):
         out_path = tmp_path / "sweep.csv"
         code, out, _ = run(capsys, "sweep", "--pump-mw", "0,1.6",
-                           "--jobs", "1", "--out", str(out_path))
+                           "--out", str(out_path))
         assert code == 0
         lines = out_path.read_text().splitlines()
         assert lines[0] == "p_pump_w,norm_pulse_energy,norm_avg_power"
@@ -306,13 +306,21 @@ class TestSweepAndFit:
         assert first == [0.0, 1.0, 1.0]
         assert last[1] > 1.0 and last[2] > 1.0
 
-    def test_sweep_runs_one_job_by_default(self, capsys, tmp_path):
+    def test_sweep_sidecar_settings(self, capsys, tmp_path):
         out_path = tmp_path / "sweep.csv"
         code, _, _ = run(capsys, "sweep", "--pump-mw", "0,1.6",
                          "--out", str(out_path))
         assert code == 0
         sidecar = json.loads((tmp_path / "sweep.csv.meta.json").read_text())
-        assert sidecar["settings"]["jobs"] == 1
+        assert set(sidecar["settings"]) == {"pump_mw", "scenario"}
+
+    def test_sweep_takes_no_jobs(self, capsys, tmp_path):
+        code, _, err = run(capsys, "sweep", "--pump-mw", "0,1", "--jobs", "2",
+                           "--out", str(tmp_path / "x.csv"))
+        assert code == 1
+        assert "unrecognized arguments" in err
+        with pytest.raises(ValueError, match="jobs"):
+            analysis.pump_sweep(load_scenario("default"), [0.0, 1e-3], jobs=2)
 
     def test_fit_reports_and_reproduces(self, capsys, tmp_path):
         out_path = tmp_path / "fit.csv"
@@ -334,7 +342,7 @@ class TestSweepAndFit:
 
     @pytest.mark.parametrize("argv", [
         ["fit"],
-        ["sweep", "--pump-mw", "0,1.6", "--jobs", "1"],
+        ["sweep", "--pump-mw", "0,1.6"],
     ])
     def test_unconverged_periodic_state_is_numerical_failure(
             self, capsys, tmp_path, monkeypatch, argv):
@@ -410,8 +418,6 @@ class TestNonFinite:
         (["lcurve", "--currents", "7:nan:0.5"], "--currents"),
         (["dqe", "--currents", "inf:25:0.5"], "--currents"),
         (["sweep", "--pump-mw", "0,nan"], "pump powers"),
-        (["sweep", "--pump-mw", "0,1", "--jobs", "-2"], "--jobs"),
-        (["sweep", "--pump-mw", "0,1", "--jobs", "0"], "--jobs"),
     ])
     def test_flag(self, capsys, tmp_path, argv, field):
         if argv[0] in ("simulate", "lcurve", "sweep"):
