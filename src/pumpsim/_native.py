@@ -1,10 +1,11 @@
-"""The compiled loops of ``pumpsim.dynamics``: ``_rk4.c`` built by the system
-C compiler and loaded by ctypes behind the signatures of the Python code it
-stands in for, and the probe of its row writer.  ``dynamics._compile``
-imports this module on first use, and ``dynamics._library`` probes what it
-returns before anything uses it.  Its code lives apart from ``dynamics``
-because each process compiles pumpsim's sources where no bytecode cache is
-written, and a command that never loads the library should not pay for it.
+"""The compiled loops of ``pumpsim.dynamics`` and the choice between each and
+its Python twin: ``_rk4.c`` built by the system C compiler and loaded by
+ctypes behind the signatures of the twins (``build``), and the choice of
+each loop that matches its twin on a probe (``select``).
+``dynamics._library`` imports this module on first use.  Its code lives
+apart from ``dynamics`` because each process compiles pumpsim's sources
+where no bytecode cache is written, and a command that never loads the
+library should not pay for it.
 """
 
 from __future__ import annotations
@@ -33,13 +34,11 @@ def _pow10() -> np.ndarray:
 
 
 def build():
-    """``(chunk, write_rows)``: ``pumpsim_rk4_chunk`` behind
-    ``dynamics._chunk``'s signature and ``pumpsim_format_rows``, digit
-    arithmetic held to ``%.12g``, behind ``dynamics._write_rows``', or None
-    where ``cc`` is missing or fails or the library does not load.
-    ``chunk.lanes`` is ``pumpsim_rk4_lanes``, the lane loop of
-    ``_periodic._periodic_states``: ``lanes(coef, n, q, halted, out_q)``
-    binds the lanes' arrays and returns ``step(k, k_stop, rec, h, src)``.
+    """``(bind_chunk, lanes, write_rows)``: ``_rk4.c``'s step loop, lane loop
+    and row writer behind the signatures of their Python twins
+    ``dynamics._bind_chunk``, ``dynamics._chunk_lanes`` and
+    ``dynamics._write_rows``, or None where ``cc`` is missing or fails or
+    the library does not load.
 
     The library is built into a private temporary directory, deleted once
     it is loaded, so there is no cache to go stale.  Contraction into fused
@@ -91,31 +90,19 @@ def build():
                             f"{np.dtype(dtype).name} arrays")
         return a.ctypes.data_as(pointer)  # holds a, as long as it is held
 
-    def bind(coef, out_n, out_q, stride):
+    def bind_chunk(coef, out_n, out_q, stride):
         # what stays fixed through an _advance call, converted once
-        coef = coef_type(*coef)
-        if out_n is None:
-            pointers, size = (None, None), 0
-        else:
-            pointers, size = (address(out_n), address(out_q)), min(
-                len(out_n), len(out_q))
+        fixed = (coef_type(*coef), address(out_n), address(out_q),
+                 min(len(out_n), len(out_q)), stride)
         state, index = state_type(), index_type()
 
         def step(n, q, k, k_stop, h, src, rec, j, clamps):
             state[0], state[1] = n, q
             index[0], index[1], index[2], index[3] = k, rec, j, clamps
-            status = kernel(state, index, k_stop, h, src, coef, *pointers,
-                            size, stride)
+            status = kernel(state, index, k_stop, h, src, *fixed)
             return (status, state[0], state[1], *index)
 
         return step
-
-    def chunk(n, q, k, k_stop, h, src, rec, j, clamps, coef, out_n, out_q,
-              stride):
-        return bind(coef, out_n, out_q, stride)(n, q, k, k_stop, h, src,
-                                                rec, j, clamps)
-
-    chunk.bind = bind
 
     def lanes(coef, n, q, halted, out_q):
         # what stays fixed through a solve: the lanes' states, their halts
@@ -138,7 +125,6 @@ def build():
 
         return step
 
-    chunk.lanes = lanes
     pow10 = _pow10().ctypes.data_as(doubles)  # holds the array
 
     def write_rows(fh, columns, block):
@@ -166,18 +152,38 @@ def build():
                 return
             cursor[2] = 0  # _ROWS_FULL: the buffer is written out
 
-    return chunk, write_rows
+    return bind_chunk, lanes, write_rows
 
 
-def probe_rows(write_rows) -> bool:
-    """Whether ``write_rows`` writes ``"%.12g" % v`` and its separator for
-    every value of a table of 3 columns, 1 and 2 rows per block.  The first
-    column holds, in both signs, values in fixed and exponent notation with
-    2- and 3-digit exponents, exact ties, near-ties whose scaled digits
-    round onto a tie, and one of each kind of value that the digit
-    arithmetic hands back.  The others come in runs, so that some rows
-    repeat the one above, across a block's end too, and one row differs
-    from the one above only in the sign of a zero."""
+def select(compiled, twins) -> tuple:
+    """``(bind_chunk, lanes, write_rows)``: each loop of ``compiled``
+    (``build``'s) where its probe gives what its twin's does, else that twin
+    of ``twins``; the twins where nothing built.  Each probe holds a loop to
+    its twin bit for bit: the step binder on ``dynamics._probe_chunk``, the
+    lane loop on ``dynamics._probe_lanes`` and the row writer on
+    ``probe_rows``.  The lane loop
+    runs the binder's step arithmetic, so it is kept only beside a compiled
+    binder that passed."""
+    from .dynamics import _probe_chunk, _probe_lanes
+
+    if compiled is None:
+        return tuple(twins)
+    chosen = [loop if probe(loop) == probe(twin) else twin
+              for loop, twin, probe in zip(
+                  compiled, twins, (_probe_chunk, _probe_lanes, probe_rows))]
+    if chosen[0] is not compiled[0]:
+        chosen[1] = twins[1]
+    return tuple(chosen)
+
+
+def probe_rows(write_rows) -> list:
+    """The bytes that ``write_rows`` writes for a table of 3 columns, 1 and 2
+    rows per block.  The first column holds, in both signs, values in fixed
+    and exponent notation with 2- and 3-digit exponents, exact ties,
+    near-ties whose scaled digits round onto a tie, and one of each kind of
+    value that the digit arithmetic hands back.  The others come in runs, so
+    that some rows repeat the one above, across a block's end too, and one
+    row differs from the one above only in the sign of a zero."""
     back = [0.0, 2.5e-310, math.nan, math.inf, 9.999999999996e-298,
             # ties under an inexact factor, two a decade past the exact ones
             12345678901250000.0, 1719998637485.0, 5.990338549635e-12,
@@ -192,10 +198,9 @@ def probe_rows(write_rows) -> bool:
     back = [w for v in back for w in (v, -v)]
     columns = [lead, [back[k // 3 % len(back)] for k in range(len(lead))],
                [lead[k // 2] for k in range(len(lead))]]
-    want = "".join("%.12g,%.12g,%.12g\n" % row for row in zip(*columns))
+    written = []
     for block in (1, 2):
         fh = io.BytesIO()
         write_rows(fh, [np.array(c) for c in columns], block)
-        if fh.getvalue() != want.encode():
-            return False
-    return True
+        written.append(fh.getvalue())
+    return written

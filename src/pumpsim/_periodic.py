@@ -1,6 +1,6 @@
 """The periodic states that sweeps and fits measure: shooting solves on the
 period map of ``dynamics``' step grid and drive schedule, several at a time
-in lockstep through the compiled lane loop.
+in lockstep through one lane loop.
 
 ``analysis`` imports this module on first use.  Where no bytecode cache is
 written each process compiles pumpsim's sources, and a command that solves
@@ -136,13 +136,13 @@ def _lockstep(schedules, params: LaserParams, h: float, records):
     period fails maps to its ``SimulationError``.
 
     The lanes step side by side through the lane loop (``dynamics._lanes``),
-    one call per run, where it loaded and the runs differ only in their
-    sources (a drive's edges do not depend on the pump rate).  A lane that
-    fails there integrates its period again by ``dynamics._advance``, which
-    raises the failure.  Otherwise each lane is an ``_advance`` call, to the
-    same bits: the lane loop needs no replay, which only skips steps that
-    integrating reproduces bit for bit, and it keeps a stalled state to the
-    end of its run as ``_advance`` does.
+    one call per run, where the runs differ only in their sources (a
+    drive's edges do not depend on the pump rate).  A lane that halts there
+    integrates its period again by ``dynamics._advance``, which raises the
+    failure.  Otherwise each lane is an ``_advance`` call, to the same bits:
+    the lane loop needs no replay, which only skips steps that integrating
+    reproduces bit for bit, and it keeps a stalled state to the end of its
+    run as ``_advance`` does.
     """
     scratch = np.empty(records.shape[1])  # _advance's carrier record
 
@@ -154,16 +154,15 @@ def _lockstep(schedules, params: LaserParams, h: float, records):
             return exc
 
     runs = [run[:3] for run in schedules[0]]
-    lanes = dynamics._lanes()
-    if lanes is None or any([run[:3] for run in s] != runs
-                            for s in schedules):
+    if any([run[:3] for run in s] != runs for s in schedules):
         return lambda starts: {i: alone(i, x) for i, x in starts.items()}
 
     sources = [np.array(src) for src in zip(*[[run[3] for run in s]
                                               for s in schedules])]
     n, q = np.zeros(len(schedules)), np.zeros(len(schedules))
     halted = np.full(len(schedules), -1, dtype=np.int64)  # -1: not stepped
-    step = lanes(dynamics._coefficients(params), n, q, halted, records)
+    step = dynamics._lanes()(dynamics._coefficients(params), n, q, halted,
+                             records)
 
     def period(starts):
         halted[:] = -1

@@ -8,8 +8,8 @@
    -ffast-math, every result rounds as the Python loop's does.  Both step
    loops call it, so the stage arithmetic is written once in C.  Forcing it
    inline ran no faster and took about 15 ms more to build.
-   dynamics._library uses each loop only after it matched _chunk bit for bit
-   on a probe.
+   _native.select uses each loop only after it matched its Python twin bit
+   for bit on a probe.
 
    pumpsim_rk4_chunk is the loop of _chunk.
    state:  n, q in and out
@@ -29,11 +29,11 @@
 
    pumpsim_format_rows writes the CSV rows of dynamics._write_csv by digit
    arithmetic that gives the bytes of "%.12g", and stops at each value that
-   it cannot prove, for the caller to write with "%.12g".  dynamics._library
-   uses it only after its rows matched "%.12g" byte for byte on a probe;
-   where the build or the probe fails, dynamics._write_rows formats every
-   value with "%.12g".  A table shorter than one block of rows does not
-   build the library, and uses it only where it is loaded already. */
+   it cannot prove, for the caller to write with "%.12g".  _native.select
+   uses it only after its rows matched its twin dynamics._write_rows, which
+   formats every value with "%.12g", byte for byte on a probe; the twin
+   writes where the build or the probe fails, and writes every table
+   shorter than one block of rows, which so never builds the library. */
 
 #include <float.h>
 #include <math.h>

@@ -1,7 +1,8 @@
 """Command-line front end: scenario in, CSV and report artifacts out.
 
-Exit codes: 0 success, 1 configuration or input validation failure,
-2 numerical failure (non-convergence, blow-up, unreachable fit target).
+Exit codes: 0 success, 1 configuration or input validation failure (a
+window too large to hold in memory included), 2 numerical failure
+(non-convergence, blow-up, unreachable fit target).
 Outputs are deterministic; provenance goes to a ``<out>.meta.json`` sidecar,
 never into the data files themselves.
 """
@@ -313,6 +314,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
     except OSError as exc:
         print(f"pumpsim: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except MemoryError as exc:  # numpy's names the array it could not hold
+        print(f"pumpsim: out of memory: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
 

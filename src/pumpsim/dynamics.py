@@ -4,19 +4,20 @@ the CSV writer of every pumpsim data file.
 The integrator is a classical fixed-step 4th-order scheme: deterministic and
 reproducible to the bit.  Its step loop runs as C (``_rk4.c``), built by the
 system C compiler on the first integration in a process and used only after
-it matched the Python loop bit for bit; without a compiler the Python loop
-runs, with the same results, only slower.  It is the only code that
-integrates: this module owns the step grid and the drive schedule on it, and
+it matched its Python twin bit for bit; without a compiler the twin runs,
+with the same results, only slower.  It is the only code that integrates:
+this module owns the step grid and the drive schedule on it, and
 ``_periodic`` solves on them for the periodic states that sweeps and fits
-measure, stepping several solves side by side through the library's lane
-loop, held to the Python loop bit for bit as well.  Steady states are found
-algebraically, by one root find over the photon number.
+measure, stepping several solves side by side through a lane loop, the
+library's or its Python twin, held to each other bit for bit as well.
+Steady states are found algebraically, by one root find over the photon
+number.
 
 The same library writes CSV rows, by digit arithmetic that gives the bytes
-of ``%.12g``, and is used for it only after it matched ``%.12g`` byte for
-byte on a probe; without it each value is formatted by ``%.12g`` itself, to
-the same bytes.  A table shorter than one block of rows never builds the
-library.
+of ``%.12g``, and is used for it only after it matched its twin, which
+formats each value by ``%.12g`` itself, byte for byte on a probe.  The twin
+writes every table shorter than one block of rows, so such a table never
+builds the library.
 """
 
 from __future__ import annotations
@@ -157,16 +158,18 @@ def _write_csv(path, header: str, columns) -> None:
     per value; the one CSV format of every pumpsim data file.
 
     The bytes are those of ``np.savetxt(fmt="%.12g", delimiter=",")``.  The
-    rows are written by ``_writer``: ``_rk4.c``'s ``pumpsim_format_rows``
-    where it built and passed its probe, else ``_write_rows``.  A table
-    shorter than one block (``_CSV_BLOCK_ROWS``) builds nothing: it takes
-    the compiled writer only where that is loaded already, so a command
-    that never integrates never runs the compiler.  Either writer holds at
-    most one block of rows."""
+    rows of a table of one block (``_CSV_BLOCK_ROWS``) or more are written
+    by ``_writer``: ``_rk4.c``'s ``pumpsim_format_rows`` where it built and
+    passed its probe, else ``_write_rows``.  A shorter table is written by
+    ``_write_rows``, so a command that never integrates never runs the
+    compiler.  Either writer holds at most one block of rows."""
     columns = [np.asarray(c, dtype=float) for c in columns]
     if any(c.ndim != 1 or len(c) != len(columns[0]) for c in columns):
         raise ValueError("columns must be 1-d and of equal length")
-    write_rows = _writer(len(columns[0]) >= _CSV_BLOCK_ROWS)
+    if len(columns[0]) < _CSV_BLOCK_ROWS:
+        write_rows = _write_rows
+    else:
+        write_rows = _writer()
     with open(path, "wb") as fh:
         fh.write(header.encode() + b"\n")
         write_rows(fh, columns, _CSV_BLOCK_ROWS)
@@ -174,8 +177,8 @@ def _write_csv(path, header: str, columns) -> None:
 
 def _write_rows(fh, columns, block: int) -> None:
     """Write the CSV rows of equal-length float columns to ``fh``, ``block``
-    rows at a time, each value by ``%.12g``: the writer where the compiled
-    one does not build."""
+    rows at a time, each value by ``%.12g``: the twin of ``_rk4.c``'s row
+    writer, and the writer of short tables and where that does not build."""
     row = ",".join(["%.12g"] * len(columns)) + "\n"
     for a in range(0, len(columns[0]), block):
         # one % per block: the row format repeated, over the values by row
@@ -406,7 +409,7 @@ def simulate(config: SimConfig) -> SimTrace:
 
 
 def _advance(n: float, q: float, runs, params: LaserParams, dt: float,
-             out=None) -> tuple[float, float, int, int]:
+             out) -> tuple[float, float, int, int]:
     """Integrate the state ``(n, q)`` over a drive schedule by classical RK4;
     returns ``(n, q, clamps, steps integrated)``.
 
@@ -434,19 +437,14 @@ def _advance(n: float, q: float, runs, params: LaserParams, dt: float,
     end of the run, or whose earlier samples were not stored (they fell
     before ``first``), is integrated as usual.
 
-    The steps between checkpoints are integrated by the chunk function of
-    ``_kernel``: the compiled ``_rk4.c``, or the Python loop ``_chunk`` it
-    is held to bit for bit, with the arguments fixed for the whole call
-    bound once (``_bind``).
+    The steps between checkpoints are integrated by the step loop of
+    ``_kernel``, which binds the arguments fixed for the whole call once:
+    the compiled ``_rk4.c``, or its twin ``_bind_chunk``, the Python loop
+    ``_chunk`` that it is held to bit for bit.
     """
-    coef = _coefficients(params)
-    if out is None:
-        out_n = out_q = None
-        first, stride = -1, 1
-    else:
-        out_n, out_q, first, stride = out
-    step = _bind(_kernel(), coef, out_n, out_q, stride)
-    rec = first  # grid step of sample j; -1 never matches
+    out_n, out_q, first, stride = out
+    step = _kernel()(_coefficients(params), out_n, out_q, stride)
+    rec = first  # grid step of sample j
     j = 0
     clamps = 0
     steps = 0
@@ -491,12 +489,11 @@ def _advance(n: float, q: float, runs, params: LaserParams, dt: float,
                 # so every later step of this run does too: jump to the end
                 # of the run and fill the samples by slice.
                 steps -= k_end - k - 1
-                if out_n is not None:
-                    j_end = max(j, -((first - k_end) // stride))
-                    out_n[j:j_end] = n
-                    out_q[j:j_end] = q
-                    j = j_end
-                    rec = first + j * stride
+                j_end = max(j, -((first - k_end) // stride))
+                out_n[j:j_end] = n
+                out_q[j:j_end] = q
+                j = j_end
+                rec = first + j * stride
                 break
             t = (k + 1) * dt
             if status == _NON_FINITE:
@@ -541,8 +538,8 @@ def _chunk(n: float, q: float, k: int, k_stop: int, h: float, src: float,
     the one at the start of step ``k``.  A sample index past the arrays
     raises ``IndexError``, where the compiled kernel returns ``_BOUNDS``.
 
-    The reference for ``_rk4.c`` (``_kernel``), and the loop that runs where
-    it does not build.
+    The reference for ``_rk4.c``'s step loop, and the loop of its twin
+    ``_bind_chunk``.
     """
     # The stage arithmetic is model.derivatives with i/e + r_opt and 0.5*h
     # computed once: the same operations on the same operands, so both
@@ -600,70 +597,73 @@ def _chunk(n: float, q: float, k: int, k_stop: int, h: float, src: float,
     return _DONE, n, q, k_stop, rec, j, clamps
 
 
-def _bind(chunk, coef, out_n, out_q, stride: int):
-    """``chunk`` with the arguments that ``_advance`` holds fixed bound, as
-    ``step(n, q, k, k_stop, h, src, rec, j, clamps)``: the compiled kernel's
-    ``bind`` converts them to C once, not once per chunk; any other chunk
-    function is called with them."""
-    bind = getattr(chunk, "bind", None)
-    if bind is not None:
-        return bind(coef, out_n, out_q, stride)
-    return lambda *args: chunk(*args, coef, out_n, out_q, stride)
+def _bind_chunk(coef, out_n, out_q, stride: int):
+    """``_chunk`` with the arguments that ``_advance`` holds fixed bound, as
+    ``step(n, q, k, k_stop, h, src, rec, j, clamps)``: the twin of
+    ``_rk4.c``'s binder, which converts them to C once, not once per
+    chunk."""
+    return lambda *args: _chunk(*args, coef, out_n, out_q, stride)
+
+
+def _chunk_lanes(coef, n, q, halted, out_q):
+    """The lane loop of ``_periodic._lockstep`` over the lanes' states
+    ``n[l]``, ``q[l]``, halts ``halted[l]`` and records ``out_q[l]``, as
+    ``step(k, k_stop, rec, h, src)``: each lane whose halt is 0 through
+    ``_chunk`` over steps ``k`` to ``k_stop - 1`` of length ``h`` under the
+    source ``src[l]``, storing ``q`` at the start of each step ``k >= rec``
+    at ``out_q[l, k]``.  A lane that stalls keeps its state, and its ``q``
+    is stored, to the end of the run; one whose step fails keeps the state
+    at the start of that step, and its halt is the status.  The clamps are
+    not counted.  The twin of ``_rk4.c``'s lane loop."""
+    scratch = np.empty(out_q.shape[1])
+
+    def step(k, k_stop, rec, h, src):
+        for lane in range(len(n)):
+            if halted.item(lane):
+                continue
+            first = max(rec, k)
+            status, n[lane], q[lane], k_at, *_ = _chunk(
+                n.item(lane), q.item(lane), k, k_stop, h, src.item(lane),
+                first, first, 0, coef, scratch, out_q[lane], 1)
+            if status == _STALL:
+                out_q[lane, max(k_at + 1, rec):k_stop] = q[lane]
+            elif status != _DONE:
+                halted[lane] = status
+
+    return step
 
 
 def _kernel():
-    """The chunk function of ``_advance``: ``_rk4.c``'s or ``_chunk``
+    """The step binder of ``_advance``: ``_rk4.c``'s or ``_bind_chunk``
     (``_library``)."""
     return _library()[0]
 
 
 def _lanes():
-    """The lane loop of ``_periodic._lockstep``: ``_rk4.c``'s, or None where
-    it does not load or match (``_library``)."""
+    """The lane loop of ``_periodic._lockstep``: ``_rk4.c``'s or
+    ``_chunk_lanes`` (``_library``)."""
     return _library()[1]
 
 
-def _writer(build: bool = True):
-    """The row writer of ``_write_csv``: ``_rk4.c``'s digit arithmetic or
-    ``_write_rows``' ``%.12g`` per value (``_library``).  With ``build``
-    false it loads nothing: it is ``_write_rows`` unless the library is
-    loaded already."""
-    if build or _library.cache_info().currsize:
-        return _library()[2]
-    return _write_rows
+def _writer():
+    """The row writer of ``_write_csv``'s tables of a block or more:
+    ``_rk4.c``'s digit arithmetic or ``_write_rows``' ``%.12g`` per value
+    (``_library``)."""
+    return _library()[2]
 
 
 @functools.cache
 def _library():
-    """``(chunk function, lane loop, row writer)``: those of ``_rk4.c``,
-    built by the system ``cc`` (``_compile``), each where it builds, loads
-    and matches its reference on its probe (``_chunk`` bit for bit on
-    ``_probe``, and on ``_lanes_match`` for the lane loop ``chunk.lanes`` of
-    a chunk function that passed; ``%.12g`` byte for byte on
-    ``_native.probe_rows``), else ``_chunk``, None and ``_write_rows``, which
-    formats by ``%.12g`` itself.  Built once per process, on the first call,
-    so importing pumpsim compiles nothing, and one build serves all three."""
-    compiled = _compile()
-    if compiled is None:
-        return _chunk, None, _write_rows
-    from ._native import probe_rows
-
-    chunk, write_rows = compiled
-    if _probe(chunk) != _probe(_chunk):
-        chunk = _chunk
-    lanes = getattr(chunk, "lanes", None)
-    return (chunk, lanes if lanes and _lanes_match(lanes) else None,
-            write_rows if probe_rows(write_rows) else _write_rows)
-
-
-def _compile():
-    """``_rk4.c``'s chunk function behind ``_chunk``'s signature, with its
-    lane loop as ``chunk.lanes``, and row writer behind ``_write_rows``', or
-    None where ``cc`` is missing or fails or the library does not load
-    (``_native.build``, imported on first use)."""
+    """``(step binder, lane loop, row writer)``: each of ``_rk4.c``, built by
+    the system ``cc``, where it builds, loads and matches its Python twin
+    on its probe, else the twin: ``_bind_chunk``, ``_chunk_lanes`` and
+    ``_write_rows`` (``_native.select``).  Built once per process, on the
+    first call, so importing pumpsim compiles nothing, and one build serves
+    all three."""
     from . import _native
 
-    return _native.build()
+    return _native.select(_native.build(),
+                          (_bind_chunk, _chunk_lanes, _write_rows))
 
 
 # The probes' device, ``default``'s; their states: 35 from dark to far above
@@ -679,50 +679,40 @@ _PROBE_RUNS = ((0, 10, 26e-3), (10, 20, 6e-3))
 _PROBE_H = 3e-13
 
 
-def _probe(chunk) -> list:
-    """The returns of ``chunk``, with the bits of its state, and its samples
-    over ``_PROBE_RUNS``, storing every third state from step 1, from each
-    of ``_PROBE_STATES``.  One step's result rarely shows a change in
-    rounding, since the state absorbs the low bits of its increment; across
-    these states, fusing the kernel's multiply-adds, or reordering any one
-    of six operations tried, changes some of these bits."""
+def _probe_chunk(bind_chunk) -> list:
+    """The returns of the steps that ``bind_chunk`` binds, with the bits of
+    their state, and their samples over ``_PROBE_RUNS``, storing every third
+    state from step 1, from each of ``_PROBE_STATES``.  One step's result
+    rarely shows a change in rounding, since the state absorbs the low bits
+    of its increment; across these states, fusing the kernel's multiply-adds,
+    or reordering any one of six operations tried, changes some of these
+    bits."""
     returned = []
     for n, q in _PROBE_STATES:
         out_n, out_q = np.zeros(7), np.zeros(7)
+        step = bind_chunk(_PROBE_COEF, out_n, out_q, 3)
         rec, j, clamps = 1, 0, 0
         for k, k_stop, i in _PROBE_RUNS:
-            status, n, q, k, rec, j, clamps = chunk(
+            status, n, q, k, rec, j, clamps = step(
                 n, q, k, k_stop, _PROBE_H, i / ELEMENTARY_CHARGE, rec, j,
-                clamps, _PROBE_COEF, out_n, out_q, 3)
+                clamps)
             returned.append((status, k, rec, j, clamps, n.hex(), q.hex()))
         returned.append((out_n.tobytes(), out_q.tobytes()))
     return returned
 
 
-def _lanes_match(lanes) -> bool:
-    """Whether the lane loop ``lanes`` steps the ``_PROBE_STATES`` side by
-    side over ``_PROBE_RUNS`` to the bits that ``_chunk`` gives each one
-    alone, a stalled one keeping its state to the end of its run: the
-    photon number at the start of every step and the state after the last
-    step, with no lane halted."""
+def _probe_lanes(lanes) -> bytes:
+    """The bits of the ``_PROBE_STATES`` stepped side by side over
+    ``_PROBE_RUNS`` by the lane loop ``lanes``: their states after the last
+    step, their halts, and the photon number at the start of every step,
+    which a stalled state keeps to the end of its run."""
     n, q = (np.array(v) for v in zip(*_PROBE_STATES))
     halted = np.zeros(len(n), dtype=np.int64)
-    got = np.zeros((len(n), _PROBE_RUNS[-1][1] + 1))
-    want = np.zeros_like(got)
-    step = lanes(_PROBE_COEF, n, q, halted, got)
+    out_q = np.zeros((len(n), _PROBE_RUNS[-1][1] + 1))
+    step = lanes(_PROBE_COEF, n, q, halted, out_q)
     for k, k_stop, i in _PROBE_RUNS:
         step(k, k_stop, k, _PROBE_H, np.full(len(n), i / ELEMENTARY_CHARGE))
-    scratch = np.zeros(got.shape[1])
-    for lane, x in enumerate(_PROBE_STATES):
-        for k, k_stop, i in _PROBE_RUNS:
-            status, *x, k_at, _, _, _ = _chunk(
-                *x, k, k_stop, _PROBE_H, i / ELEMENTARY_CHARGE, k, k, 0,
-                _PROBE_COEF, scratch, want[lane], 1)
-            if status == _STALL:
-                want[lane, k_at + 1:k_stop] = x[1]
-        if (n[lane].hex(), q[lane].hex()) != (x[0].hex(), x[1].hex()):
-            return False
-    return not halted.any() and got.tobytes() == want.tobytes()
+    return b"".join(a.tobytes() for a in (n, q, halted, out_q))
 
 
 _CHECKPOINT_STEPS = 1024  # steps between a run's replay checkpoints
@@ -735,8 +725,6 @@ def _replay_samples(out, j: int, k: int, k_new: int, k_from: int):
     copying that span's samples; returns the next sample index, or None
     when some of them were not stored because they fell before ``first``.
     ``j`` is the index of the first sample at or after step ``k``."""
-    if out is None:
-        return j
     out_n, out_q, first, stride = out
     j_new = max(j, -((first - k_new) // stride))
     if j_new > j:

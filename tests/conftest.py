@@ -54,21 +54,22 @@ def pumped_trace(pumped_config):
 
 @pytest.fixture
 def kernel(request, monkeypatch):
-    """The chunk function of the RK4 loop that a test runs under: the one
-    ``dynamics._kernel`` loads (``_rk4.c``, where a C compiler builds it),
-    or, parametrized indirectly with ``"python"``, the Python loop
-    ``dynamics._chunk`` that the compiled kernel is held to and falls back
-    to.  The lane loop of the shooting solves goes with it: the one
-    ``dynamics._lanes`` loads, or none, so that each lane is an ``_advance``
-    call.  The swap holds for the whole test, so hypothesis tests that use
-    it suppress the function-scoped fixture health check."""
+    """The step binder of the RK4 loop that a test runs under: the one
+    ``dynamics._kernel`` loads (``_rk4.c``'s, where a C compiler builds it),
+    or, parametrized indirectly with ``"python"``, its twin
+    ``dynamics._bind_chunk``, which binds the Python loop ``dynamics._chunk``
+    that the compiled kernel is held to and falls back to.  The lane loop of
+    the shooting solves goes with it: the one ``dynamics._lanes`` loads, or
+    its twin ``dynamics._chunk_lanes``.  The swap holds for the whole test,
+    so hypothesis tests that use it suppress the function-scoped fixture
+    health check."""
     if getattr(request, "param", "compiled") == "python":
-        chunk, lanes = dynamics._chunk, None
+        bind, lanes = dynamics._bind_chunk, dynamics._chunk_lanes
     else:
-        chunk, lanes = dynamics._kernel(), dynamics._lanes()
-    monkeypatch.setattr(dynamics, "_kernel", lambda: chunk)
+        bind, lanes = dynamics._kernel(), dynamics._lanes()
+    monkeypatch.setattr(dynamics, "_kernel", lambda: bind)
     monkeypatch.setattr(dynamics, "_lanes", lambda: lanes)
-    return chunk
+    return bind
 
 
 @pytest.fixture
@@ -77,12 +78,13 @@ def writer(request, monkeypatch):
     ``dynamics._writer`` loads (``_rk4.c``'s, where a C compiler builds
     it), or, parametrized indirectly with ``"printf"``, the ``%.12g`` per
     value of ``dynamics._write_rows``, that the compiled writer is held to
-    and falls back to.  Tables of every size use it, and the swap holds for
-    the whole test, so hypothesis tests that use it suppress the
-    function-scoped fixture health check."""
+    and falls back to.  Tables of one block or more use it (shorter ones
+    always take ``_write_rows``), and the swap holds for the whole test, so
+    hypothesis tests that use it suppress the function-scoped fixture health
+    check."""
     if getattr(request, "param", "compiled") == "printf":
         write_rows = dynamics._write_rows
     else:
         write_rows = dynamics._writer()
-    monkeypatch.setattr(dynamics, "_writer", lambda build=True: write_rows)
+    monkeypatch.setattr(dynamics, "_writer", lambda: write_rows)
     return write_rows

@@ -229,10 +229,11 @@ class _PeriodSpy:
         kernel."""
         schedules, params, h, latest = self.solves[-1]
         (n0, q0), runs = latest[0], schedules[0]
+        scratch = np.empty((2, runs[-1][1] + 1))
 
         def image(x):
-            return np.array(dynamics._advance(x[0], x[1], runs, params,
-                                              h)[:2])
+            return np.array(dynamics._advance(x[0], x[1], runs, params, h,
+                                              (*scratch, 0, 1))[:2])
 
         columns = []
         for i, x in enumerate((n0, q0)):
@@ -375,10 +376,19 @@ class TestPeriodicMetrics:
         assert spy.starts and seen == {float}
 
 
+def halt_lanes(coef, n, q, halted, out_q):
+    """A lane loop that halts every lane it is given, stepping none."""
+    def step(k, k_stop, rec, h, src):
+        halted[halted == 0] = dynamics._NON_FINITE
+
+    return step
+
+
 def _alone(params, drive, dt, rates):
     """Each rate's solve on its own, each period one ``_advance`` call: the
-    serial loop that the lane loop and the lockstep stand in for."""
-    with mock.patch.object(dynamics, "_lanes", lambda: None):
+    serial loop that the lane loop and the lockstep stand in for.  Its lane
+    loop halts every lane, so that each goes to ``_advance``."""
+    with mock.patch.object(dynamics, "_lanes", lambda: halt_lanes):
         return [_periodic._periodic_states(params, drive, dt, [r])[0]
                 for r in rates]
 

@@ -215,8 +215,7 @@ class TestWriters:
             scenario.write_text(yaml.safe_dump(doc))
         written = []
         for write_rows in (dynamics._writer(), dynamics._write_rows):
-            monkeypatch.setattr(dynamics, "_writer",
-                                lambda build=True: write_rows)
+            monkeypatch.setattr(dynamics, "_writer", lambda: write_rows)
             out = tmp_path / f"{len(written)}.csv"
             assert run(capsys, *argv, "--scenario", str(scenario),
                        "--out", str(out))[0] == 0
@@ -455,6 +454,30 @@ def test_oversized_integer_is_input_error(capsys, tmp_path):
                        "--out", str(tmp_path / "x.csv"))
     assert code == 1
     assert "laser.n_th" in err and "finite" in err
+
+
+def test_window_too_large_to_hold_is_input_error(capsys, tmp_path,
+                                                  monkeypatch):
+    """A 0.1 s window of 0.1 ps steps is 1e12 samples, 7.28 TiB a column:
+    an input error that names the allocation, not a traceback.  The
+    allocation is refused by a stand-in for numpy's refusal, not tried."""
+    empty = np.empty
+
+    def refused(shape, *args, **kwargs):
+        if isinstance(shape, int) and shape > 10**9:
+            raise MemoryError(
+                f"Unable to allocate {8 * shape / 2**40:.2f} TiB for an array "
+                f"with shape ({shape},) and data type float64")
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", refused)
+    path = _scenario_with(tmp_path, "numerics", "t_total_ns", 1e8)
+    code, out, err = run(capsys, "simulate", "--scenario", path,
+                         "--out", str(tmp_path / "x.csv"))
+    assert (code, out) == (1, "")
+    assert err.startswith(
+        "pumpsim: out of memory: Unable to allocate 7.28 TiB")
+    assert not (tmp_path / "x.csv").exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "lcurve"])

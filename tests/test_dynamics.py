@@ -19,10 +19,11 @@ from hypothesis import (HealthCheck, assume, example, given, settings,
                         strategies as st)
 
 import pumpsim as ps
-from pumpsim import _periodic, cli, dynamics
+from pumpsim import _native, _periodic, cli, dynamics
 from pumpsim.errors import ConvergenceError
 from pumpsim.model import ELEMENTARY_CHARGE
 
+from test_analysis import halt_lanes
 from test_model import make_params
 
 
@@ -842,20 +843,25 @@ def reference_simulate(config):
 def schedule(monkeypatch, kernel):
     """The drive runs of every simulate call, (stalled step, end of run,
     step count) of every stall skip, and (first step, end) of every replayed
-    span, under each chunk function (``kernel``).
+    span, under each step binder (``kernel``).
 
-    A chunk call integrates the steps from the ``k`` it is given to the
-    ``k`` it returns, which is the stalled step when one stalls: the fixture
-    wraps the chunk function to count them.  A replayed span is copied, not
-    integrated: it passes through ``_replay_samples``, which the fixture
-    wraps to count it.  So a run whose integrated and replayed steps fall
-    short of its length was skipped from the stalled step to its end."""
+    A step call integrates the steps from the ``k`` it is given to the ``k``
+    it returns, which is the stalled step when one stalls: the fixture wraps
+    the steps that the binder binds to count them.  A replayed span is
+    copied, not integrated: it passes through ``_replay_samples``, which the
+    fixture wraps to count it.  So a run whose integrated and replayed steps
+    fall short of its length was skipped from the stalled step to its end."""
     seen = types.SimpleNamespace(runs=[], skips=[], replays=[], steps=0)
 
-    def counted(n, q, k, *args):
-        result = kernel(n, q, k, *args)
-        seen.steps += result[3] - k
-        return result
+    def counted(*fixed):
+        step = kernel(*fixed)
+
+        def counted_step(n, q, k, *args):
+            result = step(n, q, k, *args)
+            seen.steps += result[3] - k
+            return result
+
+        return counted_step
 
     monkeypatch.setattr(dynamics, "_kernel", lambda: counted)
     replay = dynamics._replay_samples
@@ -1101,8 +1107,9 @@ class TestDriveRuns:
         k4n, k4q = f(n + h * k3n, q + h * k3q)
         want_n = max(n + h * (k1n + 2.0 * k2n + 2.0 * k3n + k4n) / 6.0, 0.0)
         want_q = max(q + h * (k1q + 2.0 * k2q + 2.0 * k3q + k4q) / 6.0, 0.0)
-        got_n, got_q, _, _ = dynamics._advance(n, q, [(0, 1, h, src)],
-                                               params, h)
+        got_n, got_q, _, _ = dynamics._advance(
+            n, q, [(0, 1, h, src)], params, h,
+            (np.empty(2), np.empty(2), 0, 1))
         assert abs(got_n - want_n) <= math.ulp(want_n)
         assert abs(got_q - want_q) <= math.ulp(want_q)
 
@@ -1110,7 +1117,7 @@ class TestDriveRuns:
 @pytest.fixture
 def reload_kernel():
     """Drops the loaded library before and after the test, so that
-    ``_kernel`` and ``_writer`` build and probe again."""
+    ``_kernel``, ``_lanes`` and ``_writer`` build and probe again."""
     dynamics._library.cache_clear()
     yield
     dynamics._library.cache_clear()
@@ -1147,7 +1154,8 @@ class TestKernel:
         where the gain has no value: it fails as a stage below 0 does."""
         params = make_params(n_th=5.6e7, gamma_q=0.10108017018206122)
         with pytest.raises(ps.SimulationError) as err:
-            dynamics._advance(0.0, 5.0, [(0, 1, 3e-13, 1e16)], params, 3e-13)
+            dynamics._advance(0.0, 5.0, [(0, 1, 3e-13, 1e16)], params, 3e-13,
+                              (np.empty(2), np.empty(2), 0, 1))
         assert "1 + 2*gamma_q*q <= 0" in str(err.value)
         assert "t=3.000000e-13 s" in str(err.value)
         assert err.value.t_failure == 3e-13
@@ -1160,37 +1168,22 @@ class TestKernel:
         assert out_n[0] == 6.6e7 and out_q[2] > out_q[1] > out_q[0] == 1e3
 
 
-def chunk_lanes(coef, n, q, halted, out_q):
-    """A lane loop, lane by lane through ``dynamics._chunk``: the contract
-    of ``_rk4.c``'s."""
-    scratch = np.empty(out_q.shape[1])
-
-    def step(k, k_stop, rec, h, src):
-        for lane in np.flatnonzero(halted == 0):
-            first = max(rec, k)
-            status, n[lane], q[lane], k_at, *_ = dynamics._chunk(
-                n.item(lane), q.item(lane), k, k_stop, h, src.item(lane),
-                first, first, 0, coef, scratch, out_q[lane], 1)
-            if status == dynamics._STALL:  # the state to the end of the run
-                out_q[lane, max(k_at + 1, rec):k_stop] = q[lane]
-            elif status != dynamics._DONE:
-                halted[lane] = status
-
-    return step
-
-
 class TestKernelLoading:
     def test_compiled_kernel_loads_where_cc_runs(self):
-        assert (dynamics._kernel() is dynamics._chunk) == (
+        assert (dynamics._kernel() is dynamics._bind_chunk) == (
             shutil.which("cc") is None)
 
     def test_compiled_lanes_load_where_cc_runs(self):
-        assert (dynamics._lanes() is None) == (shutil.which("cc") is None)
+        assert (dynamics._lanes() is dynamics._chunk_lanes) == (
+            shutil.which("cc") is None)
 
     def test_lanes_failing_the_probe_are_not_used(self, monkeypatch,
                                                   reload_kernel):
+        def lanes(*args):  # passes its probe
+            return dynamics._chunk_lanes(*args)
+
         def one_lane_off(coef, n, q, halted, out_q):
-            step = chunk_lanes(coef, n, q, halted, out_q)
+            step = dynamics._chunk_lanes(coef, n, q, halted, out_q)
 
             def off(*args):
                 step(*args)
@@ -1198,23 +1191,24 @@ class TestKernelLoading:
 
             return off
 
-        def chunk(*args):  # passes its probe
-            return dynamics._chunk(*args)
+        def bind_chunk(*args):  # passes its probe
+            return dynamics._bind_chunk(*args)
 
-        monkeypatch.setattr(dynamics, "_compile",
-                            lambda: (chunk, dynamics._write_rows))
-        for lanes, used in ((chunk_lanes, True), (one_lane_off, False)):
-            chunk.lanes = lanes
+        for loop, used in ((lanes, True), (one_lane_off, False)):
+            monkeypatch.setattr(_native, "build", lambda: (
+                bind_chunk, loop, dynamics._write_rows))
             dynamics._library.cache_clear()
-            assert dynamics._kernel() is chunk
-            assert (dynamics._lanes() is lanes) == used
+            assert dynamics._kernel() is bind_chunk
+            assert dynamics._lanes() is (loop if used else
+                                         dynamics._chunk_lanes)
 
     @pytest.mark.parametrize("rates", [[2e16, 0.0, 5e15], [0.0, 1e24]])
     def test_lane_path_matches_advance(self, params, drive, monkeypatch,
                                        rates):
-        # the lockstep's lane path under chunk_lanes, so that it runs
-        # without a compiler too; 1e24 /s leaves the gain's domain, and is
-        # integrated again by _advance to raise
+        # the lockstep's lane path under the lane loop's twin, so that it
+        # runs without a compiler too, against each period integrated by
+        # _advance; 1e24 /s leaves the gain's domain, and is integrated
+        # again by _advance to raise
         wave = replace(drive, rep_rate=5e9, pulse_width=0.1e-9)
 
         def solve():
@@ -1226,27 +1220,38 @@ class TestKernelLoading:
             return [(h, q.tobytes(), residual, periods)
                     for h, q, residual, periods in solves]
 
-        monkeypatch.setattr(dynamics, "_kernel", lambda: dynamics._chunk)
-        monkeypatch.setattr(dynamics, "_lanes", lambda: None)
+        monkeypatch.setattr(dynamics, "_kernel", lambda: dynamics._bind_chunk)
+        monkeypatch.setattr(dynamics, "_lanes", lambda: halt_lanes)
         want = solve()
-        monkeypatch.setattr(dynamics, "_lanes", lambda: chunk_lanes)
+        monkeypatch.setattr(dynamics, "_lanes", lambda: dynamics._chunk_lanes)
         assert solve() == want
 
     def test_kernel_failing_the_probe_is_not_used(self, monkeypatch,
                                                   reload_kernel):
-        def one_ulp_off(*args):
-            status, n, *rest = dynamics._chunk(*args)
-            return (status, math.nextafter(n, math.inf), *rest)
+        """A binder one ulp off is not used, and neither is the lane loop
+        built beside it, though that one passes its probe."""
+        def one_ulp_off(*fixed):
+            step = dynamics._bind_chunk(*fixed)
 
-        monkeypatch.setattr(dynamics, "_compile",
-                            lambda: (one_ulp_off, dynamics._write_rows))
-        assert dynamics._kernel() is dynamics._chunk
+            def off(*args):
+                status, n, *rest = step(*args)
+                return (status, math.nextafter(n, math.inf), *rest)
+
+            return off
+
+        def lanes(*args):  # passes its probe
+            return dynamics._chunk_lanes(*args)
+
+        monkeypatch.setattr(_native, "build", lambda: (
+            one_ulp_off, lanes, dynamics._write_rows))
+        assert dynamics._kernel() is dynamics._bind_chunk
+        assert dynamics._lanes() is dynamics._chunk_lanes
 
     def test_python_loop_runs_without_a_compiler(self, monkeypatch, tmp_path,
                                                  reload_kernel, base_config,
                                                  base_trace):
         monkeypatch.setenv("PATH", str(tmp_path))
-        assert dynamics._kernel() is dynamics._chunk
+        assert dynamics._kernel() is dynamics._bind_chunk
         trace = ps.simulate(base_config)
         for name in ("n", "q", "p"):
             assert np.array_equal(getattr(trace, name),
@@ -1261,7 +1266,7 @@ class TestKernelLoading:
             return made[-1]
 
         monkeypatch.setattr(tempfile, "mkdtemp", recorded)
-        dynamics._compile()
+        _native.build()
         assert len(made) == 1 and not os.path.exists(made[0])
 
 
@@ -1550,8 +1555,8 @@ class TestWriterLoading:
             text[0] += 1
             fh.write(text)
 
-        monkeypatch.setattr(dynamics, "_compile",
-                            lambda: (dynamics._chunk, one_byte_off))
+        monkeypatch.setattr(_native, "build", lambda: (
+            dynamics._bind_chunk, dynamics._chunk_lanes, one_byte_off))
         assert dynamics._writer() is dynamics._write_rows
 
     def test_numpy_writer_runs_without_a_compiler(self, monkeypatch, tmp_path,
@@ -1568,8 +1573,8 @@ class TestWriterLoading:
 
     def test_one_build_serves_kernel_and_writer(self, monkeypatch,
                                                 reload_kernel):
-        """The kernel and the writer come from one ``cc`` run, whose build
-        directory is gone once the library is loaded."""
+        """The kernel, the lane loop and the writer come from one ``cc``
+        run, whose build directory is gone once the library is loaded."""
         made, commands = [], []
         mkdtemp, run = tempfile.mkdtemp, subprocess.run
 
@@ -1583,19 +1588,21 @@ class TestWriterLoading:
 
         monkeypatch.setattr(tempfile, "mkdtemp", recorded_mkdtemp)
         monkeypatch.setattr(subprocess, "run", recorded_run)
-        chunk, write_rows = dynamics._kernel(), dynamics._writer()
+        loops = dynamics._kernel(), dynamics._lanes(), dynamics._writer()
         assert commands == ["cc"]
         assert len(made) == 1 and not os.path.exists(made[0])
         compiled = shutil.which("cc") is not None
-        assert (chunk is not dynamics._chunk) == compiled
-        assert (write_rows is not dynamics._write_rows) == compiled
+        twins = (dynamics._bind_chunk, dynamics._chunk_lanes,
+                 dynamics._write_rows)
+        assert [loop is not twin for loop, twin in zip(loops, twins)] == [
+            compiled] * 3
 
     def test_tables_below_one_block_build_nothing(self, monkeypatch,
                                                   reload_kernel, tmp_path):
         """A table shorter than one block, such as an L-I curve, is written
         without a build; one of a block or more builds the library."""
         builds = []
-        monkeypatch.setattr(dynamics, "_compile", lambda: builds.append(1))
+        monkeypatch.setattr(_native, "build", lambda: builds.append(1))
         for command in ("lcurve", "dqe"):
             assert cli.main([command, "--out",
                              str(tmp_path / f"{command}.csv")]) == 0
