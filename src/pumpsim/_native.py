@@ -1,7 +1,8 @@
-"""The compiled loops of ``pumpsim.dynamics`` and the choice between each and
-its Python twin: ``_rk4.c`` built by the system C compiler and loaded by
-ctypes behind the signatures of the twins (``build``), and the choice of
-each loop that matches its twin on a probe (``select``).
+"""The two compiled loops of ``pumpsim.dynamics``, its RK4 loop and its row
+writer, and the choice between each and its Python twin: ``_rk4.c`` built
+by the system C compiler and loaded by ctypes behind the signatures of the
+twins (``build``), and the choice of each loop that matches its twin on a
+probe (``select``).
 ``dynamics._library`` imports this module on first use.  Its code lives
 apart from ``dynamics`` because each process compiles pumpsim's sources
 where no bytecode cache is written, and a command that never loads the
@@ -21,7 +22,7 @@ import tempfile
 import numpy as np
 
 _ROWS_DONE, _ROWS_BACK, _ROWS_FULL = range(3)  # pumpsim_format_rows statuses
-_BOUNDS = 4  # the status of pumpsim_rk4_lanes' refusal, dynamics._BOUNDS
+_BOUNDS = 4  # pumpsim_rk4's status of a column outside the rows
 _VALUE_BYTES = 32  # buffer bytes per value, _rk4.c's VALUE_BYTES
 
 
@@ -34,9 +35,8 @@ def _pow10() -> np.ndarray:
 
 
 def build():
-    """``(bind_chunk, lanes, write_rows)``: ``_rk4.c``'s step loop, lane loop
-    and row writer behind the signatures of their Python twins
-    ``dynamics._bind_chunk``, ``dynamics._chunk_lanes`` and
+    """``(lanes, write_rows)``: ``_rk4.c``'s RK4 loop and row writer behind
+    the signatures of their Python twins ``dynamics._chunk_lanes`` and
     ``dynamics._write_rows``, or None where ``cc`` is missing or fails or
     the library does not load.
 
@@ -49,15 +49,14 @@ def build():
     directory = tempfile.mkdtemp(prefix="pumpsim-rk4-")
     try:
         library = os.path.join(directory, "_rk4.so")
-        # -O1: both loops ran as fast as at -O2, which took 50-70 ms more
-        # to build
+        # -O1: the loops ran as fast as at -O2, which took 50-70 ms more to
+        # build
         subprocess.run(["cc", "-O1", "-fPIC", "-shared", "-ffp-contract=off",
                         "-o", library, source, "-lm"],
                        stdin=subprocess.DEVNULL, capture_output=True,
                        check=True, timeout=120)
         library = ctypes.CDLL(library)
-        kernel = library.pumpsim_rk4_chunk
-        lane_kernel = library.pumpsim_rk4_lanes
+        rk4 = library.pumpsim_rk4
         format_rows = library.pumpsim_format_rows
     except (OSError, AttributeError, subprocess.SubprocessError):
         return None
@@ -65,21 +64,15 @@ def build():
         shutil.rmtree(directory, ignore_errors=True)
     doubles = ctypes.POINTER(ctypes.c_double)
     int64s = ctypes.POINTER(ctypes.c_int64)
-    kernel.argtypes = [doubles, int64s, ctypes.c_int64, ctypes.c_double,
-                       ctypes.c_double, doubles, doubles, doubles,
-                       ctypes.c_int64, ctypes.c_int64]
-    kernel.restype = ctypes.c_int
-    lane_kernel.argtypes = [doubles, doubles, int64s, ctypes.c_int64,
-                            ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-                            ctypes.c_double, doubles, doubles, doubles,
-                            ctypes.c_int64]
-    lane_kernel.restype = ctypes.c_int
+    rk4.argtypes = [doubles, doubles, int64s, int64s, int64s, ctypes.c_int64,
+                    ctypes.c_int64, ctypes.c_int64, int64s, ctypes.c_int64,
+                    ctypes.c_double, doubles, doubles, doubles, doubles,
+                    ctypes.c_int64]
+    rk4.restype = ctypes.c_int
     format_rows.argtypes = [ctypes.POINTER(ctypes.c_void_p), ctypes.c_int64,
                             ctypes.c_int64, doubles, int64s,
                             ctypes.POINTER(ctypes.c_char), ctypes.c_int64]
     format_rows.restype = ctypes.c_int
-    state_type = ctypes.c_double * 2
-    index_type = ctypes.c_int64 * 4
     coef_type = ctypes.c_double * 7
 
     def address(a, dtype=np.float64, ndim=1, pointer=doubles):
@@ -90,38 +83,27 @@ def build():
                             f"{np.dtype(dtype).name} arrays")
         return a.ctypes.data_as(pointer)  # holds a, as long as it is held
 
-    def bind_chunk(coef, out_n, out_q, stride):
-        # what stays fixed through an _advance call, converted once
-        fixed = (coef_type(*coef), address(out_n), address(out_q),
-                 min(len(out_n), len(out_q)), stride)
-        state, index = state_type(), index_type()
-
-        def step(n, q, k, k_stop, h, src, rec, j, clamps):
-            state[0], state[1] = n, q
-            index[0], index[1], index[2], index[3] = k, rec, j, clamps
-            status = kernel(state, index, k_stop, h, src, *fixed)
-            return (status, state[0], state[1], *index)
-
-        return step
-
-    def lanes(coef, n, q, halted, out_q):
-        # what stays fixed through a solve: the lanes' states, their halts
-        # and records, and the coefficients
-        coef = coef_type(*coef)
+    def lanes(coef, n, q, halted, clamps, at, cursor, src, out_n, out_q,
+              stride):
+        # what stays fixed through a binding, converted once
         n_lanes, n_out = out_q.shape
-        if not len(n) == len(q) == len(halted) == n_lanes:
-            raise ValueError("one state, halt and record row per lane")
-        fixed = (address(n), address(q), address(halted, np.int64, 1, int64s),
-                 n_lanes)
-        out = (address(out_q, ndim=2), n_out)
+        if not (len(n) == len(q) == len(halted) == len(clamps) == len(at)
+                == len(src) == n_lanes and len(cursor) == 2
+                and (out_n is None or out_n.shape == out_q.shape)):
+            raise ValueError("one state, halt, clamp count, stop, source and "
+                             "row per lane, and one cursor")
+        head = (address(n), address(q), *[address(a, np.int64, 1, int64s)
+                                          for a in (halted, clamps, at)],
+                n_lanes)
+        record = (address(cursor, np.int64, 1, int64s), stride)
+        tail = (address(src), coef_type(*coef),
+                None if out_n is None else address(out_n, ndim=2),
+                address(out_q, ndim=2), n_out)
 
-        def step(k, k_stop, rec, h, src):
-            if len(src) != n_lanes:
-                raise ValueError("one source per lane")
-            if lane_kernel(*fixed, k, k_stop, rec, h, address(src), coef,
-                           *out) == _BOUNDS:
-                raise IndexError(f"steps {k} to {k_stop} are outside the "
-                                 f"{n_out} samples of the record")
+        def step(k, k_stop, h):
+            if rk4(*head, k, k_stop, *record, h, *tail) == _BOUNDS:
+                raise IndexError(f"a sample of steps {k} to {k_stop} is "
+                                 f"outside the {n_out} samples of the record")
 
         return step
 
@@ -152,28 +134,22 @@ def build():
                 return
             cursor[2] = 0  # _ROWS_FULL: the buffer is written out
 
-    return bind_chunk, lanes, write_rows
+    return lanes, write_rows
 
 
 def select(compiled, twins) -> tuple:
-    """``(bind_chunk, lanes, write_rows)``: each loop of ``compiled``
-    (``build``'s) where its probe gives what its twin's does, else that twin
-    of ``twins``; the twins where nothing built.  Each probe holds a loop to
-    its twin bit for bit: the step binder on ``dynamics._probe_chunk``, the
-    lane loop on ``dynamics._probe_lanes`` and the row writer on
-    ``probe_rows``.  The lane loop
-    runs the binder's step arithmetic, so it is kept only beside a compiled
-    binder that passed."""
-    from .dynamics import _probe_chunk, _probe_lanes
+    """``(lanes, write_rows)``: each loop of ``compiled`` (``build``'s) where
+    its probe gives what its twin's does, else that twin of ``twins``; the
+    twins where nothing built.  Each probe holds a loop to its twin bit for
+    bit: the RK4 loop on ``dynamics._probe_lanes`` and the row writer on
+    ``probe_rows``."""
+    from .dynamics import _probe_lanes
 
     if compiled is None:
         return tuple(twins)
-    chosen = [loop if probe(loop) == probe(twin) else twin
-              for loop, twin, probe in zip(
-                  compiled, twins, (_probe_chunk, _probe_lanes, probe_rows))]
-    if chosen[0] is not compiled[0]:
-        chosen[1] = twins[1]
-    return tuple(chosen)
+    return tuple(loop if probe(loop) == probe(twin) else twin
+                 for loop, twin, probe in zip(compiled, twins,
+                                              (_probe_lanes, probe_rows)))
 
 
 def probe_rows(write_rows) -> list:

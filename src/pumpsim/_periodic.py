@@ -1,6 +1,6 @@
 """The periodic states that sweeps and fits measure: shooting solves on the
 period map of ``dynamics``' step grid and drive schedule, several at a time
-in lockstep through one lane loop.
+in lockstep as the lanes of its RK4 loop.
 
 ``analysis`` imports this module on first use.  Where no bytecode cache is
 written each process compiles pumpsim's sources, and a command that solves
@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from . import dynamics
-from .errors import ConvergenceError, NumericalError, SimulationError
+from .errors import ConvergenceError, NumericalError
 from .model import DriveWaveform, LaserParams
 
 _PERIODIC_RTOL = 1e-12  # bound on the period-to-period residual of (n, q)
@@ -36,7 +36,8 @@ def _periodic_states(params: LaserParams, drive: DriveWaveform, dt: float,
     each round moves every unfinished one on by one period, side by side
     (``_lockstep``).  Every period is recorded, so the one that proves
     convergence is the recorded one, and no period is integrated twice.
-    Each result has the bits of solving its rate alone, and a failure
+    Each result has the bits of solving its rate alone (below the rates
+    that absorb the pulse, ``_lockstep``), and a failure
     raises the exception of the first rate, in order, whose solve fails,
     as solving the rates one after another would.
     """
@@ -45,10 +46,9 @@ def _periodic_states(params: LaserParams, drive: DriveWaveform, dt: float,
     if frac:  # shrink the step to a whole number of steps per period
         m += 1
         h = drive.period / m
-    schedules = [list(dynamics._drive_runs(m, h, drive, r_opt))
-                 for r_opt in rates]
+    runs = list(dynamics._drive_runs(m, h, drive, 0.0))
     records = np.empty((len(rates), m + 1))
-    period = _lockstep(schedules, params, h, records)
+    period = _lockstep(runs, rates, params, h, records)
     solves = [_shooting(params, drive, r_opt) for r_opt in rates]
     results = [None] * len(rates)
     first = len(rates)  # the first solve that failed
@@ -128,55 +128,43 @@ def _shooting(params: LaserParams, drive: DriveWaveform, r_opt: float):
         periods += 1
 
 
-def _lockstep(schedules, params: LaserParams, h: float, records):
+def _lockstep(runs, rates, params: LaserParams, h: float, records):
     """The period map of ``_periodic_states``' solves, lane ``i`` under the
-    drive runs ``schedules[i]``: a function from the starts ``{i: (n, q)}``
-    of a round to their images, recording the photon number at the start of
-    each grid step, and after the last, in ``records[i]``.  A lane whose
-    period fails maps to its ``SimulationError``.
+    pump rate ``rates[i]``: a function from the starts ``{i: (n, q)}`` of a
+    round to their images, recording the photon number at the start of each
+    grid step, and after the last, in ``records[i]``.  A lane whose period
+    fails maps to its ``SimulationError``.
 
-    The lanes step side by side through the lane loop (``dynamics._lanes``),
-    one call per run, where the runs differ only in their sources (a
-    drive's edges do not depend on the pump rate).  A lane that halts there
-    integrates its period again by ``dynamics._advance``, which raises the
-    failure.  Otherwise each lane is an ``_advance`` call, to the same bits:
-    the lane loop needs no replay, which only skips steps that integrating
-    reproduces bit for bit, and it keeps a stalled state to the end of its
-    run as ``_advance`` does.
+    ``runs`` is the drive's schedule without pumping; a lane's source in a
+    run is the run's plus its rate, which has the bits of the schedule at
+    that rate, since ``x + 0.0 == x`` (unless the rate absorbs the pulse
+    into the bias source, from about 3e33 /s on ``default``, where that
+    schedule is one run).  The lanes step side by side through the RK4 loop
+    (``dynamics._lanes``), one call per run, to the bits of integrating
+    each lane alone as ``dynamics.simulate`` does: its replay only skips
+    steps that integrating reproduces bit for bit, and the loop keeps a
+    stalled state to the end of its run.
     """
-    scratch = np.empty(records.shape[1])  # _advance's carrier record
-
-    def alone(i, x):
-        try:
-            return dynamics._advance(x[0], x[1], schedules[i], params, h,
-                                     (scratch, records[i], 0, 1))[:2]
-        except SimulationError as exc:
-            return exc
-
-    runs = [run[:3] for run in schedules[0]]
-    if any([run[:3] for run in s] != runs for s in schedules):
-        return lambda starts: {i: alone(i, x) for i, x in starts.items()}
-
-    sources = [np.array(src) for src in zip(*[[run[3] for run in s]
-                                              for s in schedules])]
-    n, q = np.zeros(len(schedules)), np.zeros(len(schedules))
-    halted = np.full(len(schedules), -1, dtype=np.int64)  # -1: not stepped
+    rates = np.array(rates, dtype=float)
+    n, q, src = np.zeros((3, len(rates)))
+    halted, clamps, at = np.zeros((3, len(rates)), dtype=np.int64)
+    cursor = np.zeros(2, dtype=np.int64)
     step = dynamics._lanes()(dynamics._coefficients(params), n, q, halted,
-                             records)
+                             clamps, at, cursor, src, None, records, 1)
 
     def period(starts):
-        halted[:] = -1
+        halted[:] = -1  # not stepped
         for i, x in starts.items():
             n[i], q[i] = x
             halted[i] = 0
-        rec = 0  # a grid step split at an edge is stored by its first run
-        for (k, k_end, run_h), src in zip(runs, sources):
-            step(k, k_end, rec, run_h, src)
-            rec = k_end
+        cursor[:] = 0  # a step split at an edge is stored by its first run
+        for k, k_end, run_h, run_src in runs:
+            np.add(run_src, rates, out=src)
+            step(k, k_end, run_h)
         images = {}
-        for i, x in starts.items():
+        for i in starts:
             if halted[i]:
-                images[i] = alone(i, x)
+                images[i] = dynamics._failure(halted.item(i), at.item(i), h)
             else:
                 records[i, -1] = q[i]
                 images[i] = (n.item(i), q.item(i))

@@ -1,31 +1,21 @@
-/* The compiled loops of pumpsim.dynamics: the RK4 step loops of _advance and
-   of the shooting solves, and the row loop of _write_csv, built into one
-   library by pumpsim._native with the system cc.
+/* The compiled loops of pumpsim.dynamics: the RK4 step loop of every
+   integration, and the row loop of _write_csv, built into one library by
+   pumpsim._native with the system cc.
 
    rk4_step is one step of pumpsim.dynamics._chunk in C: the same operations
    on the same operands in the same order, so that, built without
    contraction into fused multiply-adds (-ffp-contract=off) and without
-   -ffast-math, every result rounds as the Python loop's does.  Both step
-   loops call it, so the stage arithmetic is written once in C.  Forcing it
+   -ffast-math, every result rounds as the Python loop's does.  Forcing it
    inline ran no faster and took about 15 ms more to build.
-   _native.select uses each loop only after it matched its Python twin bit
-   for bit on a probe.
 
-   pumpsim_rk4_chunk is the loop of _chunk.
-   state:  n, q in and out
-   index:  k, rec, j, clamps in and out
+   pumpsim_rk4 steps independent states, its lanes, side by side through
+   one run of the drive: the one lane of a dynamics._advance call, or the
+   shooting solves of _periodic._lockstep, where one lane's
+   divide-and-sqrt chain then does not leave the divider idle.
    coef:   tau_e, tau_ph, gamma_conf*tau_ph, n_0, n_th - n_0, c_sp,
            2*gamma_q
-   Steps k to k_stop - 1 of length h under the carrier source src, storing
-   the state at the start of step rec in out_n[j], out_q[j] and moving rec on
-   by stride.  Returns 0 after step k_stop - 1 with k = k_stop, or stops at
-   step k with its status: 1 the step maps the nonzero state onto itself, 2
-   its result is not finite, 3 a stage has 1 + 2*gamma_q*q <= 0, 4 its
-   sample index j is outside [0, n_out).
-
-   pumpsim_rk4_lanes steps independent states, the lanes of
-   _periodic._periodic_states, side by side through one run of the drive, so
-   that one lane's divide-and-sqrt chain does not leave the divider idle.
+   _native.select uses it only after it matched its Python twin
+   dynamics._chunk_lanes bit for bit on a probe.
 
    pumpsim_format_rows writes the CSV rows of dynamics._write_csv by digit
    arithmetic that gives the bytes of "%.12g", and stops at each value that
@@ -115,89 +105,77 @@ static inline int rk4_step(double *n_io, double *q_io, int64_t *clamps,
     return DONE;
 }
 
-int pumpsim_rk4_chunk(double *state, int64_t *index, int64_t k_stop,
-                      double h, double src, const double *coef,
-                      double *out_n, double *out_q, int64_t n_out,
-                      int64_t stride)
+/* The lanes' states n[l], q[l] in and out, over steps k to k_stop - 1 of
+   length h, lane l under the source src[l] and counting its clamps in
+   clamps[l].  A lane whose halted[l] is nonzero is not stepped.  The lanes
+   share the record cursor (rec, j), in and out: at step k == rec each
+   stepping lane's state at the start of the step goes to column j of its
+   rows out_n[l*n_out + j] (unless out_n is NULL) and out_q[l*n_out + j],
+   and rec moves on by stride.  at[l] is set to the step where lane l
+   stopped: k_stop, or the step that failed or stalled.  A failing step, one
+   with no finite result or with a stage outside the gain's domain, halts
+   its lane with NON_FINITE or DOMAIN, at the state from the start of that
+   step.  A step that maps the nonzero state onto itself stalls its lane:
+   it keeps that state, stored at each remaining record step of the call,
+   and is released at the end.  Once no lane is stepping the loop runs on
+   record steps only, so a lone lane exits at its stall.  Returns DONE with
+   the cursor at k_stop, or BOUNDS at a column j outside [0, n_out), after
+   the columns before it have been stored. */
+int pumpsim_rk4(double *n, double *q, int64_t *halted, int64_t *clamps,
+                int64_t *at, int64_t lanes, int64_t k, int64_t k_stop,
+                int64_t *cursor, int64_t stride, double h, const double *src,
+                const double *coef, double *out_n, double *out_q,
+                int64_t n_out)
 {
     const struct coefs c = load_coefs(coef);
     const double half = 0.5 * h;
-    double n = state[0], q = state[1];
-    int64_t k = index[0], rec = index[1], j = index[2], clamps = index[3];
+    int64_t l, rec = cursor[0], j = cursor[1], active = 0;
     int status = DONE;
 
+    for (l = 0; l < lanes; l++)
+        if (!halted[l]) {
+            at[l] = k_stop;
+            active += 1;
+        }
     for (; k < k_stop; k++) {
         if (k == rec) {
             if (j < 0 || j >= n_out) {
                 status = BOUNDS;
                 break;
             }
-            out_n[j] = n;
-            out_q[j] = q;
+            for (l = 0; l < lanes; l++)
+                if (!halted[l] || halted[l] == STALL) {
+                    if (out_n)
+                        out_n[l * n_out + j] = n[l];
+                    out_q[l * n_out + j] = q[l];
+                }
             j += 1;
             rec += stride;
         }
-        status = rk4_step(&n, &q, &clamps, h, half, src, &c);
-        if (status != DONE)
-            break;
-    }
-
-    state[0] = n;
-    state[1] = q;
-    index[0] = k;
-    index[1] = rec;
-    index[2] = j;
-    index[3] = clamps;
-    return status;
-}
-
-/* The lanes' states n[l], q[l] in and out, over steps k to k_stop - 1 of
-   length h, lane l under the source src[l].  q[l] at the start of each step
-   k >= rec is stored in out_q[l*n_out + k].  A lane whose halted[l] is
-   nonzero is not stepped.  A lane whose step has no finite result or leaves
-   the gain's domain gets NON_FINITE or DOMAIN there, and keeps the state at
-   the start of that step.  A lane whose step maps its state onto itself
-   keeps it, and its q is stored, to the end of the call, as stepping it
-   would: halted with STALL meanwhile, it is released at the end.  The
-   clamps are not counted.  Returns BOUNDS, having stepped nothing, unless
-   0 <= k and k_stop <= n_out, else DONE. */
-int pumpsim_rk4_lanes(double *n, double *q, int64_t *halted, int64_t lanes,
-                      int64_t k, int64_t k_stop, int64_t rec, double h,
-                      const double *src, const double *coef, double *out_q,
-                      int64_t n_out)
-{
-    const struct coefs c = load_coefs(coef);
-    const double half = 0.5 * h;
-    int64_t l, i, clamps = 0, active = 0;
-
-    if (k < 0 || k_stop > n_out)
-        return BOUNDS;
-    for (l = 0; l < lanes; l++)
-        active += !halted[l];
-    for (; k < k_stop && active; k++)
+        if (!active) {  /* on to the next record step, if any */
+            if (rec <= k || rec >= k_stop)
+                break;
+            k = rec - 1;
+            continue;
+        }
         for (l = 0; l < lanes; l++) {
-            double n_l = n[l], q_l = q[l];
-            int status;
+            int s;
             if (halted[l])
                 continue;
-            if (k >= rec)
-                out_q[l * n_out + k] = q_l;
-            status = rk4_step(&n_l, &q_l, &clamps, h, half, src[l], &c);
-            if (status == DONE) {
-                n[l] = n_l;
-                q[l] = q_l;
-                continue;
+            s = rk4_step(&n[l], &q[l], &clamps[l], h, half, src[l], &c);
+            if (s != DONE) {
+                halted[l] = s;
+                at[l] = k;
+                active -= 1;
             }
-            halted[l] = status;
-            active -= 1;
-            if (status == STALL)
-                for (i = k + 1 > rec ? k + 1 : rec; i < k_stop; i++)
-                    out_q[l * n_out + i] = q_l;
         }
+    }
     for (l = 0; l < lanes; l++)
         if (halted[l] == STALL)
             halted[l] = 0;
-    return DONE;
+    cursor[0] = rec;
+    cursor[1] = j;
+    return status;
 }
 
 enum { ROWS_DONE, ROWS_BACK, ROWS_FULL };

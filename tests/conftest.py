@@ -54,22 +54,19 @@ def pumped_trace(pumped_config):
 
 @pytest.fixture
 def kernel(request, monkeypatch):
-    """The step binder of the RK4 loop that a test runs under: the one
-    ``dynamics._kernel`` loads (``_rk4.c``'s, where a C compiler builds it),
+    """The RK4 loop that a test runs under, for every integration: the one
+    ``dynamics._lanes`` loads (``_rk4.c``'s, where a C compiler builds it),
     or, parametrized indirectly with ``"python"``, its twin
-    ``dynamics._bind_chunk``, which binds the Python loop ``dynamics._chunk``
-    that the compiled kernel is held to and falls back to.  The lane loop of
-    the shooting solves goes with it: the one ``dynamics._lanes`` loads, or
-    its twin ``dynamics._chunk_lanes``.  The swap holds for the whole test,
-    so hypothesis tests that use it suppress the function-scoped fixture
-    health check."""
+    ``dynamics._chunk_lanes``, which steps each lane through the Python loop
+    ``dynamics._chunk`` that the compiled loop is held to and falls back
+    to.  The swap holds for the whole test, so hypothesis tests that use it
+    suppress the function-scoped fixture health check."""
     if getattr(request, "param", "compiled") == "python":
-        bind, lanes = dynamics._bind_chunk, dynamics._chunk_lanes
+        lanes = dynamics._chunk_lanes
     else:
-        bind, lanes = dynamics._kernel(), dynamics._lanes()
-    monkeypatch.setattr(dynamics, "_kernel", lambda: bind)
+        lanes = dynamics._lanes()
     monkeypatch.setattr(dynamics, "_lanes", lambda: lanes)
-    return bind
+    return lanes
 
 
 @pytest.fixture

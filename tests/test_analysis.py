@@ -187,9 +187,9 @@ def _rate(config, p_pump):
 
 class _PeriodSpy:
     """Wraps ``_periodic._lockstep``, the period map of the shooting solves,
-    on either path, the lane loop or ``_advance``: counts the periods it
+    which steps its lanes through the RK4 loop: counts the periods it
     integrates, lane by lane, and keeps every start it is given and, per
-    ``_periodic_states`` call, the lanes' drive runs, ``params``, the step
+    ``_periodic_states`` call, each lane's drive runs, ``params``, the step
     and each lane's latest start: the start of its recorded period once its
     solve has converged."""
 
@@ -200,9 +200,12 @@ class _PeriodSpy:
         self.solves = []  # (schedules, params, h, {lane: latest start})
         monkeypatch.setattr(_periodic, "_lockstep", self)
 
-    def __call__(self, schedules, params, h, records):
-        period = self.lockstep(schedules, params, h, records)
+    def __call__(self, runs, rates, params, h, records):
+        period = self.lockstep(runs, rates, params, h, records)
         latest = {}
+        # a lane's source in each run: the run's, plus the lane's rate
+        schedules = [[(k, k_end, run_h, src + r)
+                      for k, k_end, run_h, src in runs] for r in rates]
         self.solves.append((schedules, params, h, latest))
 
         def counted(starts):
@@ -368,27 +371,58 @@ class TestPeriodicMetrics:
                 i_pulse=np.float64(drive.i_pulse)))
         spy = _PeriodSpy(monkeypatch)
         analysis._periodic_metrics(base, _rate(base, 1.6e-3))
-        # every lane's start and its source in each run, whichever path
-        # integrates them
+        # every lane's start and its source in each run
         seen = {type(v) for _, x in spy.starts for v in x}
         seen |= {type(run[3]) for schedules, *_ in spy.solves
                  for runs in schedules for run in runs}
         assert spy.starts and seen == {float}
 
+    def test_drive_runs_built_once_per_call(self, base_config, monkeypatch):
+        # one zero-pump schedule serves every lane, whatever the rates
+        calls = []
+        drive_runs = dynamics._drive_runs
 
-def halt_lanes(coef, n, q, halted, out_q):
-    """A lane loop that halts every lane it is given, stepping none."""
-    def step(k, k_stop, rec, h, src):
-        halted[halted == 0] = dynamics._NON_FINITE
+        def counted(*args):
+            calls.append(args[3])
+            return drive_runs(*args)
 
-    return step
+        monkeypatch.setattr(dynamics, "_drive_runs", counted)
+        _periodic._periodic_states(
+            base_config.params, base_config.drive, base_config.dt,
+            [_rate(base_config, p) for p in (0.0, 0.8e-3, 1.6e-3)])
+        assert calls == [0.0]
+
+
+def serial_lockstep(drive):
+    """A stand-in for ``_periodic._lockstep`` that integrates each lane's
+    period by one ``_advance`` call over the drive runs at that lane's own
+    rate, one lane after another: the serial loop that the RK4 loop's lanes
+    and the lockstep stand in for."""
+    def lockstep(runs, rates, params, h, records):
+        m = records.shape[1] - 1
+        schedules = [list(dynamics._drive_runs(m, h, drive, r)) for r in rates]
+        scratch = np.empty(m + 1)  # the carrier record
+
+        def period(starts):
+            images = {}
+            for i, (n, q) in starts.items():
+                try:
+                    images[i] = dynamics._advance(
+                        n, q, schedules[i], params, h,
+                        (scratch, records[i], 0, 1))[:2]
+                except ps.SimulationError as exc:
+                    images[i] = exc
+            return images
+
+        return period
+
+    return lockstep
 
 
 def _alone(params, drive, dt, rates):
-    """Each rate's solve on its own, each period one ``_advance`` call: the
-    serial loop that the lane loop and the lockstep stand in for.  Its lane
-    loop halts every lane, so that each goes to ``_advance``."""
-    with mock.patch.object(dynamics, "_lanes", lambda: halt_lanes):
+    """Each rate's solve on its own, each period one ``_advance`` call
+    (``serial_lockstep``)."""
+    with mock.patch.object(_periodic, "_lockstep", serial_lockstep(drive)):
         return [_periodic._periodic_states(params, drive, dt, [r])[0]
                 for r in rates]
 

@@ -23,7 +23,7 @@ from pumpsim import _native, _periodic, cli, dynamics
 from pumpsim.errors import ConvergenceError
 from pumpsim.model import ELEMENTARY_CHARGE
 
-from test_analysis import halt_lanes
+from test_analysis import serial_lockstep
 from test_model import make_params
 
 
@@ -717,6 +717,12 @@ class TestTraceValidation:
         with pytest.raises(ValueError):
             ps.SimTrace(t=np.arange(3.0), n=np.zeros(3), q=np.zeros(3),
                         p=np.array([0.0, -1.0, 0.0]))
+        # NaN is not nonnegative either, in any column
+        for name in ("n", "q", "p"):
+            columns = {c: np.zeros(1000) for c in ("n", "q", "p")}
+            columns[name][500] = math.nan
+            with pytest.raises(ValueError, match=f"trace {name} must be"):
+                ps.SimTrace(t=np.arange(1000.0), **columns)
 
 
 EDGE_TOL = 1e-6  # steps
@@ -843,27 +849,27 @@ def reference_simulate(config):
 def schedule(monkeypatch, kernel):
     """The drive runs of every simulate call, (stalled step, end of run,
     step count) of every stall skip, and (first step, end) of every replayed
-    span, under each step binder (``kernel``).
+    span, under each RK4 loop (``kernel``).
 
-    A step call integrates the steps from the ``k`` it is given to the ``k``
-    it returns, which is the stalled step when one stalls: the fixture wraps
-    the steps that the binder binds to count them.  A replayed span is
+    A step call integrates the one lane of an ``_advance`` call from the
+    ``k`` it is given to the stop it leaves in ``at``, which is the stalled
+    step when one stalls: the fixture wraps the steps that the loop binds to
+    count them.  A replayed span is
     copied, not integrated: it passes through ``_replay_samples``, which the
     fixture wraps to count it.  So a run whose integrated and replayed steps
     fall short of its length was skipped from the stalled step to its end."""
     seen = types.SimpleNamespace(runs=[], skips=[], replays=[], steps=0)
 
-    def counted(*fixed):
-        step = kernel(*fixed)
+    def counted(coef, n, q, halted, clamps, at, *fixed):
+        step = kernel(coef, n, q, halted, clamps, at, *fixed)
 
-        def counted_step(n, q, k, *args):
-            result = step(n, q, k, *args)
-            seen.steps += result[3] - k
-            return result
+        def counted_step(k, *args):
+            step(k, *args)
+            seen.steps += at.item(0) - k
 
         return counted_step
 
-    monkeypatch.setattr(dynamics, "_kernel", lambda: counted)
+    monkeypatch.setattr(dynamics, "_lanes", lambda: counted)
     replay = dynamics._replay_samples
 
     def replayed(out, j, k, k_new, k_from):
@@ -1117,7 +1123,7 @@ class TestDriveRuns:
 @pytest.fixture
 def reload_kernel():
     """Drops the loaded library before and after the test, so that
-    ``_kernel``, ``_lanes`` and ``_writer`` build and probe again."""
+    ``_lanes`` and ``_writer`` build and probe again."""
     dynamics._library.cache_clear()
     yield
     dynamics._library.cache_clear()
@@ -1168,10 +1174,60 @@ class TestKernel:
         assert out_n[0] == 6.6e7 and out_q[2] > out_q[1] > out_q[0] == 1e3
 
 
+def altered(change):
+    """The RK4 loop's twin with ``change(lanes, k_stop)`` applied after each
+    step call, ``lanes`` naming the arguments it was bound to."""
+    names = "coef n q halted clamps at cursor src out_n out_q stride".split()
+
+    def bind(*args):
+        step = dynamics._chunk_lanes(*args)
+
+        def changed(k, k_stop, h):
+            step(k, k_stop, h)
+            change(types.SimpleNamespace(**dict(zip(names, args))), k_stop)
+
+        return changed
+
+    return bind
+
+
+def one_ulp_up(a, index):
+    a[index] = np.nextafter(a[index], math.inf)
+
+
+def n_off(lane):
+    """A change of lane ``lane``'s carrier number, where there is one."""
+    def change(a, k_stop):
+        if lane < len(a.n):
+            one_ulp_up(a.n, lane)
+
+    return change
+
+
+def n_record_off(a, k_stop):
+    """A change of the last carrier number stored at stride 3."""
+    if a.stride == 3:
+        one_ulp_up(a.out_n, (0, a.cursor[1] - 1))
+
+
+def fill_off(a, k_stop):
+    """A change of the last photon number a stalled lane is stored with."""
+    stalled = np.flatnonzero((a.at < k_stop) & (a.halted == 0))
+    one_ulp_up(a.out_q, (stalled, a.cursor[1] - 1))
+
+
+def clamps_off(a, k_stop):
+    """One clamp too many, once."""
+    if k_stop == dynamics._PROBE_RUNS[0][1]:
+        a.clamps[-1] += 1
+
+
 class TestKernelLoading:
     def test_compiled_kernel_loads_where_cc_runs(self):
-        assert (dynamics._kernel() is dynamics._bind_chunk) == (
-            shutil.which("cc") is None)
+        # one build gives the RK4 loop and the row writer, or nothing
+        built = _native.build()
+        assert (built is None) == (shutil.which("cc") is None)
+        assert built is None or len(built) == 2
 
     def test_compiled_lanes_load_where_cc_runs(self):
         assert (dynamics._lanes() is dynamics._chunk_lanes) == (
@@ -1182,33 +1238,31 @@ class TestKernelLoading:
         def lanes(*args):  # passes its probe
             return dynamics._chunk_lanes(*args)
 
-        def one_lane_off(coef, n, q, halted, out_q):
-            step = dynamics._chunk_lanes(coef, n, q, halted, out_q)
-
-            def off(*args):
-                step(*args)
-                n[3] = math.nextafter(n[3], math.inf)
-
-            return off
-
-        def bind_chunk(*args):  # passes its probe
-            return dynamics._bind_chunk(*args)
-
-        for loop, used in ((lanes, True), (one_lane_off, False)):
+        for loop, used in ((lanes, True), (altered(n_off(3)), False)):
             monkeypatch.setattr(_native, "build", lambda: (
-                bind_chunk, loop, dynamics._write_rows))
+                loop, dynamics._write_rows))
             dynamics._library.cache_clear()
-            assert dynamics._kernel() is bind_chunk
             assert dynamics._lanes() is (loop if used else
                                          dynamics._chunk_lanes)
+
+    @pytest.mark.parametrize("change", [
+        *[n_off(lane) for lane in range(len(dynamics._PROBE_STATES))],
+        n_record_off, fill_off, clamps_off])
+    def test_probe_tells_each_change(self, change):
+        """The probe tells a loop one ulp off in any lane's carrier number,
+        in a carrier number stored at stride 3 or in a stalled lane's
+        fill, or one clamp off, from the twin."""
+        want = dynamics._probe_lanes(dynamics._chunk_lanes)
+        assert dynamics._probe_lanes(altered(lambda a, k_stop: None)) == want
+        assert dynamics._probe_lanes(altered(change)) != want
 
     @pytest.mark.parametrize("rates", [[2e16, 0.0, 5e15], [0.0, 1e24]])
     def test_lane_path_matches_advance(self, params, drive, monkeypatch,
                                        rates):
-        # the lockstep's lane path under the lane loop's twin, so that it
-        # runs without a compiler too, against each period integrated by
-        # _advance; 1e24 /s leaves the gain's domain, and is integrated
-        # again by _advance to raise
+        # the lockstep under the RK4 loop's twin, so that it runs without a
+        # compiler too, against each period integrated by _advance over the
+        # drive runs at its own rate; 1e24 /s leaves the gain's domain, and
+        # both raise
         wave = replace(drive, rep_rate=5e9, pulse_width=0.1e-9)
 
         def solve():
@@ -1220,38 +1274,29 @@ class TestKernelLoading:
             return [(h, q.tobytes(), residual, periods)
                     for h, q, residual, periods in solves]
 
-        monkeypatch.setattr(dynamics, "_kernel", lambda: dynamics._bind_chunk)
-        monkeypatch.setattr(dynamics, "_lanes", lambda: halt_lanes)
-        want = solve()
         monkeypatch.setattr(dynamics, "_lanes", lambda: dynamics._chunk_lanes)
+        with mock.patch.object(_periodic, "_lockstep",
+                               serial_lockstep(wave)):
+            want = solve()
         assert solve() == want
 
     def test_kernel_failing_the_probe_is_not_used(self, monkeypatch,
                                                   reload_kernel):
-        """A binder one ulp off is not used, and neither is the lane loop
-        built beside it, though that one passes its probe."""
-        def one_ulp_off(*fixed):
-            step = dynamics._bind_chunk(*fixed)
-
-            def off(*args):
-                status, n, *rest = step(*args)
-                return (status, math.nextafter(n, math.inf), *rest)
-
-            return off
-
-        def lanes(*args):  # passes its probe
-            return dynamics._chunk_lanes(*args)
+        """An RK4 loop one ulp off is not used: its twin runs instead.  The
+        row writer built beside it passes its probe and is used."""
+        def write_rows(*args):  # passes its probe
+            return dynamics._write_rows(*args)
 
         monkeypatch.setattr(_native, "build", lambda: (
-            one_ulp_off, lanes, dynamics._write_rows))
-        assert dynamics._kernel() is dynamics._bind_chunk
+            altered(n_off(0)), write_rows))
         assert dynamics._lanes() is dynamics._chunk_lanes
+        assert dynamics._writer() is write_rows
 
     def test_python_loop_runs_without_a_compiler(self, monkeypatch, tmp_path,
                                                  reload_kernel, base_config,
                                                  base_trace):
         monkeypatch.setenv("PATH", str(tmp_path))
-        assert dynamics._kernel() is dynamics._bind_chunk
+        assert dynamics._lanes() is dynamics._chunk_lanes
         trace = ps.simulate(base_config)
         for name in ("n", "q", "p"):
             assert np.array_equal(getattr(trace, name),
@@ -1556,7 +1601,7 @@ class TestWriterLoading:
             fh.write(text)
 
         monkeypatch.setattr(_native, "build", lambda: (
-            dynamics._bind_chunk, dynamics._chunk_lanes, one_byte_off))
+            dynamics._chunk_lanes, one_byte_off))
         assert dynamics._writer() is dynamics._write_rows
 
     def test_numpy_writer_runs_without_a_compiler(self, monkeypatch, tmp_path,
@@ -1573,8 +1618,8 @@ class TestWriterLoading:
 
     def test_one_build_serves_kernel_and_writer(self, monkeypatch,
                                                 reload_kernel):
-        """The kernel, the lane loop and the writer come from one ``cc``
-        run, whose build directory is gone once the library is loaded."""
+        """The RK4 loop and the writer come from one ``cc`` run, whose build
+        directory is gone once the library is loaded."""
         made, commands = [], []
         mkdtemp, run = tempfile.mkdtemp, subprocess.run
 
@@ -1588,14 +1633,13 @@ class TestWriterLoading:
 
         monkeypatch.setattr(tempfile, "mkdtemp", recorded_mkdtemp)
         monkeypatch.setattr(subprocess, "run", recorded_run)
-        loops = dynamics._kernel(), dynamics._lanes(), dynamics._writer()
+        loops = dynamics._lanes(), dynamics._writer()
         assert commands == ["cc"]
         assert len(made) == 1 and not os.path.exists(made[0])
         compiled = shutil.which("cc") is not None
-        twins = (dynamics._bind_chunk, dynamics._chunk_lanes,
-                 dynamics._write_rows)
+        twins = (dynamics._chunk_lanes, dynamics._write_rows)
         assert [loop is not twin for loop, twin in zip(loops, twins)] == [
-            compiled] * 3
+            compiled] * 2
 
     def test_tables_below_one_block_build_nothing(self, monkeypatch,
                                                   reload_kernel, tmp_path):
