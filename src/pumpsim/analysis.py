@@ -18,9 +18,10 @@ from .dynamics import (
     SimConfig,
     SimTrace,
     _brentq,
+    _check_inputs,
     _complete_period_bounds,
+    _steady_states,
     _write_csv,
-    steady_state,
 )
 from .errors import FitError, NoPulseError
 from .model import (
@@ -58,9 +59,10 @@ class LightCurrentCurve:
     def __post_init__(self):
         if len(self.currents) != len(self.powers):
             raise ValueError("currents and powers must have equal length")
-        if len(self.currents) >= 2 and np.diff(self.currents).min() <= 0.0:
+        # written so that NaN fails them too
+        if len(self.currents) >= 2 and not np.diff(self.currents).min() > 0.0:
             raise ValueError("currents must be strictly increasing")
-        if len(self.powers) and self.powers.min() < 0.0:
+        if len(self.powers) and not self.powers.min() >= 0.0:
             raise ValueError("powers must be nonnegative")
 
     def to_csv(self, path) -> None:
@@ -96,18 +98,27 @@ class FitResult:
 def light_current_curve(
     params: LaserParams, r_opt: float, i_grid
 ) -> LightCurrentCurve:
-    """Steady-state output power at each grid current, with cw pumping r_opt."""
+    """Steady-state output power at each grid current, with cw pumping r_opt.
+
+    The states are solved in one call (``dynamics._steady_states``), and
+    their photon numbers converted to power in one ``photon_to_power``: the
+    same multiply at each point, so the same bits as point by point.  A
+    non-finite current is refused as ``steady_state`` refuses it.
+    """
     i_grid = np.asarray(i_grid, dtype=float)
     if i_grid.ndim != 1 or len(i_grid) == 0:
         raise ValueError("i_grid must be a nonempty 1-D sequence of currents")
-    if i_grid.min() < 0.0:
+    finite = np.isfinite(i_grid)
+    if not finite.all():
+        _check_inputs(i_grid[~finite][0], r_opt)
+    if not i_grid.min() >= 0.0:
         raise ValueError("i_grid currents must be nonnegative")
-    if len(i_grid) >= 2 and np.diff(i_grid).min() <= 0.0:
+    if len(i_grid) >= 2 and not np.diff(i_grid).min() > 0.0:
         raise ValueError("i_grid must be strictly increasing")
-    powers = np.array(
-        [photon_to_power(steady_state(params, i, r_opt).q, params) for i in i_grid]
-    )
-    return LightCurrentCurve(currents=i_grid, powers=powers)
+    states = _steady_states(params, i_grid.tolist(), r_opt)
+    q = np.array([state.q for state in states])
+    return LightCurrentCurve(currents=i_grid,
+                             powers=photon_to_power(q, params))
 
 
 def _window_points(curve: LightCurrentCurve, fit_lo: float, fit_hi: float):
@@ -139,7 +150,7 @@ def knee_current(
     """Threshold knee: zero crossing of the line fitted above threshold."""
     i_win, p_win = _window_points(curve, fit_lo, fit_hi)
     slope, intercept = np.polyfit(i_win, p_win, 1)
-    if slope <= 0.0:
+    if not slope > 0.0:  # NaN too
         raise ValueError("window slope is not positive; fit above threshold")
     return -intercept / slope
 

@@ -208,17 +208,17 @@ def _brentq(f, a: float, b: float, xtol: float, rtol: float,
     ``ValueError`` when ``f(a)`` and ``f(b)`` have the same sign or ``f``
     returns NaN.
     """
+    # A solve is a dozen or so cheap evaluations, so each does the least
+    # Python work: f is called inline, and |f| of each end (apre, acur,
+    # ablk) moves with its value.
     xtol, rtol = float(xtol), float(rtol)
-
-    def value(x: float) -> float:
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise ValueError(
-                f"The function value at x={x} is NaN; solver cannot continue.")
-        return fx
-
     xpre, xcur = float(a), float(b)
-    fpre, fcur = value(xpre), value(xcur)
+    fpre = float(f(xpre))
+    if fpre != fpre:  # NaN
+        raise _nan_value(xpre)
+    fcur = float(f(xcur))
+    if fcur != fcur:
+        raise _nan_value(xcur)
     if fpre == 0.0:
         return xpre, True, 0
     if fcur == 0.0:
@@ -228,21 +228,25 @@ def _brentq(f, a: float, b: float, xtol: float, rtol: float,
     # with 0 compares sign bits, as brentq.c does.
     if (fpre < 0.0) == (fcur < 0.0):
         raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
+    apre, acur = abs(fpre), abs(fcur)
+    xblk = fblk = ablk = spre = scur = 0.0
     for iteration in range(1, maxiter + 1):
         if (fpre < 0.0) != (fcur < 0.0):  # xpre is the new contrapoint
-            xblk, fblk = xpre, fpre
+            xblk, fblk, ablk = xpre, fpre, apre
             spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):  # xcur is the better end
+        if ablk < acur:  # xcur is the better end
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
+            apre, acur, ablk = acur, ablk, acur
 
         delta = (xtol + rtol * abs(xcur)) / 2.0
         sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
+        abis = abs(sbis)
+        if fcur == 0.0 or abis < delta:
             return xcur, True, iteration
 
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
+        aspre = abs(spre)
+        if aspre > delta and acur < apre:
             if xpre == xblk:  # secant
                 stry = -fcur * (xcur - xpre) / (fcur - fpre)
             else:  # inverse quadratic interpolation
@@ -254,20 +258,30 @@ def _brentq(f, a: float, b: float, xtol: float, rtol: float,
                 except ZeroDivisionError:
                     # C gives an infinite or NaN step here, which bisects
                     stry = math.inf
-            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+            # min(aspre, bound), ties and NaN included
+            bound = 3.0 * abis - delta
+            if 2.0 * abs(stry) < (bound if bound < aspre else aspre):
                 spre, scur = scur, stry
             else:
                 spre = scur = sbis
         else:
             spre = scur = sbis
 
-        xpre, fpre = xcur, fcur
+        xpre, fpre, apre = xcur, fcur, acur
         if abs(scur) > delta:
             xcur += scur
         else:
             xcur += delta if sbis > 0.0 else -delta
-        fcur = value(xcur)
+        fcur = float(f(xcur))
+        if fcur != fcur:
+            raise _nan_value(xcur)
+        acur = abs(fcur)
     return xcur, False, maxiter
+
+
+def _nan_value(x: float) -> ValueError:
+    return ValueError(
+        f"The function value at x={x} is NaN; solver cannot continue.")
 
 
 def steady_state(params: LaserParams, i_dc: float, r_opt: float = 0.0) -> LaserState:
@@ -290,6 +304,12 @@ def steady_state(params: LaserParams, i_dc: float, r_opt: float = 0.0) -> LaserS
     names the cause, and it carries the derivative residual of the last
     candidate (the bracket's upper end when ``_brentq`` raised).
     """
+    return _steady_states(params, [i_dc], r_opt)[0]
+
+
+# steady_state's refusal of a current or pump rate that is not finite, or
+# negative
+def _check_inputs(i_dc: float, r_opt: float) -> None:
     if not math.isfinite(i_dc):
         raise ValueError(f"i_dc must be finite, got {i_dc}")
     if not math.isfinite(r_opt):
@@ -298,65 +318,88 @@ def steady_state(params: LaserParams, i_dc: float, r_opt: float = 0.0) -> LaserS
         raise ValueError(f"i_dc must be nonnegative, got {i_dc}")
     if r_opt < 0.0:
         raise ValueError(f"r_opt must be nonnegative, got {r_opt}")
-    inj = i_dc / ELEMENTARY_CHARGE + r_opt
 
+
+# steady_state at each of `currents` under one pump rate, in order, with the
+# constants of `params` worked out once for them all; raises at the first
+# current that steady_state would refuse or fail on, with its error.  These
+# helpers carry comments, not docstrings: perfbench imports pumpsim without
+# a bytecode cache, and its peak RSS grew with the compiled code.
+def _steady_states(params: LaserParams, currents,
+                   r_opt: float) -> list[LaserState]:
+    isfinite = math.isfinite
+    sqrt = math.sqrt
+    tiny = sys.float_info.min
+    rate_ok = isfinite(r_opt) and r_opt >= 0.0
     tau_e = params.tau_e
+    n_th = params.n_th
     gtp = params.gamma_conf * params.tau_ph
     n_0 = params.n_0
-    d = params.n_th - n_0
+    d = n_th - n_0
     ad = params.c_sp * params.tau_ph / tau_e * d  # a*d
     two_gq = 2.0 * params.gamma_q
+    # On the curve q*g = q - a*n, so F(2*gtp*inj) >= inj when
+    # c_sp <= gamma_conf; above that, F grows without bound in q, and
+    # doubling the end finds a nonnegative residual.
+    doubling = params.c_sp > params.gamma_conf
+    # Near q = 0, n(q) ~ n_th*q/ad, so the derivative check needs q to
+    # within about 1e-6*ad/n_th.  The floor, a few subnormal spacings,
+    # lets the root find stop on a root below the smallest normal double.
+    xtol = max(min(1e-30, 1e-7 * ad / n_th), 1e-322)
 
-    def carriers(q: float) -> tuple[float, float]:
-        """Carrier number on the field-balance curve at q, and its gain."""
+    # the carrier number on the field-balance curve at q
+    def carriers(q: float) -> float:
         if q == 0.0:
             # n(0) = 0.  For c_sp = 0 the formula is 0/0 here; the root find
             # then runs only above threshold, where F(0) = -inj has the sign
             # of the limit n_th/tau_e - inj.
-            return 0.0, 0.0
-        s = math.sqrt(1.0 + two_gq * q)
-        n = (n_0 + d * s) * (q / (q + ad * s))
-        return n, (n - n_0) / d / s
+            return 0.0
+        s = sqrt(1.0 + two_gq * q)
+        return (n_0 + d * s) * (q / (q + ad * s))
 
-    def excess(q: float) -> float:
-        n, g = carriers(q)
-        return n / tau_e + q * g / gtp - inj
-
-    failure = None
-    hi = 2.0 * gtp * inj
-    if hi < sys.float_info.min or ad == 0.0 and inj * tau_e <= params.n_th:
-        state = LaserState(n=inj * tau_e, q=0.0)
-    else:
-        # On the curve q*g = q - a*n, so F(2*gtp*inj) >= inj when
-        # c_sp <= gamma_conf; above that, F grows without bound in q, and
-        # doubling the end finds a nonnegative residual.
-        if params.c_sp > params.gamma_conf:
-            while excess(hi) < 0.0:
-                hi *= 2.0
-        # Near q = 0, n(q) ~ n_th*q/ad, so the derivative check needs q to
-        # within about 1e-6*ad/n_th.  The floor, a few subnormal spacings,
-        # lets the root find stop on a root below the smallest normal double.
-        xtol = max(min(1e-30, 1e-7 * ad / params.n_th), 1e-322)
-        try:
-            q, converged, iterations = _brentq(excess, 0.0, hi, xtol,
-                                               _BRENTQ_RTOL, 3000)
-        except ValueError as exc:  # no sign change, or a NaN residual
-            q, failure = hi, f"root find failed ({exc})"
+    states = []
+    for i_dc in currents:
+        if not (isfinite(i_dc) and i_dc >= 0.0 and rate_ok):
+            _check_inputs(i_dc, r_opt)
+        inj = i_dc / ELEMENTARY_CHARGE + r_opt
+        failure = None
+        hi = 2.0 * gtp * inj
+        if hi < tiny or ad == 0.0 and inj * tau_e <= n_th:
+            state = LaserState(n=inj * tau_e, q=0.0)
         else:
-            if not converged:
-                failure = (f"root find did not converge after "
-                           f"{iterations} iterations")
-        state = LaserState(n=carriers(q)[0], q=q)
+            # the carrier balance on the curve: carriers(q) and its gain
+            # (n - n_0)/d/s, inline; inj is bound per current
+            def excess(q: float, inj: float = inj) -> float:
+                if q == 0.0:
+                    return 0.0 - inj  # n = g = 0
+                s = sqrt(1.0 + two_gq * q)
+                n = (n_0 + d * s) * (q / (q + ad * s))
+                return n / tau_e + q * ((n - n_0) / d / s) / gtp - inj
 
-    ok, residual = _derivatives_ok(state, i_dc, r_opt, params)
-    if ok and failure is None:
-        return state
-    raise ConvergenceError(
-        f"steady state {failure or 'missed the derivative check'} at "
-        f"i_dc={i_dc:g} A, r_opt={r_opt:g} 1/s "
-        f"(residual {residual:.3e} 1/s at n={state.n:.6g}, q={state.q:.6g})",
-        residual=residual,
-    )
+            if doubling:
+                while excess(hi) < 0.0:
+                    hi *= 2.0
+            try:
+                q, converged, iterations = _brentq(excess, 0.0, hi, xtol,
+                                                   _BRENTQ_RTOL, 3000)
+            except ValueError as exc:  # no sign change, or a NaN residual
+                q, failure = hi, f"root find failed ({exc})"
+            else:
+                if not converged:
+                    failure = (f"root find did not converge after "
+                               f"{iterations} iterations")
+            state = LaserState(n=carriers(q), q=q)
+
+        ok, residual = _derivatives_ok(state, i_dc, r_opt, params)
+        if not ok or failure is not None:
+            raise ConvergenceError(
+                f"steady state {failure or 'missed the derivative check'} at "
+                f"i_dc={i_dc:g} A, r_opt={r_opt:g} 1/s (residual "
+                f"{residual:.3e} 1/s at n={state.n:.6g}, q={state.q:.6g})",
+                residual=residual,
+            )
+        states.append(state)
+    return states
 
 
 def simulate(config: SimConfig) -> SimTrace:

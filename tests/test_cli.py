@@ -257,9 +257,9 @@ class TestCurves:
     @pytest.mark.parametrize("grid", ["0:1e308:1e-300", "0:1000:1e-9"])
     def test_oversized_current_grid(self, capsys, tmp_path, monkeypatch, grid):
         def refuse(*args):
-            raise AssertionError("steady_state ran on an oversized grid")
+            raise AssertionError("steady states ran on an oversized grid")
 
-        monkeypatch.setattr(analysis, "steady_state", refuse)
+        monkeypatch.setattr(analysis, "_steady_states", refuse)
         code, _, err = run(capsys, "lcurve", "--currents", grid,
                            "--out", str(tmp_path / "x.csv"))
         assert code == 1

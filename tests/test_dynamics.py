@@ -224,6 +224,221 @@ class TestRootFindFailures:
         assert "residual nan 1/s" in str(info.value)
 
 
+def reference_brentq(f, a, b, xtol, rtol, maxiter):
+    """``dynamics._brentq`` as it was written before its loop kept ``|f|``:
+    scipy's brentq.c iteration, statement for statement, one ``abs`` per
+    use.  The package's root find must take the same steps."""
+    xtol, rtol = float(xtol), float(rtol)
+
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(
+                f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre, True, 0
+    if fcur == 0.0:
+        return xcur, True, 0
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for iteration in range(1, maxiter + 1):
+        if (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur, True, iteration
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                try:
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+                except ZeroDivisionError:
+                    stry = math.inf
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = value(xcur)
+    return xcur, False, maxiter
+
+
+def reference_steady_state(params, i_dc, r_opt=0.0):
+    """steady_state as one call per current, with the field-balance curve in
+    a helper that the residual calls and every constant of ``params`` worked
+    out per call, over ``reference_brentq``.  ``steady_state`` and
+    ``light_current_curve`` must give its states bit for bit."""
+    if not math.isfinite(i_dc):
+        raise ValueError(f"i_dc must be finite, got {i_dc}")
+    if not math.isfinite(r_opt):
+        raise ValueError(f"r_opt must be finite, got {r_opt}")
+    if i_dc < 0.0:
+        raise ValueError(f"i_dc must be nonnegative, got {i_dc}")
+    if r_opt < 0.0:
+        raise ValueError(f"r_opt must be nonnegative, got {r_opt}")
+    inj = i_dc / ELEMENTARY_CHARGE + r_opt
+
+    tau_e = params.tau_e
+    gtp = params.gamma_conf * params.tau_ph
+    n_0 = params.n_0
+    d = params.n_th - n_0
+    ad = params.c_sp * params.tau_ph / tau_e * d
+    two_gq = 2.0 * params.gamma_q
+
+    def carriers(q):
+        if q == 0.0:
+            return 0.0, 0.0
+        s = math.sqrt(1.0 + two_gq * q)
+        n = (n_0 + d * s) * (q / (q + ad * s))
+        return n, (n - n_0) / d / s
+
+    def excess(q):
+        n, g = carriers(q)
+        return n / tau_e + q * g / gtp - inj
+
+    failure = None
+    hi = 2.0 * gtp * inj
+    if hi < sys.float_info.min or ad == 0.0 and inj * tau_e <= params.n_th:
+        state = ps.LaserState(n=inj * tau_e, q=0.0)
+    else:
+        if params.c_sp > params.gamma_conf:
+            while excess(hi) < 0.0:
+                hi *= 2.0
+        xtol = max(min(1e-30, 1e-7 * ad / params.n_th), 1e-322)
+        try:
+            q, converged, iterations = reference_brentq(
+                excess, 0.0, hi, xtol, 4.0 * sys.float_info.epsilon, 3000)
+        except ValueError as exc:
+            q, failure = hi, f"root find failed ({exc})"
+        else:
+            if not converged:
+                failure = (f"root find did not converge after "
+                           f"{iterations} iterations")
+        state = ps.LaserState(n=carriers(q)[0], q=q)
+
+    ok, residual = dynamics._derivatives_ok(state, i_dc, r_opt, params)
+    if ok and failure is None:
+        return state
+    raise ConvergenceError(
+        f"steady state {failure or 'missed the derivative check'} at "
+        f"i_dc={i_dc:g} A, r_opt={r_opt:g} 1/s "
+        f"(residual {residual:.3e} 1/s at n={state.n:.6g}, q={state.q:.6g})",
+        residual=residual,
+    )
+
+
+def steady_outcome(solve, params, i_dc, r_opt):
+    """The bits of a steady state, or the type and message of its error."""
+    try:
+        state = solve(params, i_dc, r_opt)
+    except (ValueError, ConvergenceError) as exc:
+        return type(exc), str(exc)
+    return state.n.hex(), state.q.hex()
+
+
+# (make_params overrides, current, pump rate) that reach each branch
+_BRANCHES = {
+    # c_sp above gamma_conf: the bracket's upper end is doubled
+    "doubling": ({"c_sp": 0.5, "n_0": 0.0}, 2e-3, 1e15),
+    # xtol 1e-7*ad/n_th is below the smallest normal double
+    "subnormal_xtol": ({"c_sp": 1e-300}, 2e-3, 1e15),
+    # no spontaneous emission, above threshold: a root find with ad = 0
+    "no_spontaneous_emission": ({"c_sp": 0.0}, 20e-3, 0.0),
+    # no spontaneous emission, below threshold: the dark field, no root find
+    "dark": ({"c_sp": 0.0}, 5e-3, 0.0),
+    # zero injection: the bracket end is 0
+    "zero_current": ({}, 0.0, 0.0),
+}
+
+
+class TestSteadyStateBits:
+    """``steady_state`` and ``light_current_curve`` against the kept oracle
+    ``reference_steady_state``, bit for bit."""
+
+    @pytest.mark.parametrize("branch", sorted(_BRANCHES))
+    def test_branch_matches_reference(self, branch, monkeypatch):
+        overrides, i_dc, r_opt = _BRANCHES[branch]
+        params = make_params(**overrides)
+        calls = []
+        real = dynamics._brentq
+
+        def spy(f, a, b, xtol, rtol, maxiter):
+            calls.append((b, xtol))
+            return real(f, a, b, xtol, rtol, maxiter)
+
+        monkeypatch.setattr(dynamics, "_brentq", spy)
+        got = steady_outcome(ps.steady_state, params, i_dc, r_opt)
+        monkeypatch.undo()
+        assert got == steady_outcome(reference_steady_state, params, i_dc,
+                                     r_opt)
+        assert type(got[0]) is str  # solved, not refused
+        first_end = (2.0 * params.gamma_conf * params.tau_ph
+                     * (i_dc / ELEMENTARY_CHARGE + r_opt))
+        reached = {
+            "doubling": len(calls) == 1 and calls[0][0] > first_end,
+            "subnormal_xtol": len(calls) == 1
+            and 0.0 < calls[0][1] < sys.float_info.min,
+            "no_spontaneous_emission": len(calls) == 1
+            and calls[0][0] == first_end,
+            "dark": not calls and float.fromhex(got[1]) == 0.0,
+            "zero_current": not calls and got == ((0.0).hex(), (0.0).hex()),
+        }[branch]
+        assert reached
+
+    @settings(deadline=None)
+    @given(
+        tau_e=st.floats(0.3e-9, 3e-9),
+        tau_ph=st.floats(1e-12, 1e-11),
+        gamma_conf=st.floats(-12.0, 0.0).map(lambda e: 10.0 ** e),
+        n_0=st.just(0.0) | st.floats(0.0, 1e8),
+        span=st.floats(1e6, 1e8),
+        c_sp=st.sampled_from([0.0, 1e-300]) | st.floats(5e-324, 1.0),
+        gamma_q=st.just(0.0) | st.floats(1e-9, 10.0),
+        currents=st.lists(st.just(0.0) | st.floats(5e-324, 50e-3),
+                          min_size=1, max_size=6, unique=True).map(sorted),
+        r_opt=st.just(0.0) | st.floats(5e-324, 1e17),
+    )
+    def test_matches_reference(self, tau_e, tau_ph, gamma_conf, n_0, span,
+                               c_sp, gamma_q, currents, r_opt):
+        assume(c_sp * (n_0 / (n_0 + span)) < gamma_conf)  # LaserParams' domain
+        params = make_params(tau_e=tau_e, tau_ph=tau_ph,
+                             gamma_conf=gamma_conf, n_0=n_0,
+                             n_th=n_0 + span, c_sp=c_sp, gamma_q=gamma_q)
+        want = [steady_outcome(reference_steady_state, params, i, r_opt)
+                for i in currents]
+        assert [steady_outcome(ps.steady_state, params, i, r_opt)
+                for i in currents] == want
+        if all(type(w[0]) is str for w in want):
+            # one photon_to_power over the curve: the same multiply per point
+            curve = ps.light_current_curve(params, r_opt, currents)
+            assert [p.hex() for p in curve.powers.tolist()] == [
+                ps.photon_to_power(ps.steady_state(params, i, r_opt).q,
+                                   params).hex() for i in currents]
+
+
 _RTOL = 4.0 * np.finfo(float).eps  # scipy's smallest allowed rtol
 
 
