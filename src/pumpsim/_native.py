@@ -21,7 +21,6 @@ import tempfile
 
 import numpy as np
 
-_ROWS_DONE, _ROWS_BACK, _ROWS_FULL = range(3)  # pumpsim_format_rows statuses
 _BOUNDS = 4  # pumpsim_rk4's status of a column outside the rows
 _VALUE_BYTES = 32  # buffer bytes per value, _rk4.c's VALUE_BYTES
 
@@ -38,12 +37,16 @@ def build():
     """``(lanes, write_rows)``: ``_rk4.c``'s RK4 loop and row writer behind
     the signatures of their Python twins ``dynamics._chunk_lanes`` and
     ``dynamics._write_rows``, or None where ``cc`` is missing or fails or
-    the library does not load.
+    the library does not load.  The row writer writes whole rows in C; a
+    row that the C hands back, one that holds a value its digit arithmetic
+    cannot prove, is written by ``dynamics._write_rows``.
 
     The library is built into a private temporary directory, deleted once
     it is loaded, so there is no cache to go stale.  Contraction into fused
     multiply-adds stays off and ``-ffast-math`` is not given, so that each
     operation rounds as Python's does."""
+    from .dynamics import _write_rows
+
     source = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                           "_rk4.c")
     directory = tempfile.mkdtemp(prefix="pumpsim-rk4-")
@@ -72,7 +75,7 @@ def build():
     format_rows.argtypes = [ctypes.POINTER(ctypes.c_void_p), ctypes.c_int64,
                             ctypes.c_int64, doubles, int64s,
                             ctypes.POINTER(ctypes.c_char), ctypes.c_int64]
-    format_rows.restype = ctypes.c_int
+    format_rows.restype = ctypes.c_int64
     coef_type = ctypes.c_double * 7
 
     def address(a, dtype=np.float64, ndim=1, pointer=doubles):
@@ -117,22 +120,14 @@ def build():
         cap = max(block, 1) * n_cols * _VALUE_BYTES
         buf = ctypes.create_string_buffer(cap)
         view = memoryview(buf).cast("B")
-        # row, col, pos, tail, prev, prev_len (_rk4.c)
-        cursor = (ctypes.c_int64 * 6)(0, 0, 0, 0, -1, 0)
-        while True:
-            status = format_rows(pointers, n_cols, n_rows, pow10, cursor,
-                                 buf, cap)
-            row, col, pos = cursor[0], cursor[1], cursor[2]
-            if status == _ROWS_BACK:
-                text = ("%.12g" % columns[col].item(row)
-                        + ("\n" if col + 1 == n_cols else ",")).encode()
-                view[pos:pos + len(text)] = text
-                cursor[1], cursor[2] = col + 1, pos + len(text)
-                continue
-            fh.write(view[:pos])
-            if status == _ROWS_DONE:
-                return
-            cursor[2] = 0  # _ROWS_FULL: the buffer is written out
+        row = ctypes.c_int64(0)
+        while row.value < n_rows:
+            start = row.value
+            fh.write(view[:format_rows(pointers, n_cols, n_rows, pow10, row,
+                                       buf, cap)])
+            if row.value == start:  # handed back: its twin writes the row
+                _write_rows(fh, [c[start:start + 1] for c in columns], 1)
+                row.value = start + 1
 
     return lanes, write_rows
 
@@ -157,23 +152,31 @@ def probe_rows(write_rows) -> list:
     rows per block.  The first column holds, in both signs, values in fixed
     and exponent notation with 2- and 3-digit exponents, exact ties,
     near-ties whose scaled digits round onto a tie, and one of each kind of
-    value that the digit arithmetic hands back.  The others come in runs, so
-    that some rows repeat the one above, across a block's end too, and one
-    row differs from the one above only in the sign of a zero."""
+    value that the digit arithmetic cannot prove, whose rows the C hands
+    back.  The others come in runs, so that some rows repeat the one above,
+    across a block's end too, and one row differs from the one above only in
+    the sign of a zero.  The table is two of 54 rows, the second column's
+    values proven in the first and handed back in the second, so that the C
+    writes rows whole and copies some, and takes others back after their
+    first or first two values."""
     back = [0.0, 2.5e-310, math.nan, math.inf, 9.999999999996e-298,
             # ties under an inexact factor, two a decade past the exact ones
             12345678901250000.0, 1719998637485.0, 5.990338549635e-12,
-            9.9999999999996e-06]  # its digits round up to 1e12
-    lead = [1.5e-4, 123456789012.0, 0.000999999999999, 99999999999.95,
-            999999999999.5, 1e12, 6.02214076e23, 1e-100, 3.5e-250, 1e200,
-            2.0 ** 52, 1.0 / 3.0,
-            # ties, printed half to even, and near-ties, printed away
-            3 * 2.0 ** -17, 1234567890.125, 32.01162994575, 17.70842504295,
-            0.0001770842504295, 31.31294559365] + back
+            # digits that round up to 1e12, the second from a tie
+            9.9999999999996e-06, 999999999999.5]
+    proven = [1.5e-4, 123456789012.0, 0.000999999999999, 99999999999.95,
+              1e12, 6.02214076e23, 1e-100, 3.5e-250, 1e200, 2.0 ** 52,
+              1.0 / 3.0,
+              # ties, printed half to even, and near-ties, printed away
+              3 * 2.0 ** -17, 1234567890.125, 32.01162994575, 17.70842504295,
+              0.0001770842504295, 31.31294559365]
+    lead = proven + back
     lead += [-v for v in lead]
     back = [w for v in back for w in (v, -v)]
-    columns = [lead, [back[k // 3 % len(back)] for k in range(len(lead))],
-               [lead[k // 2] for k in range(len(lead))]]
+    columns = [lead * 2, [proven[k // 3 % len(proven)]
+                          for k in range(len(lead))]
+               + [back[k // 3 % len(back)] for k in range(len(lead))],
+               [lead[k // 2] for k in range(len(lead))] * 2]
     written = []
     for block in (1, 2):
         fh = io.BytesIO()

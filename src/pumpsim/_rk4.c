@@ -18,12 +18,13 @@
    dynamics._chunk_lanes bit for bit on a probe.
 
    pumpsim_format_rows writes the CSV rows of dynamics._write_csv by digit
-   arithmetic that gives the bytes of "%.12g", and stops at each value that
-   it cannot prove, for the caller to write with "%.12g".  _native.select
-   uses it only after its rows matched its twin dynamics._write_rows, which
-   formats every value with "%.12g", byte for byte on a probe; the twin
-   writes where the build or the probe fails, and writes every table
-   shorter than one block of rows, which so never builds the library. */
+   arithmetic that gives the bytes of "%.12g", whole rows at a time, and
+   stops before each row that holds a value it cannot prove, for the caller
+   to write that row with "%.12g".  _native.select uses it only after its
+   rows matched its twin dynamics._write_rows, which formats every value
+   with "%.12g", byte for byte on a probe; the twin writes where the build
+   or the probe fails, and writes every table shorter than one block of
+   rows, which so never builds the library. */
 
 #include <float.h>
 #include <math.h>
@@ -178,8 +179,6 @@ int pumpsim_rk4(double *n, double *q, int64_t *halted, int64_t *clamps,
     return status;
 }
 
-enum { ROWS_DONE, ROWS_BACK, ROWS_FULL };
-
 /* bytes a row reserves per value: "%.12g" of a double is at most 19 bytes
    ("-1.23456789012e-308") and a separator follows it, but format_value
    copies its digits 12 at a time, past the end of the text, up to 26
@@ -305,70 +304,50 @@ static int same_tail(const double *const *columns, int64_t n_cols,
     return 1;
 }
 
-/* Rows of the n_cols columns of n_rows values, each value followed by ','
-   or, at the end of a row, '\n', written into buf of cap bytes.
-
-   cursor: row, col, pos, tail, prev, prev_len in and out: the next value
-   to write and the length of buf used; where the current row's tail (its
-   columns from 1 on) starts; where the previous row's tail starts in buf
-   (-1 if it is not there) and its length.  A row whose tail has the bits
-   of the row above copies that row's text.  Returns ROWS_DONE after the
-   last row, ROWS_FULL at the start of a row that might not fit (the
-   caller writes out buf[:pos] and calls again with pos = 0; prev is
-   already -1), or ROWS_BACK at a value that format_value hands back (the
-   caller writes its text at pos, adds its length to pos and 1 to col, and
-   calls again). */
-int pumpsim_format_rows(const double *const *columns, int64_t n_cols,
-                        int64_t n_rows, const double *pow10, int64_t *cursor,
-                        char *buf, int64_t cap)
+/* Whole rows of the n_cols columns of n_rows values, from row *row on,
+   each value followed by ',' or, at the end of a row, '\n', written into
+   buf of cap bytes while the next row surely fits.  A row whose tail (its
+   columns from 1 on) has the bits of the row above copies that row's text;
+   the row above is one written in this call.  Stops after the last row, at
+   a row that might not fit, or before a row that holds a value
+   format_value hands back, with that row's text taken back.  Returns the
+   bytes written, with *row at the first row not written: where it did not
+   move, that row is handed back, for the caller to write with "%.12g". */
+int64_t pumpsim_format_rows(const double *const *columns, int64_t n_cols,
+                            int64_t n_rows, const double *pow10,
+                            int64_t *row_io, char *buf, int64_t cap)
 {
-    int64_t row = cursor[0], col = cursor[1], pos = cursor[2];
-    int64_t tail = cursor[3], prev = cursor[4], prev_len = cursor[5];
-    int status;
+    int64_t row = *row_io, pos = 0, prev = -1, prev_len = 0;
 
-    for (;;) {
-        int length;
-        if (col == n_cols) {
-            prev = tail;
-            prev_len = pos - tail;
-            row += 1;
-            col = 0;
+    for (; row < n_rows && cap - pos >= n_cols * VALUE_BYTES; row++) {
+        const int64_t start = pos;
+        int64_t col = 1, tail;
+        int length = format_value(columns[0][row], n_cols > 1 ? ',' : '\n',
+                                  pow10, buf + pos);
+        if (length == 0)
+            break;
+        pos += length;
+        tail = pos;
+        if (prev >= 0 && same_tail(columns, n_cols, row)) {
+            memcpy(buf + pos, buf + prev, prev_len);
+            pos += prev_len;
+            col = n_cols;
         }
-        if (col == 0) {
-            if (row >= n_rows) {
-                status = ROWS_DONE;
+        for (; col < n_cols; col++) {
+            length = format_value(columns[col][row],
+                                  col + 1 < n_cols ? ',' : '\n', pow10,
+                                  buf + pos);
+            if (length == 0)
                 break;
-            }
-            if (cap - pos < n_cols * VALUE_BYTES) {
-                prev = -1;
-                status = ROWS_FULL;
-                break;
-            }
-        } else if (col == 1) {
-            tail = pos;
-            if (prev >= 0 && same_tail(columns, n_cols, row)) {
-                memcpy(buf + pos, buf + prev, prev_len);
-                pos += prev_len;
-                col = n_cols;
-                continue;
-            }
+            pos += length;
         }
-        length = format_value(columns[col][row],
-                              col + 1 < n_cols ? ',' : '\n', pow10,
-                              buf + pos);
-        if (length == 0) {
-            status = ROWS_BACK;
+        if (col < n_cols) {
+            pos = start;
             break;
         }
-        pos += length;
-        col += 1;
+        prev = tail;
+        prev_len = pos - tail;
     }
-
-    cursor[0] = row;
-    cursor[1] = col;
-    cursor[2] = pos;
-    cursor[3] = tail;
-    cursor[4] = prev;
-    cursor[5] = prev_len;
-    return status;
+    *row_io = row;
+    return pos;
 }

@@ -57,6 +57,9 @@ class LightCurrentCurve:
     powers: np.ndarray  # W
 
     def __post_init__(self):
+        for name in ("currents", "powers"):
+            object.__setattr__(self, name,
+                               np.asarray(getattr(self, name), dtype=float))
         if len(self.currents) != len(self.powers):
             raise ValueError("currents and powers must have equal length")
         # written so that NaN fails them too
@@ -64,6 +67,9 @@ class LightCurrentCurve:
             raise ValueError("currents must be strictly increasing")
         if len(self.powers) and not self.powers.min() >= 0.0:
             raise ValueError("powers must be nonnegative")
+        for name in ("currents", "powers"):  # ±inf, which passes both above
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
 
     def to_csv(self, path) -> None:
         _write_csv(path, "i_a,p_w", [self.currents, self.powers])
@@ -150,8 +156,9 @@ def knee_current(
     """Threshold knee: zero crossing of the line fitted above threshold."""
     i_win, p_win = _window_points(curve, fit_lo, fit_hi)
     slope, intercept = np.polyfit(i_win, p_win, 1)
-    if not slope > 0.0:  # NaN too
-        raise ValueError("window slope is not positive; fit above threshold")
+    if not 0.0 < slope < math.inf:  # NaN too
+        raise ValueError(
+            "window slope is not positive and finite; fit above threshold")
     return -intercept / slope
 
 

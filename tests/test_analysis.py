@@ -102,6 +102,25 @@ class TestLightCurrentCurve:
         with pytest.raises(ValueError, match=message):
             ps.LightCurrentCurve(**arrays)
 
+    @pytest.mark.parametrize("field, values", [
+        ("currents", [0.012, 0.013, 0.014, math.inf]),
+        ("powers", [1e-3, 2e-3, math.inf, 4e-3]),
+    ])
+    def test_infinity_refused(self, field, values):
+        arrays = {"currents": np.array([0.012, 0.013, 0.014, 0.015]),
+                  "powers": np.array([1e-3, 2e-3, 3e-3, 4e-3]),
+                  field: np.array(values)}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            ps.LightCurrentCurve(**arrays)
+
+    def test_lists_become_float_arrays(self):
+        curve = ps.LightCurrentCurve(currents=[0, 1], powers=[0.0, 1.0])
+        for value in (curve.currents, curve.powers):
+            assert isinstance(value, np.ndarray) and value.dtype == float
+        assert curve.currents.tolist() == [0.0, 1.0]
+        with pytest.raises(ValueError, match="nonnegative"):
+            ps.LightCurrentCurve(currents=[0.0, 1.0], powers=[0.0, -1.0])
+
     @settings(deadline=None)
     @given(params=devices(), grid=current_grids(), r_opt=pump_rates())
     def test_powers_nondecreasing_in_current(self, params, grid, r_opt):
@@ -178,13 +197,13 @@ class TestKneeCurrent:
         with pytest.raises(ValueError):
             ps.knee_current(curve, 1e-3, 5e-3)
 
-    def test_nan_slope_rejected(self):
-        # an infinite power is nonnegative, and the least-squares line
-        # through it has a NaN slope
+    def test_infinite_slope_rejected(self):
+        # a finite power near the double range overflows the least-squares
+        # line to an infinite slope, whose zero crossing would be NaN
         curve = ps.LightCurrentCurve(
             currents=np.array([0.012, 0.013, 0.014, 0.015]),
-            powers=np.array([1e-3, 2e-3, math.inf, 4e-3]))
-        with pytest.raises(ValueError, match="slope is not positive"):
+            powers=np.array([1e-3, 2e-3, 1.7e308, 4e-3]))
+        with pytest.raises(ValueError, match="slope is not positive and fin"):
             ps.knee_current(curve, 0.012, 0.015)
 
 

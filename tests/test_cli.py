@@ -195,32 +195,47 @@ class TestSimulatePythonLoop:
         TestSimulate.test_stage_outside_gain_domain_exits_2)
 
 
+COMMANDS = {"simulate": ["simulate"], "lcurve": ["lcurve"], "dqe": ["dqe"],
+            "sweep": ["sweep", "--pump-mw", "0,1.6"], "fit": ["fit"]}
+
+
 class TestWriters:
-    @pytest.mark.parametrize("scenario", ["default", "experiment"])
-    @pytest.mark.parametrize("argv", [
-        ["simulate"], ["lcurve"], ["dqe"], ["sweep", "--pump-mw", "0,1.6"],
-        ["fit"],
-    ], ids=["simulate", "lcurve", "dqe", "sweep", "fit"])
+    @pytest.mark.parametrize("command, scenario", [
+        pytest.param(command, scenario, id=f"{command}-{scenario}")
+        for command, scenario in [*[(c, s) for s in ("default", "experiment")
+                                    for c in COMMANDS], ("simulate", "cold")]
+    ])
     def test_same_bytes_under_both_writers(self, capsys, tmp_path,
-                                           monkeypatch, argv, scenario):
+                                           monkeypatch, command, scenario):
         """Every command writes the same CSV under the compiled writer and
         under the ``%.12g`` writer it falls back to, on both builtin scenarios
         (the experiment trace at 250 MHz over 25 ns past a 4 ns warmup:
-        250,001 rows)."""
-        if argv == ["simulate"] and scenario == "experiment":
+        250,001 rows), and on ``default`` from t = 0 with no warmup
+        (``cold``: 40,001 rows, whose first, with its time of 0, the
+        compiled writer hands back)."""
+        if (command, scenario) == ("simulate", "experiment"):
             doc = scenario_dict(load_scenario("experiment"))
             doc["drive"]["rep_rate_ghz"] = 0.25
             doc["numerics"].update(warmup_ns=4.0, t_total_ns=29.0)
-            scenario = tmp_path / "experiment.yaml"
-            scenario.write_text(yaml.safe_dump(doc))
+        elif scenario == "cold":
+            doc = scenario_dict(load_scenario("default"))
+            doc["numerics"]["warmup_ns"] = 0.0
+            del doc["numerics"]["t_total_ns"]  # 10 periods
+        path = scenario
+        if command == "simulate" and scenario != "default":
+            path = tmp_path / f"{scenario}.yaml"
+            path.write_text(yaml.safe_dump(doc))
         written = []
         for write_rows in (dynamics._writer(), dynamics._write_rows):
             monkeypatch.setattr(dynamics, "_writer", lambda: write_rows)
             out = tmp_path / f"{len(written)}.csv"
-            assert run(capsys, *argv, "--scenario", str(scenario),
+            assert run(capsys, *COMMANDS[command], "--scenario", str(path),
                        "--out", str(out))[0] == 0
             written.append(out.read_bytes())
         assert written[0] == written[1]
+        if scenario == "cold":
+            assert written[0].count(b"\n") == 40_002
+            assert written[0].split(b"\n")[1].startswith(b"0,")
 
 
 class TestCurves:
