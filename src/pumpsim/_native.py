@@ -149,22 +149,22 @@ def select(compiled, twins) -> tuple:
 
 def probe_rows(write_rows) -> list:
     """The bytes that ``write_rows`` writes for a table of 3 columns, 1 and 2
-    rows per block.  The first column holds, in both signs, values in fixed
-    and exponent notation with 2- and 3-digit exponents, exact ties,
+    rows per block.  The first column holds, in both signs, zero, values in
+    fixed and exponent notation with 2- and 3-digit exponents, exact ties,
     near-ties whose scaled digits round onto a tie, and one of each kind of
     value that the digit arithmetic cannot prove, whose rows the C hands
-    back.  The others come in runs, so that some rows repeat the one above,
-    across a block's end too, and one row differs from the one above only in
-    the sign of a zero.  The table is two of 54 rows, the second column's
-    values proven in the first and handed back in the second, so that the C
-    writes rows whole and copies some, and takes others back after their
-    first or first two values."""
-    back = [0.0, 2.5e-310, math.nan, math.inf, 9.999999999996e-298,
+    back.  The others come in runs of both signs, so that some rows repeat
+    the one above, across a block's end too, and one row that the C writes
+    differs from the one above only in the sign of a zero.  The table is two
+    of 54 rows, the second column's values proven in the first and handed
+    back in the second, so that the C writes rows whole and copies some, and
+    takes others back after their first or first two values."""
+    back = [2.5e-310, math.nan, math.inf, 9.999999999996e-298,
             # ties under an inexact factor, two a decade past the exact ones
             12345678901250000.0, 1719998637485.0, 5.990338549635e-12,
             # digits that round up to 1e12, the second from a tie
             9.9999999999996e-06, 999999999999.5]
-    proven = [1.5e-4, 123456789012.0, 0.000999999999999, 99999999999.95,
+    proven = [0.0, 1.5e-4, 123456789012.0, 0.000999999999999, 99999999999.95,
               1e12, 6.02214076e23, 1e-100, 3.5e-250, 1e200, 2.0 ** 52,
               1.0 / 3.0,
               # ties, printed half to even, and near-ties, printed away
@@ -172,7 +172,7 @@ def probe_rows(write_rows) -> list:
               0.0001770842504295, 31.31294559365]
     lead = proven + back
     lead += [-v for v in lead]
-    back = [w for v in back for w in (v, -v)]
+    proven, back = ([w for v in vs for w in (v, -v)] for vs in (proven, back))
     columns = [lead * 2, [proven[k // 3 % len(proven)]
                           for k in range(len(lead))]
                + [back[k // 3 % len(back)] for k in range(len(lead))],

@@ -193,8 +193,8 @@ static const char PAIRS[] =  /* "00" to "99" */
     "8081828384858687888990919293949596979899";
 
 /* The "%.12g" text of x and sep at out; returns its length, or 0 where
-   x is handed back: zero, subnormal or non-finite, below 1e-297, a tie
-   under an inexact factor, or an r that is not 12 digits.
+   x is handed back: subnormal or non-finite, below 1e-297, a tie under an
+   inexact factor, or an r that is not 12 digits.  A zero is "0" or "-0".
 
    With e = floor(log10|x|), r = rint(d) of d = |x|*10**(11 - e) is the
    12-digit integer that "%.12g" rounds to, ties aside.  pow10[e + 308] is
@@ -216,6 +216,13 @@ static int format_value(double x, char sep, const double *pow10, char *out)
     int64_t m, hi, lo;
     char dig[24], *p = out;
 
+    if (a == 0.0) {
+        if (signbit(x))
+            *p++ = '-';
+        *p++ = '0';
+        *p++ = sep;
+        return (int)(p - out);
+    }
     if (!isfinite(a) || a < DBL_MIN)
         return 0;
     memcpy(&bits, &a, sizeof bits);

@@ -203,24 +203,31 @@ class TestWriters:
     @pytest.mark.parametrize("command, scenario", [
         pytest.param(command, scenario, id=f"{command}-{scenario}")
         for command, scenario in [*[(c, s) for s in ("default", "experiment")
-                                    for c in COMMANDS], ("simulate", "cold")]
+                                    for c in COMMANDS],
+                                  *[("simulate", s)
+                                    for s in ("cold", "dark", "faint")]]
     ])
     def test_same_bytes_under_both_writers(self, capsys, tmp_path,
                                            monkeypatch, command, scenario):
         """Every command writes the same CSV under the compiled writer and
         under the ``%.12g`` writer it falls back to, on both builtin scenarios
         (the experiment trace at 250 MHz over 25 ns past a 4 ns warmup:
-        250,001 rows), and on ``default`` from t = 0 with no warmup
-        (``cold``: 40,001 rows, whose first, with its time of 0, the
-        compiled writer hands back)."""
+        250,001 rows), and on three ``default`` traces of 40,001 rows: from
+        t = 0 with no warmup (``cold``: its first time is 0), with no
+        spontaneous emission (``dark``: every photon number and power is 0),
+        and from t = 0 with ``c_sp`` 1e-300 (``faint``: rows whose power,
+        below 1e-297, the compiled writer hands back)."""
         if (command, scenario) == ("simulate", "experiment"):
             doc = scenario_dict(load_scenario("experiment"))
             doc["drive"]["rep_rate_ghz"] = 0.25
             doc["numerics"].update(warmup_ns=4.0, t_total_ns=29.0)
-        elif scenario == "cold":
+        elif scenario in ("cold", "dark", "faint"):
             doc = scenario_dict(load_scenario("default"))
-            doc["numerics"]["warmup_ns"] = 0.0
-            del doc["numerics"]["t_total_ns"]  # 10 periods
+            if scenario != "dark":
+                doc["numerics"]["warmup_ns"] = 0.0
+                del doc["numerics"]["t_total_ns"]  # 10 periods
+            doc["laser"]["c_sp"] = {"cold": doc["laser"]["c_sp"],
+                                    "dark": 0.0, "faint": 1e-300}[scenario]
         path = scenario
         if command == "simulate" and scenario != "default":
             path = tmp_path / f"{scenario}.yaml"
@@ -229,13 +236,23 @@ class TestWriters:
         for write_rows in (dynamics._writer(), dynamics._write_rows):
             monkeypatch.setattr(dynamics, "_writer", lambda: write_rows)
             out = tmp_path / f"{len(written)}.csv"
+            # a dark trace has no pulse to measure, once it is written
             assert run(capsys, *COMMANDS[command], "--scenario", str(path),
-                       "--out", str(out))[0] == 0
+                       "--out", str(out))[0] == (2 if scenario == "dark"
+                                                 else 0)
             written.append(out.read_bytes())
         assert written[0] == written[1]
+        rows = written[0].splitlines()[1:]
         if scenario == "cold":
-            assert written[0].count(b"\n") == 40_002
-            assert written[0].split(b"\n")[1].startswith(b"0,")
+            assert len(rows) == 40_001
+            assert rows[0].startswith(b"0,")
+        elif scenario == "dark":
+            assert len(rows) == 40_001
+            assert all(row.endswith(b",0,0") for row in rows)
+        elif scenario == "faint":
+            assert len(rows) == 40_001
+            assert 0.0 < min(float(row.rsplit(b",", 1)[1])
+                             for row in rows) < 1e-297
 
 
 class TestCurves:
