@@ -109,9 +109,6 @@ class SimTrace:
     clamp_count: int = 0
 
     def __post_init__(self):
-        for name in ("t", "n", "q", "p"):  # no copy of a float64 array
-            object.__setattr__(self, name,
-                               np.asarray(getattr(self, name), dtype=float))
         if not (len(self.t) == len(self.n) == len(self.q) == len(self.p)):
             raise ValueError("trace arrays must have equal length")
         t = self.t

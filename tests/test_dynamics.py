@@ -939,17 +939,6 @@ class TestTraceValidation:
             with pytest.raises(ValueError, match=f"trace {name} must be"):
                 ps.SimTrace(t=np.arange(1000.0), **columns)
 
-    def test_lists_become_float_arrays(self):
-        trace = ps.SimTrace(t=[0.0, 1.0, 2.0], n=[1, 2, 3], q=[0.0] * 3,
-                            p=(0.5, 0.25, 0.0))
-        for name in ("t", "n", "q", "p"):
-            value = getattr(trace, name)
-            assert isinstance(value, np.ndarray) and value.dtype == float
-        assert trace.n.tolist() == [1.0, 2.0, 3.0]
-        assert trace.sample_spacing == 1.0
-        with pytest.raises(ValueError, match="strictly increasing"):
-            ps.SimTrace(t=[0.0, 0.0], n=[0.0] * 2, q=[0.0] * 2, p=[0.0] * 2)
-
     def test_float64_arrays_are_not_copied(self):
         arrays = {name: np.arange(4.0) for name in ("t", "n", "q", "p")}
         trace = ps.SimTrace(**arrays)
