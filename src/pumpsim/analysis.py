@@ -127,14 +127,36 @@ def light_current_curve(
                              powers=photon_to_power(q, params))
 
 
-def _window_points(curve: LightCurrentCurve, fit_lo: float, fit_hi: float):
+def _window_line(curve: LightCurrentCurve, fit_lo: float,
+                 fit_hi: float) -> tuple[float, float]:
+    """Least-squares line (slope, intercept) through the curve points in
+    [fit_lo, fit_hi], by centred sums that ``math.fsum`` rounds exactly:
+    the same bits on every machine, with no BLAS or LAPACK."""
     mask = (curve.currents >= fit_lo) & (curve.currents <= fit_hi)
-    if mask.sum() < 3:
+    k = int(mask.sum())
+    if k < 3:
         raise ValueError(
-            f"window [{fit_lo}, {fit_hi}] A contains only {int(mask.sum())} "
+            f"window [{fit_lo}, {fit_hi}] A contains only {k} "
             "curve points; need at least 3 for a slope fit"
         )
-    return curve.currents[mask], curve.powers[mask]
+    x = curve.currents[mask].tolist()
+    y = curve.powers[mask].tolist()
+    try:
+        x_mean = math.fsum(x) / k
+        y_mean = math.fsum(y) / k
+        dx = [xi - x_mean for xi in x]
+        sxx = math.fsum([d * d for d in dx])
+        sxy = math.fsum([d * (yi - y_mean) for d, yi in zip(dx, y)])
+    except (OverflowError, ValueError):  # ValueError: inf - inf in fsum
+        raise ValueError(f"window [{fit_lo}, {fit_hi}] A: a least-squares "
+                         "sum overflows the double range") from None
+    if not sxx > 0.0:
+        raise ValueError(
+            f"window [{fit_lo}, {fit_hi}] A: the currents' squared "
+            f"deviations from their mean sum to {sxx}, too little to fit "
+            "a slope")
+    slope = sxy / sxx
+    return slope, y_mean - slope * x_mean
 
 
 def compute_dqe(
@@ -142,20 +164,27 @@ def compute_dqe(
 ) -> float:
     """Differential quantum efficiency from the power-current slope.
 
-    The slope is the ordinary least-squares fit over curve points inside
-    [fit_lo, fit_hi]; the efficiency is 2e/(photon energy) times that slope.
+    The slope is the least-squares line through the curve points inside
+    [fit_lo, fit_hi], fitted by centred sums that are each exactly rounded,
+    so it has the same bits on every machine; the efficiency is
+    2e/(photon energy) times that slope.  A slope that is not finite is
+    refused.
     """
-    i_win, p_win = _window_points(curve, fit_lo, fit_hi)
-    slope = np.polyfit(i_win, p_win, 1)[0]
+    slope, _ = _window_line(curve, fit_lo, fit_hi)
+    if not math.isfinite(slope):
+        raise ValueError(f"window slope {slope} W/A is not finite")
     return 2.0 * ELEMENTARY_CHARGE * slope / params.e_photon_out
 
 
 def knee_current(
     curve: LightCurrentCurve, fit_lo: float, fit_hi: float
 ) -> float:
-    """Threshold knee: zero crossing of the line fitted above threshold."""
-    i_win, p_win = _window_points(curve, fit_lo, fit_hi)
-    slope, intercept = np.polyfit(i_win, p_win, 1)
+    """Threshold knee: zero crossing of the line fitted above threshold.
+
+    The line is the exactly rounded least-squares fit of ``compute_dqe``,
+    so the knee has the same bits on every machine.
+    """
+    slope, intercept = _window_line(curve, fit_lo, fit_hi)
     if not 0.0 < slope < math.inf:  # NaN too
         raise ValueError(
             "window slope is not positive and finite; fit above threshold")

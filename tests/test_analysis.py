@@ -166,6 +166,16 @@ class TestComputeDqe:
         with pytest.raises(ValueError):
             ps.compute_dqe(curve, params, 24.6e-3, 25e-3)
 
+    def test_infinite_slope_rejected(self, params):
+        # a finite power near the double range overflows the least-squares
+        # slope to inf, as in TestKneeCurrent
+        curve = ps.LightCurrentCurve(
+            currents=np.array([0.012, 0.013, 0.014, 0.015]),
+            powers=np.array([1e-3, 2e-3, 1.7e308, 4e-3]))
+        with pytest.raises(ValueError, match="window slope inf W/A is not "
+                                             "finite"):
+            ps.compute_dqe(curve, params, 0.012, 0.015)
+
     @pytest.mark.parametrize("eta", [0.3, 0.5, 0.8])
     @pytest.mark.parametrize("gap_scale", [0.8, 1.0, 1.2])
     def test_round_trip_recovers_eta(self, eta, gap_scale):
@@ -205,6 +215,72 @@ class TestKneeCurrent:
             powers=np.array([1e-3, 2e-3, 1.7e308, 4e-3]))
         with pytest.raises(ValueError, match="slope is not positive and fin"):
             ps.knee_current(curve, 0.012, 0.015)
+
+
+SUBNORMAL_CURVE = ps.LightCurrentCurve(
+    currents=np.array([1e-320, 2e-320, 3e-320, 4e-320]),
+    powers=np.array([1e-3, 2e-3, 3e-3, 4e-3]))
+
+
+@st.composite
+def noisy_lines(draw):
+    """A window of 3-60 strictly increasing currents (A) and powers (W) on
+    a line with a positive intercept, plus noise well inside that line.
+
+    The start current and the intercept are drawn in proportion to the
+    window's span and rise, so the line is well conditioned: np.polyfit
+    loses no more than a few digits to the extrapolation to zero current.
+    """
+    steps = draw(st.lists(st.floats(1e-5, 5e-3), min_size=2, max_size=59))
+    span = math.fsum(steps)
+    currents = np.cumsum([draw(st.floats(0.0, 10.0)) * span] + steps)
+    slope = draw(st.floats(1e-3, 10.0))
+    rise = slope * span
+    intercept = draw(st.floats(0.01, 10.0)) * rise
+    scale = 1e-3 * min(intercept, rise)
+    noise = draw(st.lists(st.floats(-1.0, 1.0), min_size=len(currents),
+                          max_size=len(currents)))
+    powers = slope * currents + intercept + scale * np.array(noise)
+    return ps.LightCurrentCurve(currents=currents, powers=powers)
+
+
+class TestWindowLine:
+    @settings(deadline=None)
+    @given(curve=noisy_lines())
+    def test_matches_polyfit(self, curve):
+        lo, hi = curve.currents[0], curve.currents[-1]
+        slope, intercept = analysis._window_line(curve, lo, hi)
+        expected = np.polyfit(curve.currents, curve.powers, 1)
+        assert slope == pytest.approx(expected[0], rel=1e-9)
+        assert intercept == pytest.approx(expected[1], rel=1e-9)
+
+    def test_dyadic_line_is_exact(self):
+        # every sum and product of these dyadic points is exact, so the
+        # fit returns the line's own slope and intercept, bit for bit
+        currents = np.arange(1.0, 9.0) * 2.0 ** -10
+        curve = ps.LightCurrentCurve(currents=currents,
+                                     powers=0.375 * currents + 2.0 ** -6)
+        assert analysis._window_line(curve, 0.0, 1.0) == (0.375, 2.0 ** -6)
+
+    def test_overflowing_sum_refused(self, params):
+        # each power is finite, but their sum is past the double range
+        curve = ps.LightCurrentCurve(currents=np.array([0.012, 0.013, 0.014]),
+                                     powers=np.full(3, 1.7e308))
+        for fit in (lambda: ps.compute_dqe(curve, params, 0.012, 0.014),
+                    lambda: ps.knee_current(curve, 0.012, 0.014)):
+            with pytest.raises(ValueError, match="sum overflows"):
+                fit()
+
+    @pytest.mark.parametrize("fit", ["dqe", "knee"])
+    def test_subnormal_currents_refused(self, params, fit, capfd):
+        # the squared deviations of these currents underflow to zero
+        with pytest.raises(ValueError, match="squared deviations .* sum to "
+                                             "0.0, too little"):
+            if fit == "dqe":
+                ps.compute_dqe(SUBNORMAL_CURVE, params, 0.0, 1.0)
+            else:
+                ps.knee_current(SUBNORMAL_CURVE, 0.0, 1.0)
+        assert capfd.readouterr().err == ""
 
 
 class TestPulseMetrics:
