@@ -147,7 +147,7 @@ def _window_line(curve: LightCurrentCurve, fit_lo: float,
         dx = [xi - x_mean for xi in x]
         sxx = math.fsum([d * d for d in dx])
         sxy = math.fsum([d * (yi - y_mean) for d, yi in zip(dx, y)])
-    except (OverflowError, ValueError):  # ValueError: inf - inf in fsum
+    except OverflowError:  # fsum of finite terms past the double range
         raise ValueError(f"window [{fit_lo}, {fit_hi}] A: a least-squares "
                          "sum overflows the double range") from None
     if not sxx > 0.0:

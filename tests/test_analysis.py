@@ -217,9 +217,11 @@ class TestKneeCurrent:
             ps.knee_current(curve, 0.012, 0.015)
 
 
-SUBNORMAL_CURVE = ps.LightCurrentCurve(
-    currents=np.array([1e-320, 2e-320, 3e-320, 4e-320]),
-    powers=np.array([1e-3, 2e-3, 3e-3, 4e-3]))
+# compute_dqe and knee_current over a window of 0 to 1 A
+both_fits = pytest.mark.parametrize("fit", [
+    lambda curve, params: ps.compute_dqe(curve, params, 0.0, 1.0),
+    lambda curve, params: ps.knee_current(curve, 0.0, 1.0),
+], ids=["dqe", "knee"])
 
 
 @st.composite
@@ -262,24 +264,23 @@ class TestWindowLine:
                                      powers=0.375 * currents + 2.0 ** -6)
         assert analysis._window_line(curve, 0.0, 1.0) == (0.375, 2.0 ** -6)
 
-    def test_overflowing_sum_refused(self, params):
+    @both_fits
+    def test_overflowing_sum_refused(self, params, fit):
         # each power is finite, but their sum is past the double range
         curve = ps.LightCurrentCurve(currents=np.array([0.012, 0.013, 0.014]),
                                      powers=np.full(3, 1.7e308))
-        for fit in (lambda: ps.compute_dqe(curve, params, 0.012, 0.014),
-                    lambda: ps.knee_current(curve, 0.012, 0.014)):
-            with pytest.raises(ValueError, match="sum overflows"):
-                fit()
+        with pytest.raises(ValueError, match="sum overflows"):
+            fit(curve, params)
 
-    @pytest.mark.parametrize("fit", ["dqe", "knee"])
+    @both_fits
     def test_subnormal_currents_refused(self, params, fit, capfd):
         # the squared deviations of these currents underflow to zero
+        curve = ps.LightCurrentCurve(
+            currents=np.array([1e-320, 2e-320, 3e-320, 4e-320]),
+            powers=np.array([1e-3, 2e-3, 3e-3, 4e-3]))
         with pytest.raises(ValueError, match="squared deviations .* sum to "
                                              "0.0, too little"):
-            if fit == "dqe":
-                ps.compute_dqe(SUBNORMAL_CURVE, params, 0.0, 1.0)
-            else:
-                ps.knee_current(SUBNORMAL_CURVE, 0.0, 1.0)
+            fit(curve, params)
         assert capfd.readouterr().err == ""
 
 
